@@ -17,10 +17,8 @@ variant as an artifact):
   vs columnar-mmap loading, with a byte-identity check on the Fig. 7
   statistics both load paths produce;
 * ``sched`` -- per-size rows replaying columnar traces through the
-  scheduling engine (FIFO, model-predicted durations): the day-batched
-  engine at every size up to one million jobs, against the per-event
-  reference (with a whole-outcome identity check) where the reference
-  is affordable.
+  scheduling engine (FIFO, model-predicted durations), one timed
+  replay per size up to one million jobs.
 
 The payload is stamped with the package version (read from
 ``repro.__version__``, never hardcoded) and, when ``--output`` is
@@ -58,11 +56,6 @@ QUICK_POPULATION_SIZES = (QUICK_TRACE_JOBS, 20_000)
 #: count so the arrival rate -- and hence the absorbing fleet -- stays
 #: constant and replay cost stays linear in trace size.
 SCHED_ARRIVALS_PER_DAY = 400
-#: The per-event reference engine replays alongside the day engine
-#: only up to this size.  Beyond it the reference costs minutes while
-#: saying nothing new about equivalence (the tier-1 20k tests pin
-#: byte-identity across every bundled policy).
-SCHED_EVENT_MAX_JOBS = 200_000
 #: Fleet sizing for the sched rows: headroom over the trace's own
 #: peak-day GPU demand, so each day's batch is absorbed and the rows
 #: measure engine throughput rather than queueing pathology.
@@ -284,18 +277,15 @@ def bench_populations(sizes) -> list:
 
 
 def bench_sched(sizes) -> list:
-    """Per-size rows: day-batched vs per-event scheduling replays.
+    """Per-size rows: one timed scheduling replay each.
 
     Each row generates a calibrated trace, writes it to a columnar
     store, and replays the store's lazy job views through
     ``sched.run_schedule`` under FIFO with model-predicted durations
-    (the Sec. II-B analytical model, resolved per admission day on the
-    vectorized path).  Durations are clamped to 24 hours so occupancy
-    carries over at most one day and the peak-day-sized fleet stays
-    absorbing.  Up to ``SCHED_EVENT_MAX_JOBS`` the per-event reference
-    engine replays the identical trace and the two
-    :class:`ScheduleOutcome` values are compared whole
-    (``outcomes_identical``).
+    (the Sec. II-B analytical model, evaluated for the whole trace on
+    the vectorized path).  Durations are clamped to 24 hours so
+    occupancy carries over at most one day and the peak-day-sized
+    fleet stays absorbing.
     """
     import numpy as np
 
@@ -328,35 +318,24 @@ def bench_sched(sizes) -> list:
                 int(SCHED_FLEET_HEADROOM * demand.max() / gpus_per_server),
             )
             trace = list(store.iter_views())
-
-            def replay(engine):
-                return run_schedule(
+            replay_s, outcome = _time(
+                lambda: run_schedule(
                     trace,
                     Fleet(servers, gpus_per_server=gpus_per_server),
                     FifoPolicy(),
                     predictor=ModelRuntimePredictor(max_hours=24.0),
-                    engine=engine,
                     collect_telemetry=False,
                 )
-
-            day_s, day_outcome = _time(lambda: replay("day"))
+            )
             row = {
                 "jobs": size,
                 "policy": "fifo",
                 "trace_days": days,
                 "servers": servers,
-                "completed": len(day_outcome.outcomes),
-                "rejected": len(day_outcome.rejected),
-                "day_s": round(day_s, 4),
-                "event_s": None,
-                "day_speedup": None,
-                "outcomes_identical": None,
+                "completed": len(outcome.outcomes),
+                "rejected": len(outcome.rejected),
+                "replay_s": round(replay_s, 4),
             }
-            if size <= SCHED_EVENT_MAX_JOBS:
-                event_s, event_outcome = _time(lambda: replay("event"))
-                row["event_s"] = round(event_s, 4)
-                row["day_speedup"] = round(event_s / day_s, 2)
-                row["outcomes_identical"] = event_outcome == day_outcome
             rows.append(row)
     return rows
 

@@ -26,6 +26,7 @@ label                     meaning
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -124,6 +125,11 @@ class FaultSpec:
     severity: float
 
     def __post_init__(self) -> None:
+        # NaN passes every range check below (all its comparisons are
+        # false), and inf overflows the injector's integer conversions.
+        for name in ("onset", "duration", "severity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.onset < 0:
             raise ValueError("onset must be non-negative")
         if self.duration <= 0:

@@ -16,28 +16,16 @@ work is conserved; every run of a job is recorded as an
 :class:`~repro.sched.outcomes.ExecutionSegment` and the per-job
 history rolls up into :class:`~repro.sched.outcomes.JobOutcome`.
 
+Durations are resolved for the whole trace before the replay starts;
+model-predicted ones come from one vectorized evaluation
+(:meth:`~repro.sched.predictor.ModelRuntimePredictor.durations`).
+
 Determinism: given the same jobs, durations, fleet geometry and
 policy, the engine produces the identical schedule -- every tie is
 broken on (hour, sequence number) and policies are required to order
-deterministically.
-
-Two replay engines share that loop:
-
-* ``engine="event"`` -- the reference implementation: every arrival is
-  a heap event, durations are resolved for the whole trace up front.
-* ``engine="day"`` (the default) -- arrivals are admitted one
-  *submission day* at a time (:func:`repro.trace.schema.iter_day_groups`).
-  A day's batch enqueues in one append pass, its model-predicted
-  durations come from the vectorized columnar path
-  (:meth:`~repro.sched.predictor.ModelRuntimePredictor.batch_duration_hours`),
-  and for non-preempting policies a whole-queue feasibility screen
-  against :meth:`~repro.sched.fleet.Fleet.feasibility_caps` skips the
-  sort-and-trial-place round when nothing can start.  Each reduction is
-  exact -- same floats, same event ordering, same policy calls observed
-  -- so the two engines produce **byte-identical**
-  :class:`~repro.sched.outcomes.ScheduleOutcome` values (pinned by
-  regression tests across all bundled policies, with and without
-  injected faults).
+deterministically.  Refactors must keep every
+:class:`~repro.sched.outcomes.ScheduleOutcome` byte-identical; pinned
+outcome digests in the tier-1 tests enforce that.
 """
 
 from __future__ import annotations
@@ -47,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.architectures import Architecture
 from ..obs import DEBUG, WARNING, get_obs
-from ..trace.schema import JobRecord, iter_day_groups
+from ..trace.schema import JobRecord
 from .faults import SchedFaults
 from .fleet import Fleet, Placement
 from .outcomes import (
@@ -117,33 +105,6 @@ def _resolve_durations(
     return sample_durations(jobs)
 
 
-def _any_fits(queue: List[PendingJob], caps: Tuple[int, int, int]) -> bool:
-    """Whether any queued job could be placed, from the feasibility caps.
-
-    Exact per architecture shape (see
-    :meth:`~repro.sched.fleet.Fleet.feasibility_caps`): a local gang
-    needs one server block at least as wide, PS/Worker needs one
-    partially-free server per worker, and packed cluster shapes need
-    only the free pool.  When this returns ``False`` every
-    ``fleet.fits``/``try_place`` probe a non-preempting policy could
-    make would fail, so its decision is provably empty and the engine
-    may skip the policy call without changing the schedule.
-    """
-    largest_block, servers_with_free, free_gpus = caps
-    for pending in queue:
-        architecture = pending.job.workload_type
-        width = pending.job.num_cnodes
-        if architecture.is_local:
-            if width <= largest_block:
-                return True
-        elif architecture is Architecture.PS_WORKER:
-            if width <= servers_with_free:
-                return True
-        elif width <= free_gpus:
-            return True
-    return False
-
-
 def run_schedule(
     jobs: Iterable[JobRecord],
     fleet: Fleet,
@@ -153,7 +114,6 @@ def run_schedule(
     on_unplaceable: str = "reject",
     collect_telemetry: bool = True,
     faults: Optional[SchedFaults] = None,
-    engine: str = "day",
 ) -> ScheduleOutcome:
     """Schedule a trace onto a fleet under a policy.
 
@@ -178,32 +138,17 @@ def run_schedule(
         collect_telemetry: Sample fleet state at every event timestamp.
         faults: Injected disruptions (worker crashes, preemption
             storms); ``None`` = failure-free replay.
-        engine: ``"day"`` (default) admits arrivals one submission day
-            at a time with vectorized batch durations and a queue
-            feasibility screen; ``"event"`` is the reference per-event
-            replay.  Both produce byte-identical outcomes (see the
-            module docstring).
 
     Returns:
         The per-job outcomes, rejects and fleet telemetry.
     """
     if on_unplaceable not in ("reject", "raise"):
         raise ValueError("on_unplaceable must be 'reject' or 'raise'")
-    if engine not in ("day", "event"):
-        raise ValueError("engine must be 'day' or 'event'")
     if faults is None:
         faults = SchedFaults()
     obs = get_obs()
-    day_mode = engine == "day"
     trace = sorted(jobs, key=lambda j: (j.submit_day, j.job_id))
-    if day_mode and durations is None and predictor is not None:
-        # Model-predicted durations resolve per admitted day through
-        # the vectorized columnar path; everything else (explicit dicts,
-        # the legacy per-job log-normal draw) resolves up front exactly
-        # as in event mode.
-        service: Optional[Dict[int, float]] = None
-    else:
-        service = _resolve_durations(trace, durations, predictor)
+    service = _resolve_durations(trace, durations, predictor)
 
     rejected: List[JobRecord] = []
     admitted: List[JobRecord] = []
@@ -236,26 +181,14 @@ def run_schedule(
     # ``faults.crashes``), kind 3 = storm wave (key = index into
     # ``faults.storms``), ordered after the timestamp's arrivals so a
     # crash can hit a job that just started.
-    #
-    # Day mode keeps initial arrivals *off* the heap -- each day's batch
-    # is admitted directly when the clock reaches its hour -- but
-    # reserves their sequence numbers (0..len(admitted)-1) so fault
-    # events and every dynamically pushed completion/retry carry the
-    # same sequence number in both modes, keeping tie-breaks identical.
     events: List[Tuple[float, int, int, int, int]] = []
     states: Dict[int, _JobState] = {}
-    day_groups: List[Tuple[int, List[JobRecord]]] = []
-    day_cursor = 0
     sequence = 0
-    if day_mode:
-        day_groups = list(iter_day_groups(admitted))
-        sequence = len(admitted)
-    else:
-        for job in admitted:
-            arrival = job.submit_day * _HOURS_PER_DAY
-            events.append((arrival, sequence, 1, job.job_id, 0))
-            states[job.job_id] = _JobState(job, arrival, service[job.job_id])
-            sequence += 1
+    for job in admitted:
+        arrival = job.submit_day * _HOURS_PER_DAY
+        events.append((arrival, sequence, 1, job.job_id, 0))
+        states[job.job_id] = _JobState(job, arrival, service[job.job_id])
+        sequence += 1
     for crash_index, crash in enumerate(faults.crashes):
         events.append((crash.hour, sequence, 2, crash_index, 0))
         sequence += 1
@@ -271,14 +204,6 @@ def run_schedule(
     samples: List[TelemetrySample] = []
     active_gpu_hours = 0.0
     previous_hour = events[0][0] if events else 0.0
-    if day_groups:
-        first_day_hour = day_groups[0][0] * _HOURS_PER_DAY
-        previous_hour = (
-            first_day_hour if not events else min(previous_hour, first_day_hour)
-        )
-    #: Skip the policy round entirely when the queue provably cannot
-    #: start anything -- exact only for policies that never preempt.
-    screen_queue = day_mode and not getattr(policy, "may_preempt", True)
     #: Fault events whose hour has passed but which have not found a
     #: running victim yet (indices into ``faults.crashes`` /
     #: ``faults.storms``).
@@ -367,42 +292,11 @@ def run_schedule(
             (now + backoff_hours, sequence, 1, state.job.job_id, 0),
         )
 
-    while events or day_cursor < len(day_groups):
-        day_hour = (
-            day_groups[day_cursor][0] * _HOURS_PER_DAY
-            if day_cursor < len(day_groups)
-            else None
-        )
-        if day_hour is not None and (not events or day_hour <= events[0][0]):
-            now = day_hour
-        else:
-            now = events[0][0]
+    while events:
+        now = events[0][0]
         # Integrate GPU activity over the idle gap just ended.
         active_gpu_hours += fleet.busy_gpus * (now - previous_hour)
         previous_hour = now
-        if day_hour == now and day_hour is not None:
-            # Admit the day's arrivals as one batch: durations in one
-            # vectorized model evaluation, queue entries in one append
-            # pass.  Initial arrivals carry the lowest sequence numbers
-            # in event mode, so batch-before-heap matches its ordering
-            # exactly; retries and completions pop right after, below.
-            _, group = day_groups[day_cursor]
-            day_cursor += 1
-            day_service = (
-                service
-                if service is not None
-                else predictor.batch_duration_hours(group)
-            )
-            for job in group:
-                state = _JobState(job, now, day_service[job.job_id])
-                states[job.job_id] = state
-                queue.append(
-                    PendingJob(
-                        job=job,
-                        arrival_hour=now,
-                        remaining_hours=state.remaining_hours,
-                    )
-                )
         while events and events[0][0] == now:
             _, _, kind, job_id, incarnation = heapq.heappop(events)
             if kind == 2:
@@ -448,14 +342,7 @@ def run_schedule(
                     )
                 )
 
-        if queue and screen_queue and not _any_fits(
-            queue, fleet.feasibility_caps()
-        ):
-            obs.metrics.counter("sched.screened_rounds").inc()
-            rounds: range = range(0)  # provably-empty decision: skip
-        else:
-            rounds = range(_MAX_DECISION_ROUNDS)
-        for _ in rounds:
+        for _ in range(_MAX_DECISION_ROUNDS):
             if not queue:
                 break
             context = SchedulingContext(
@@ -538,12 +425,7 @@ def run_schedule(
             obs.metrics.gauge("sched.queue_depth").set(len(queue))
             obs.metrics.gauge("sched.busy_gpus").set(fleet.busy_gpus)
             obs.metrics.gauge("sched.fragmentation").set(fleet.fragmentation())
-        if (
-            not events
-            and day_cursor >= len(day_groups)
-            and queue
-            and not running
-        ):
+        if not events and queue and not running:
             # Placeable jobs remain, nothing running, no future events:
             # the policy refuses to start them and never will.
             raise RuntimeError(

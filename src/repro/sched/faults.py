@@ -24,10 +24,19 @@ telemetry names the injected cause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = ["CrashSpec", "SchedFaults", "StormSpec"]
+
+
+def _require_finite(spec: object, *fields: str) -> None:
+    """Reject NaN and infinite hours: every NaN comparison is false, so
+    they would slip past the range checks and stall the event heap."""
+    for name in fields:
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,7 @@ class CrashSpec:
     backoff_hours: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "hour", "backoff_hours")
         if self.hour < 0:
             raise ValueError("hour must be non-negative")
         if self.backoff_hours <= 0:
@@ -74,6 +84,7 @@ class StormSpec:
     victims_per_tick: int = 2
 
     def __post_init__(self) -> None:
+        _require_finite(self, "start_hour", "interval_hours")
         if self.start_hour < 0:
             raise ValueError("start_hour must be non-negative")
         if self.ticks < 1:

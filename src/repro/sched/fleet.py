@@ -115,26 +115,6 @@ class Fleet:
         copy._free = self._free.copy()
         return copy
 
-    def feasibility_caps(self) -> Tuple[int, int, int]:
-        """The three scalars that decide instantaneous placeability.
-
-        One pass over the free array yields ``(largest_free_block,
-        servers_with_any_free, free_gpus)``.  :meth:`fits` reduces
-        exactly to these: a local gang fits iff its width is at most
-        the largest single-server block, a PS/Worker job (one GPU per
-        server) iff enough servers have any free GPU, and a packed
-        cluster shape iff the total free pool covers it.  The
-        day-batched engine screens a whole queue against these caps
-        before invoking a policy, skipping the sort-and-trial-place
-        round entirely when nothing can start.
-        """
-        free = self._free
-        return (
-            int(free.max()),
-            int(np.count_nonzero(free)),
-            int(free.sum()),
-        )
-
     # ---- placement ---------------------------------------------------
 
     def _shape(

@@ -28,7 +28,7 @@ Four disciplines are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 try:  # Python 3.8+: typing.Protocol
     from typing import Protocol, runtime_checkable
@@ -126,14 +126,7 @@ class SchedulingDecision:
 
 @runtime_checkable
 class Policy(Protocol):
-    """The pluggable scheduling discipline interface.
-
-    Policies may additionally expose a ``may_preempt`` attribute
-    (``False`` = the policy only ever starts queued jobs that fit the
-    live fleet).  The engine uses it to skip the policy call outright
-    when no queued job can currently be placed; policies without the
-    attribute are conservatively treated as preempting.
-    """
+    """The pluggable scheduling discipline interface."""
 
     name: str
 
@@ -166,10 +159,6 @@ class FifoPolicy:
 
     name: str = "fifo"
 
-    #: Never evicts: with no queued job placeable, the greedy prefix is
-    #: empty and ``select`` provably returns an empty decision.
-    may_preempt: ClassVar[bool] = False
-
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """Start the longest placeable prefix of the FIFO queue."""
         starts, _, _ = _greedy_starts(context.fifo_order(), context.fleet)
@@ -181,8 +170,6 @@ class SjfPolicy:
     """Shortest predicted job first (model-predicted runtimes)."""
 
     name: str = "sjf"
-
-    may_preempt: ClassVar[bool] = False
 
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """Start the shortest placeable prefix of the queue."""
@@ -199,10 +186,6 @@ class BackfillPolicy:
     """FIFO with EASY backfill behind a single head reservation."""
 
     name: str = "backfill"
-
-    #: Backfill candidates also need a successful trial placement, so
-    #: an unplaceable queue still yields an empty decision.
-    may_preempt: ClassVar[bool] = False
 
     def _reservation_hour(
         self, context: SchedulingContext, head: PendingJob, trial: Fleet
@@ -261,11 +244,6 @@ class PriorityPolicy:
     priority: Callable[[JobRecord], float] = field(default=default_priority)
     preempt: bool = True
     name: str = "priority"
-
-    @property
-    def may_preempt(self) -> bool:
-        """Eviction can free capacity, so a blocked queue is not final."""
-        return self.preempt
 
     def _victims_for(
         self, pending: PendingJob, context: SchedulingContext, trial: Fleet

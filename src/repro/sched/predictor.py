@@ -119,7 +119,7 @@ class ModelRuntimePredictor:
 
     def durations(self, jobs: Iterable[JobRecord]) -> Dict[int, float]:
         """Predicted durations for a whole trace, keyed by job id."""
-        return {job.job_id: self.duration_hours(job) for job in jobs}
+        return self.batch_duration_hours(list(jobs))
 
     def batch_duration_hours(self, jobs: Sequence[JobRecord]) -> Dict[int, float]:
         """Predicted durations for one batch, via the vectorized model.
@@ -131,9 +131,8 @@ class ModelRuntimePredictor:
         count draw, unit conversion, ``max_hours`` clamp) is written
         exactly as in :meth:`duration_hours`, and the vectorized model
         itself is pinned bit-identical to the scalar one, so this
-        returns the same floats as the per-job path -- which is what
-        lets the day-batched engine use it while staying byte-identical
-        to the per-event engine.
+        returns the same floats as the per-job path, which stays the
+        single-job API and the reference the tests compare against.
         """
         jobs = list(jobs)
         if not jobs:

@@ -74,9 +74,9 @@ class TraceReplayer:
     def _batches(self) -> Iterator[ReplayBatch]:
         """Day-grouped, size-bounded batches, in stream order.
 
-        Day grouping is shared with the day-batched scheduling engine
-        (:func:`repro.trace.schema.iter_day_groups`); each day's run is
-        then chopped into ``batch_size`` chunks.
+        Each submission day's run of jobs
+        (:func:`repro.trace.schema.iter_day_groups`) is chopped into
+        ``batch_size`` chunks.
         """
         sequence = 0
         for day, group in iter_day_groups(self._jobs):

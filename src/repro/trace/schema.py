@@ -160,9 +160,8 @@ def iter_day_groups(
 
     Streams: each group materializes only one day's jobs, preserving
     their order.  On a submit-day-sorted trace the runs are exactly the
-    submission days -- the batching unit of both the day-batched
-    scheduling engine (:mod:`repro.sched.engine`) and the serve
-    replayer (:mod:`repro.serve.replay`).
+    submission days -- the batching unit of the serve replayer
+    (:mod:`repro.serve.replay`).
     """
     day = None
     group: List[Union[JobRecord, JobView]] = []

@@ -1,5 +1,7 @@
 """Typed fault specifications: validation, windows, plan partition."""
 
+import math
+
 import pytest
 
 from repro.faults import (
@@ -42,6 +44,16 @@ class TestFaultSpec:
             FaultSpec(FaultKind.STRAGGLER, replica_target(0), -1.0, 5.0, 2.0)
         with pytest.raises(ValueError):
             FaultSpec(FaultKind.STRAGGLER, replica_target(0), 1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize("field", ["onset", "duration", "severity"])
+    def test_non_finite_rejected(self, field, value):
+        values = {"onset": 1.0, "duration": 5.0, "severity": 2.0}
+        values[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FaultSpec(FaultKind.STRAGGLER, replica_target(0), **values)
 
     @pytest.mark.parametrize(
         "kind,target,bad_severity",

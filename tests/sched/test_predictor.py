@@ -5,6 +5,8 @@ import pytest
 from repro.core.architectures import Architecture
 from repro.sched import ModelRuntimePredictor
 from repro.sched.predictor import sample_durations
+from repro.trace.columnar import ColumnarTrace, write_columnar
+from repro.trace.generator import TraceConfig, generate_trace
 
 from sched_helpers import make_job
 
@@ -69,6 +71,32 @@ class TestPrediction:
         durations = predictor.durations(jobs)
         assert set(durations) == {3, 8}
         assert all(value > 0 for value in durations.values())
+
+
+class TestBatchDurations:
+    """The vectorized whole-trace path against the scalar oracle."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace(config=TraceConfig(num_jobs=400, seed=23))
+
+    def test_batch_matches_scalar_exactly(self, trace):
+        predictor = ModelRuntimePredictor()
+        assert predictor.durations(trace) == {
+            job.job_id: predictor.duration_hours(job) for job in trace
+        }
+
+    def test_columnar_views_match_scalar_exactly(self, trace, tmp_path):
+        write_columnar(trace, tmp_path / "trace")
+        views = ColumnarTrace.open(tmp_path / "trace").iter_views()
+        predictor = ModelRuntimePredictor()
+        assert predictor.durations(views) == {
+            job.job_id: predictor.duration_hours(job) for job in trace
+        }
+
+    def test_empty_batch(self):
+        assert ModelRuntimePredictor().durations([]) == {}
+        assert ModelRuntimePredictor().batch_duration_hours([]) == {}
 
 
 class TestSampleDurations:

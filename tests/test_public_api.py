@@ -1,8 +1,12 @@
 """Public-API hygiene: every exported name resolves and is documented."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -62,3 +66,13 @@ class TestVersion:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+    def test_pyproject_declares_the_package_version(self):
+        # A regex rather than tomllib, which Python 3.9 lacks.
+        def declared(path, pattern):
+            text = (ROOT / path).read_text(encoding="utf-8")
+            return re.search(pattern, text, re.MULTILINE).group(1)
+
+        assert declared(
+            "pyproject.toml", r'^version = "([^"]+)"$'
+        ) == declared("src/repro/__init__.py", r'^__version__ = "([^"]+)"$')

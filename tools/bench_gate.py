@@ -9,12 +9,6 @@ sizes: a ratio is machine-relative (both sides ran on the same box), so
 a >25% drop means the optimized path itself regressed, not that CI got
 a slower runner.
 
-The scheduling rows are gated the same way: the day-batched engine's
-speedup over the per-event reference is compared at matching
-``(jobs, policy)`` rows, and a row recording
-``outcomes_identical: false`` -- the two engines disagreeing on a
-whole :class:`ScheduleOutcome` -- fails outright.
-
 Also enforces the correctness bits recorded by the bench: the warm
 suite must be byte-identical and both trace load paths must produce
 identical statistics.
@@ -49,50 +43,6 @@ def _rows_by_jobs(payload: dict) -> dict:
     return {row["jobs"]: row for row in payload.get("populations", ())}
 
 
-def _sched_rows(payload: dict) -> dict:
-    return {
-        (row["jobs"], row["policy"]): row
-        for row in payload.get("sched", ())
-    }
-
-
-def _check_sched(baseline: dict, current: dict, threshold: float) -> list:
-    """Gate failures from the scheduling-engine rows."""
-    failures = []
-    base_rows = _sched_rows(baseline)
-    current_rows = _sched_rows(current)
-    compared = 0
-    for key, row in sorted(current_rows.items()):
-        jobs, policy = key
-        if row.get("outcomes_identical") is False:
-            failures.append(
-                f"sched {jobs} jobs ({policy}): day and event engines "
-                "produced different outcomes"
-            )
-        base = base_rows.get(key)
-        if base is None:
-            continue
-        speedup = row.get("day_speedup")
-        base_speedup = base.get("day_speedup")
-        if speedup is None or base_speedup is None:
-            continue
-        compared += 1
-        floor = base_speedup * (1.0 - threshold)
-        if speedup < floor:
-            failures.append(
-                f"sched {jobs} jobs ({policy}): day_speedup regressed "
-                f"to {speedup}x (baseline {base_speedup}x, "
-                f"floor {floor:.2f}x)"
-            )
-    if base_rows and current_rows and not compared:
-        failures.append(
-            "no sched row is shared between baseline "
-            f"({sorted(base_rows)}) and current ({sorted(current_rows)}); "
-            "no sched speedup was gated"
-        )
-    return failures
-
-
 def check(baseline: dict, current: dict, threshold: float) -> list:
     """All gate failures, as human-readable strings (empty = green)."""
     failures = []
@@ -123,7 +73,6 @@ def check(baseline: dict, current: dict, threshold: float) -> list:
             f"({sorted(base_rows)}) and current ({sorted(current_rows)}); "
             "nothing was gated"
         )
-    failures.extend(_check_sched(baseline, current, threshold))
     return failures
 
 
