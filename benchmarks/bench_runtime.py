@@ -101,14 +101,32 @@ def bench_suite(parallel_jobs: int) -> dict:
     }
 
 
+def _per_job_cnode_fractions(features, hardware) -> dict:
+    """Fig. 7's cNode-weighted averages, one job at a time.
+
+    The scalar baseline of the speedup rows: ``estimate_breakdown`` per
+    job, then each job's shares weighted by its cNode count in a plain
+    Python loop.
+    """
+    from repro.core.population import COMPONENT_KEYS
+    from repro.core.timemodel import estimate_breakdown
+
+    weights = [float(f.num_cnodes) for f in features]
+    sums = dict.fromkeys(COMPONENT_KEYS, 0.0)
+    for f, weight in zip(features, weights):
+        fractions = estimate_breakdown(f, hardware).fractions()
+        for key in COMPONENT_KEYS:
+            sums[key] += fractions[key] * weight
+    total_weight = sum(weights)
+    return {key: value / total_weight for key, value in sums.items()}
+
+
 def bench_vectorization() -> dict:
     """Per-job scalar loop vs the columnar batch path, same populations."""
     from repro.analysis.context import default_hardware, default_trace
     from repro.core.architectures import Architecture
     from repro.core.population import (
         FeatureArrays,
-        analyze_population,
-        average_fractions,
         batch_breakdowns,
         batch_projection_speedups,
     )
@@ -128,8 +146,7 @@ def bench_vectorization() -> dict:
     ethernet_candidates = [gbps(50), gbps(100), gbps(400)]
 
     def scalar_loop():
-        analyzed = analyze_population(everyone, hardware)
-        fractions = average_fractions(analyzed, cnode_level=True)
+        fractions = _per_job_cnode_fractions(everyone, hardware)
         speedups = [
             projection_speedups(
                 f, Architecture.ALLREDUCE_LOCAL, hardware
@@ -199,12 +216,7 @@ def bench_populations(sizes) -> list:
       byte-identical Fig. 7 statistics.
     """
     from repro.analysis.context import DEFAULT_TRACE_SEED, default_hardware
-    from repro.core.population import (
-        FeatureArrays,
-        analyze_population,
-        average_fractions,
-        batch_breakdowns,
-    )
+    from repro.core.population import FeatureArrays, batch_breakdowns
     from repro.trace.columnar import ColumnarTrace, write_columnar
     from repro.trace.generator import generate_trace
     from repro.trace.serialization import load_trace, save_trace
@@ -241,9 +253,7 @@ def bench_populations(sizes) -> list:
         features = [job.features for job in jobs]
         del jobs
         scalar_analysis_s, scalar_stats = _time(
-            lambda: average_fractions(
-                analyze_population(features, hardware), cnode_level=True
-            )
+            lambda: _per_job_cnode_fractions(features, hardware)
         )
         vectorized_analysis_s, batch_stats = _time(
             lambda: batch_breakdowns(

@@ -2,11 +2,7 @@
 cheap enough for 10^4-job collective analyses."""
 
 from repro.analysis.context import trace_features
-from repro.core import (
-    PAPER_DEFAULT_EFFICIENCY,
-    analyze_population,
-    estimate_breakdown,
-)
+from repro.core import batch_breakdowns, estimate_breakdown
 from repro.trace import generate_trace
 
 
@@ -18,7 +14,7 @@ def test_perf_single_estimate(benchmark, jobs, hardware):
 
 def test_perf_population_analysis(benchmark, jobs, hardware):
     population = trace_features(jobs)[:2000]
-    analyzed = benchmark(analyze_population, population, hardware)
+    analyzed = benchmark(batch_breakdowns, population, hardware)
     assert len(analyzed) == 2000
 
 

@@ -41,7 +41,6 @@ Quickstart::
 
 from .core import (
     ALLREDUCE_LOCAL_MAX_CNODES,
-    AnalyzedJob,
     Architecture,
     EfficiencyModel,
     GpuSpec,
@@ -58,9 +57,6 @@ from .core import (
     TABLE_VI_EFFICIENCIES,
     TimeBreakdown,
     WorkloadFeatures,
-    analyze_population,
-    average_fractions,
-    average_hardware_shares,
     estimate_breakdown,
     estimate_step_time,
     job_throughput,
@@ -78,7 +74,6 @@ __version__ = "1.7.0"
 
 __all__ = [
     "ALLREDUCE_LOCAL_MAX_CNODES",
-    "AnalyzedJob",
     "Architecture",
     "EfficiencyModel",
     "GpuSpec",
@@ -95,9 +90,6 @@ __all__ = [
     "TABLE_VI_EFFICIENCIES",
     "TimeBreakdown",
     "WorkloadFeatures",
-    "analyze_population",
-    "average_fractions",
-    "average_hardware_shares",
     "estimate_breakdown",
     "estimate_step_time",
     "job_throughput",

@@ -38,18 +38,13 @@ from .hardware import (
     testbed_v100_hardware,
 )
 from .population import (
-    AnalyzedJob,
     FeatureArrays,
     FeatureView,
     PopulationBreakdown,
     ProjectionArrays,
-    analyze_population,
-    average_fractions,
-    average_hardware_shares,
     batch_breakdowns,
     batch_projection_speedups,
     batch_step_times,
-    weighted_fraction_exceeding,
 )
 from .recommend import (
     DeploymentPlan,
@@ -88,7 +83,6 @@ from .timemodel import (
 
 __all__ = [
     "ALLREDUCE_LOCAL_MAX_CNODES",
-    "AnalyzedJob",
     "Architecture",
     "Bottleneck",
     "FeatureArrays",
@@ -122,13 +116,10 @@ __all__ = [
     "TABLE_VI_EFFICIENCIES",
     "TimeBreakdown",
     "WorkloadFeatures",
-    "analyze_population",
     "bottleneck_census",
     "classify",
     "classify_population",
     "crossover_distribution",
-    "average_fractions",
-    "average_hardware_shares",
     "compare_overlap_assumptions",
     "eq3_weight_bound_speedup",
     "estimate_breakdown",
@@ -152,5 +143,4 @@ __all__ = [
     "uniform_efficiency",
     "weight_share_scenarios",
     "weight_traffic_times",
-    "weighted_fraction_exceeding",
 ]

@@ -10,25 +10,19 @@ The cNode-level percentages of Fig. 7 are "computed as weighted sum of
 the job-level percentages, with the weight being the cNode number of
 each job over the overall cNode number".
 
-Two evaluation paths are provided:
-
-* the **scalar** path (:func:`analyze_population` and friends) applies
-  :func:`repro.core.timemodel.estimate_breakdown` job by job and keeps
-  per-job :class:`TimeBreakdown` objects around -- convenient for
-  inspecting individual jobs;
-* the **columnar** path (:class:`FeatureArrays`,
-  :class:`PopulationBreakdown`, :func:`batch_breakdowns`,
-  :func:`batch_step_times`, :func:`batch_projection_speedups`) evaluates
-  the same equations over NumPy arrays, one vector operation per model
-  term.  The figure experiments and hardware sweeps use it; on the 20k
-  job trace it is two orders of magnitude faster than the per-job loop.
-
-Both paths implement the identical arithmetic (the property tests in
-``tests/properties`` pin them together to 1e-9 relative).
+Every aggregate is computed columns-first: :class:`FeatureArrays` holds
+a population as one NumPy array per feature, :func:`batch_breakdowns`
+evaluates the Sec. II-B model over it with one vector operation per
+model term, and :class:`PopulationBreakdown`'s methods reduce the
+per-job arrays to the figure statistics.  The per-job model
+(:func:`repro.core.timemodel.estimate_breakdown`) stays the single-job
+API; the tests apply it job by job as the oracle these arrays must
+match to 1e-9 relative.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -38,25 +32,11 @@ from .architectures import MEDIA_GPU_FLOPS, MEDIA_GPU_MEMORY, Architecture
 from .efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
 from .features import FEATURE_FIELDS, WorkloadFeatures
 from .hardware import HardwareConfig
-from .timemodel import (
-    PAPER_MODEL_OPTIONS,
-    ModelOptions,
-    OverlapMode,
-    TimeBreakdown,
-    estimate_breakdown,
-    ring_allreduce_factor,
-)
+from .timemodel import PAPER_MODEL_OPTIONS, ModelOptions, OverlapMode
 
 __all__ = [
     "COMPONENT_KEYS",
     "HARDWARE_KEYS",
-    "AnalyzedJob",
-    "analyze_population",
-    "average_fractions",
-    "average_hardware_shares",
-    "fraction_samples",
-    "hardware_share_samples",
-    "weighted_fraction_exceeding",
     "FeatureArrays",
     "FeatureView",
     "PopulationBreakdown",
@@ -83,141 +63,6 @@ HARDWARE_KEYS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AnalyzedJob:
-    """A workload together with its analytical breakdown."""
-
-    features: WorkloadFeatures
-    breakdown: TimeBreakdown
-
-    @property
-    def weight(self) -> int:
-        """cNode-level aggregation weight."""
-        return self.features.num_cnodes
-
-
-def analyze_population(
-    workloads: Iterable[WorkloadFeatures],
-    hardware: HardwareConfig,
-    efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-    options: ModelOptions = PAPER_MODEL_OPTIONS,
-) -> List[AnalyzedJob]:
-    """Apply the analytical model to every job in a population."""
-    return [
-        AnalyzedJob(
-            features=features,
-            breakdown=estimate_breakdown(features, hardware, efficiency, options),
-        )
-        for features in workloads
-    ]
-
-
-def _weights(jobs: Sequence[AnalyzedJob], cnode_level: bool) -> List[float]:
-    if cnode_level:
-        return [float(job.weight) for job in jobs]
-    return [1.0] * len(jobs)
-
-
-def average_fractions(
-    jobs: Union[Sequence[AnalyzedJob], "PopulationBreakdown"],
-    cnode_level: bool = False,
-) -> Dict[str, float]:
-    """Average component shares over a population (one Fig. 7 column).
-
-    Columns-first: given a :class:`PopulationBreakdown` the aggregate
-    is one vector dot product.  The per-job :class:`AnalyzedJob` list
-    remains the escape hatch for inspecting individual jobs.
-    """
-    if isinstance(jobs, PopulationBreakdown):
-        return jobs.average_fractions(cnode_level)
-    if not jobs:
-        raise ValueError("population is empty")
-    weights = _weights(jobs, cnode_level)
-    total_weight = sum(weights)
-    averages = {key: 0.0 for key in COMPONENT_KEYS}
-    for job, weight in zip(jobs, weights):
-        fractions = job.breakdown.fractions()
-        for key in COMPONENT_KEYS:
-            averages[key] += fractions[key] * weight
-    return {key: value / total_weight for key, value in averages.items()}
-
-
-def average_hardware_shares(
-    jobs: Union[Sequence[AnalyzedJob], "PopulationBreakdown"],
-    cnode_level: bool = False,
-) -> Dict[str, float]:
-    """Average per-hardware-component shares (the Fig. 8(a) summary)."""
-    if isinstance(jobs, PopulationBreakdown):
-        return jobs.average_hardware_shares(cnode_level)
-    if not jobs:
-        raise ValueError("population is empty")
-    weights = _weights(jobs, cnode_level)
-    total_weight = sum(weights)
-    averages = {key: 0.0 for key in HARDWARE_KEYS}
-    for job, weight in zip(jobs, weights):
-        shares = job.breakdown.hardware_shares()
-        for key in HARDWARE_KEYS:
-            averages[key] += shares[key] * weight
-    return {key: value / total_weight for key, value in averages.items()}
-
-
-def fraction_samples(
-    jobs: Union[Sequence[AnalyzedJob], "PopulationBreakdown"], component: str
-) -> List[float]:
-    """Per-job shares of one component, for CDF plots (Fig. 8(b-d))."""
-    if isinstance(jobs, PopulationBreakdown):
-        # repro: ignore[hot-path] figure API contract returns List[float]
-        return jobs.fraction_samples(component).tolist()
-    if component not in COMPONENT_KEYS:
-        raise KeyError(f"unknown component: {component!r}")
-    return [job.breakdown.fractions()[component] for job in jobs]
-
-
-def hardware_share_samples(
-    jobs: Union[Sequence[AnalyzedJob], "PopulationBreakdown"],
-    hardware_component: str,
-) -> List[float]:
-    """Per-job shares of one hardware component (Fig. 8(a) CDFs)."""
-    if isinstance(jobs, PopulationBreakdown):
-        # repro: ignore[hot-path] figure API contract returns List[float]
-        return jobs.hardware_share_samples(hardware_component).tolist()
-    if hardware_component not in HARDWARE_KEYS:
-        raise KeyError(f"unknown hardware component: {hardware_component!r}")
-    return [
-        job.breakdown.hardware_shares()[hardware_component] for job in jobs
-    ]
-
-
-def weighted_fraction_exceeding(
-    jobs: Union[Sequence[AnalyzedJob], "PopulationBreakdown"],
-    component: str,
-    threshold: float,
-    cnode_level: bool = False,
-) -> float:
-    """Population fraction whose component share exceeds ``threshold``.
-
-    Backs observations such as "more than 40 % PS/Worker jobs spend more
-    than 80 % time in communication" (Sec. III-B).
-    """
-    if isinstance(jobs, PopulationBreakdown):
-        return jobs.weighted_fraction_exceeding(
-            component, threshold, cnode_level
-        )
-    if not jobs:
-        raise ValueError("population is empty")
-    weights = _weights(jobs, cnode_level)
-    total_weight = sum(weights)
-    hit_weight = 0.0
-    for job, weight in zip(jobs, weights):
-        if job.breakdown.fractions()[component] > threshold:
-            hit_weight += weight
-    return hit_weight / total_weight
-
-
-# ---------------------------------------------------------------------------
-# Columnar (vectorized) evaluation path
-# ---------------------------------------------------------------------------
-
 #: Architectures in a fixed order so populations can be encoded as codes.
 _ARCHITECTURES: Tuple[Architecture, ...] = tuple(Architecture)
 _ARCH_CODE: Dict[Architecture, int] = {
@@ -242,6 +87,22 @@ _ARCH_MAX_LOCAL = np.array(
     [arch.max_local_cnodes for arch in _ARCHITECTURES], dtype=np.int64
 )
 _GPUS_PER_SERVER = 8
+
+#: The columns :meth:`FeatureArrays.from_columnar` requires, each with
+#: the dtype it is read as.
+_REQUIRED_COLUMNS: Dict[str, type] = {
+    "architecture": np.int64,
+    "num_cnodes": np.int64,
+    "batch_size": np.int64,
+    "flop_count": float,
+    "memory_access_bytes": float,
+    "input_bytes": float,
+    "weight_traffic_bytes": float,
+    "embedding_traffic_bytes": float,
+}
+
+#: One row's schema field values, as a tuple in ``FEATURE_FIELDS`` order.
+_SCHEMA_FIELDS = operator.attrgetter(*FEATURE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -288,12 +149,14 @@ class FeatureArrays:
         :class:`FeatureView` rows interchangeably.  When every element
         is a view over the *same* backing :class:`FeatureArrays`, the
         extraction collapses to one fancy-indexing gather per column --
-        no per-row attribute access at all.
+        no per-row attribute access at all.  Otherwise the eleven schema
+        fields are gathered into columns and handed to
+        :meth:`from_columnar`, the one place that derives, validates
+        and encodes them.
         """
         population = list(workloads)
         if not population:
             raise ValueError("workload population is empty")
-        count = len(population)
         if isinstance(population[0], FeatureView):
             backing = population[0]._arrays
             if all(
@@ -304,77 +167,33 @@ class FeatureArrays:
                     np.fromiter(
                         (f._index for f in population),
                         dtype=np.int64,
-                        count=count,
+                        count=len(population),
                     )
                 )
-        arch_codes = np.empty(count, dtype=np.int64)
-        num_cnodes = np.empty(count, dtype=np.int64)
-        batch_size = np.empty(count, dtype=np.int64)
-        flop_count = np.empty(count, dtype=float)
-        memory_access = np.empty(count, dtype=float)
-        input_bytes = np.empty(count, dtype=float)
-        weight_traffic = np.empty(count, dtype=float)
-        embedding_traffic = np.empty(count, dtype=float)
-        local_cnodes = np.empty(count, dtype=np.int64)
-        contends = np.empty(count, dtype=bool)
-        # repro: ignore[hot-path] job names are unbounded strings; a
-        # unicode dtype would truncate them
-        names = np.empty(count, dtype=object)
-        dense_weight = np.empty(count, dtype=float)
-        embedding_weight = np.empty(count, dtype=float)
-        for i, features in enumerate(population):
-            arch_codes[i] = _ARCH_CODE[features.architecture]
-            num_cnodes[i] = features.num_cnodes
-            batch_size[i] = features.batch_size
-            flop_count[i] = features.flop_count
-            memory_access[i] = features.memory_access_bytes
-            input_bytes[i] = features.input_bytes
-            weight_traffic[i] = features.weight_traffic_bytes
-            embedding_traffic[i] = features.embedding_traffic_bytes
-            local_cnodes[i] = features.local_cnodes_per_server
-            contends[i] = features.architecture.input_contends_for_pcie
-            names[i] = features.name.encode("utf-8") + b"\x01"
-            dense_weight[i] = features.dense_weight_bytes
-            embedding_weight[i] = features.embedding_weight_bytes
-        # Fixed-width bytes with the columnar store's 0x01 terminator
-        # (NumPy S dtypes strip trailing NULs), so either source yields
-        # byte-identical name columns.
-        name_width = max(max((len(n) for n in names), default=0), 1)
-        names = names.astype(np.dtype(f"S{name_width}"))
-        return FeatureArrays(
-            arch_codes=arch_codes,
-            num_cnodes=num_cnodes,
-            batch_size=batch_size,
-            flop_count=flop_count,
-            memory_access_bytes=memory_access,
-            input_bytes=input_bytes,
-            weight_traffic_bytes=weight_traffic,
-            dense_traffic_bytes=weight_traffic - embedding_traffic,
-            embedding_traffic_bytes=embedding_traffic,
-            local_cnodes=local_cnodes,
-            contends_for_pcie=contends,
-            names=names,
-            dense_weight_bytes=dense_weight,
-            embedding_weight_bytes=embedding_weight,
+        columns = dict(
+            zip(FEATURE_FIELDS, zip(*map(_SCHEMA_FIELDS, population)))
         )
+        columns["architecture"] = [
+            _ARCH_CODE[arch] for arch in columns["architecture"]
+        ]
+        return FeatureArrays.from_columnar(columns)
 
     @staticmethod
     def from_columnar(
-        columns: Dict[str, np.ndarray],
+        columns: Dict[str, Sequence],
         architectures: Sequence[Architecture] = _ARCHITECTURES,
     ) -> "FeatureArrays":
         """Build a population directly from feature columns.
 
         The zero-materialization path for columnar trace stores
         (:mod:`repro.trace.columnar`): ``columns`` maps column names to
-        equal-length arrays, with ``"architecture"`` holding integer
-        codes into ``architectures`` (the store's label table).  No
-        ``WorkloadFeatures`` objects are created; the per-record
-        ``__post_init__`` invariants are enforced vectorized instead,
-        and the derived columns (``dense_traffic_bytes``,
-        ``local_cnodes``, ``contends_for_pcie``) are computed with the
-        identical arithmetic as :meth:`from_workloads`, so both
-        constructors produce byte-identical arrays for the same jobs.
+        equal-length arrays (or sequences), with ``"architecture"``
+        holding integer codes into ``architectures`` (the store's label
+        table).  No ``WorkloadFeatures`` objects are created; the
+        per-record ``__post_init__`` invariants are enforced vectorized
+        instead, and the derived columns (``dense_traffic_bytes``,
+        ``local_cnodes``, ``contends_for_pcie``) are computed here and
+        nowhere else -- :meth:`from_workloads` delegates to this.
 
         The optional ``name``, ``dense_weight_bytes`` and
         ``embedding_weight_bytes`` columns, when present, are carried
@@ -383,28 +202,21 @@ class FeatureArrays:
 
         Columns may be memory-mapped; they are never written to.
         """
-        required = (
-            "architecture",
-            "num_cnodes",
-            "batch_size",
-            "flop_count",
-            "memory_access_bytes",
-            "input_bytes",
-            "weight_traffic_bytes",
-            "embedding_traffic_bytes",
-        )
-        missing = [name for name in required if name not in columns]
+        missing = [name for name in _REQUIRED_COLUMNS if name not in columns]
         if missing:
             raise KeyError(f"missing columns: {', '.join(missing)}")
-        store_codes = np.asarray(columns["architecture"], dtype=np.int64)
+        required = {
+            name: np.asarray(columns[name], dtype=dtype)
+            for name, dtype in _REQUIRED_COLUMNS.items()
+        }
+        store_codes = required["architecture"]
         count = int(store_codes.shape[0])
         if count == 0:
             raise ValueError("workload population is empty")
-        for name in required:
-            if np.asarray(columns[name]).shape[0] != count:
+        for name, column in required.items():
+            if column.shape[0] != count:
                 raise ValueError(
-                    f"column {name!r} has "
-                    f"{np.asarray(columns[name]).shape[0]} rows, "
+                    f"column {name!r} has {column.shape[0]} rows, "
                     f"expected {count}"
                 )
         translation = np.array(
@@ -415,52 +227,25 @@ class FeatureArrays:
                 "architecture code out of range for the given label table"
             )
         arch_codes = translation[store_codes]
-        num_cnodes = np.asarray(columns["num_cnodes"], dtype=np.int64)
-        batch_size = np.asarray(columns["batch_size"], dtype=np.int64)
-        flop_count = np.asarray(columns["flop_count"], dtype=float)
-        memory_access = np.asarray(columns["memory_access_bytes"], dtype=float)
-        input_bytes = np.asarray(columns["input_bytes"], dtype=float)
-        weight_traffic = np.asarray(
-            columns["weight_traffic_bytes"], dtype=float
-        )
-        embedding_traffic = np.asarray(
-            columns["embedding_traffic_bytes"], dtype=float
-        )
+        num_cnodes = required["num_cnodes"]
+        batch_size = required["batch_size"]
+        weight_traffic = required["weight_traffic_bytes"]
+        embedding_traffic = required["embedding_traffic_bytes"]
 
         def _reject(mask: np.ndarray, message: str) -> None:
-            if np.any(mask):
+            if mask.any():
                 raise ValueError(f"row {int(np.argmax(mask))}: {message}")
 
         _reject(num_cnodes < 1, "num_cnodes must be at least 1")
         _reject(batch_size < 1, "batch_size must be at least 1")
-        names = columns.get("name")
-        if names is not None:
-            names = np.asarray(names)
-            if names.dtype.kind != "S":
-                # Normalize plain-string columns to the store's
-                # sentinel-terminated bytes encoding (see the
-                # ``names`` field docs) so row views decode uniformly.
-                encoded = [str(n).encode("utf-8") + b"\x01" for n in names]
-                width = max(max((len(n) for n in encoded), default=0), 1)
-                names = np.asarray(encoded, dtype=np.dtype(f"S{width}"))
-        dense_weight = columns.get("dense_weight_bytes")
-        if dense_weight is not None:
-            dense_weight = np.asarray(dense_weight, dtype=float)
-        embedding_weight = columns.get("embedding_weight_bytes")
-        if embedding_weight is not None:
-            embedding_weight = np.asarray(embedding_weight, dtype=float)
-        for name, column in (
-            ("flop_count", flop_count),
-            ("memory_access_bytes", memory_access),
-            ("input_bytes", input_bytes),
-            ("weight_traffic_bytes", weight_traffic),
-            ("embedding_traffic_bytes", embedding_traffic),
-            ("dense_weight_bytes", dense_weight),
-            ("embedding_weight_bytes", embedding_weight),
-        ):
-            if column is None:
-                continue
-            _reject(column < 0, f"{name} must be non-negative")
+        optional = {
+            name: np.asarray(columns[name], dtype=float)
+            for name in ("dense_weight_bytes", "embedding_weight_bytes")
+            if columns.get(name) is not None
+        }
+        for name, column in {**required, **optional}.items():
+            if column.dtype.kind == "f":
+                _reject(column < 0, f"{name} must be non-negative")
         _reject(
             embedding_traffic > weight_traffic,
             "embedding_traffic_bytes cannot exceed weight_traffic_bytes",
@@ -472,9 +257,20 @@ class FeatureArrays:
             "1w1g workloads exchange no weights",
         )
         _reject(
-            num_cnodes > _ARCH_MAX_LOCAL[arch_codes],
+            _ARCH_IS_LOCAL[arch_codes]
+            & (num_cnodes > _ARCH_MAX_LOCAL[arch_codes]),
             "num_cnodes exceeds the architecture's local-cNode bound",
         )
+        names = columns.get("name")
+        if names is not None and not (
+            isinstance(names, np.ndarray) and names.dtype.kind == "S"
+        ):
+            # Fixed-width bytes with the columnar store's 0x01
+            # terminator, because NumPy S dtypes strip trailing NULs.
+            # Encode element by element: a unicode array strips them too.
+            encoded = [str(n).encode("utf-8") + b"\x01" for n in names]
+            width = max(max(map(len, encoded), default=0), 1)
+            names = np.array(encoded, dtype=np.dtype(f"S{width}"))
         local_cnodes = np.where(
             _ARCH_PACKS_SERVERS[arch_codes],
             np.minimum(num_cnodes, _GPUS_PER_SERVER),
@@ -484,17 +280,17 @@ class FeatureArrays:
             arch_codes=arch_codes,
             num_cnodes=num_cnodes,
             batch_size=batch_size,
-            flop_count=flop_count,
-            memory_access_bytes=memory_access,
-            input_bytes=input_bytes,
+            flop_count=required["flop_count"],
+            memory_access_bytes=required["memory_access_bytes"],
+            input_bytes=required["input_bytes"],
             weight_traffic_bytes=weight_traffic,
             dense_traffic_bytes=weight_traffic - embedding_traffic,
             embedding_traffic_bytes=embedding_traffic,
             local_cnodes=local_cnodes,
             contends_for_pcie=_ARCH_CONTENDS[arch_codes],
             names=names,
-            dense_weight_bytes=dense_weight,
-            embedding_weight_bytes=embedding_weight,
+            dense_weight_bytes=optional.get("dense_weight_bytes"),
+            embedding_weight_bytes=optional.get("embedding_weight_bytes"),
         )
 
     @staticmethod
@@ -727,25 +523,14 @@ class FeatureView:
         """Re-deploy this row's job under a different architecture."""
         return self.materialize().with_architecture(architecture, num_cnodes)
 
-    def _field_values(self) -> Tuple:
-        return tuple(getattr(self, field_name) for field_name in FEATURE_FIELDS)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (FeatureView, WorkloadFeatures)):
-            return self._field_values() == tuple(
-                getattr(other, field_name) for field_name in FEATURE_FIELDS
-            )
+            return _SCHEMA_FIELDS(self) == _SCHEMA_FIELDS(other)
         return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self) -> int:
         # Matches the frozen dataclass: hash of the field-value tuple.
-        return hash(self._field_values())
+        return hash(_SCHEMA_FIELDS(self))
 
     def __repr__(self) -> str:
         return (
@@ -792,11 +577,11 @@ def _effective_weight_volumes(
 class PopulationBreakdown:
     """Columnar per-job time breakdowns for one population.
 
-    The vectorized counterpart of a ``List[AnalyzedJob]``: each
-    component is an array over the population, and the aggregate
-    helpers (:meth:`average_fractions`, :meth:`fraction_samples`,
-    :meth:`weighted_fraction_exceeding`, ...) match the scalar
-    module-level functions.
+    Each component is an array over the population, element ``i``
+    equal to :func:`repro.core.timemodel.estimate_breakdown` of job
+    ``i``.  Its aggregate methods (:meth:`average_fractions`,
+    :meth:`fraction_samples`, :meth:`weighted_fraction_exceeding`, ...)
+    are the library's one population aggregation API.
     """
 
     data_io: np.ndarray

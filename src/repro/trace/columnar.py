@@ -30,8 +30,9 @@ is a fixed-width bytes column.  The integer architecture codes are what
 build the vectorized analysis population without materializing a single
 ``JobRecord``.
 
-Durability mirrors the JSONL path: every shard is written to a ``.tmp``
-sibling, fsynced and renamed, and the manifest -- the only file that
+Durability mirrors the JSONL path: every shard goes through
+:func:`repro.trace.serialization.atomic_write` (a fsynced ``.tmp``
+sibling, renamed into place), and the manifest -- the only file that
 makes shards reachable -- is written the same way *last*, so a crash
 mid-conversion can never leave a store that opens but lies.
 """
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import zipfile
 from dataclasses import dataclass
@@ -55,7 +55,7 @@ from ..core.features import WorkloadFeatures
 from ..core.population import FeatureArrays
 from ..obs import get_obs
 from .schema import JobRecord, JobView
-from .serialization import SCHEMA_VERSION, iter_trace, save_trace
+from .serialization import SCHEMA_VERSION, atomic_write, iter_trace, save_trace
 
 __all__ = [
     "COLUMNAR_FORMAT",
@@ -132,23 +132,6 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` through a fsynced ``.tmp`` sibling."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
 
 
 class _MmapUnavailable(Exception):
@@ -301,19 +284,8 @@ class _ShardWriter:
         )
         filename = f"shard-{len(self.shards):05d}.npz"
         path = self._directory / filename
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with tmp.open("wb") as handle:
-                np.savez(handle, **columns)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as handle:
+            np.savez(handle, **columns)
         self.shards.append(
             ShardInfo(file=filename, rows=rows, sha256=_sha256_file(path))
         )
@@ -357,7 +329,8 @@ def write_columnar(
         ],
     }
     payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _atomic_write_bytes(directory / MANIFEST_NAME, payload.encode("utf-8"))
+    with atomic_write(directory / MANIFEST_NAME) as handle:
+        handle.write(payload.encode("utf-8"))
     get_obs().event(
         "trace.columnar.write",
         path=str(directory),

@@ -115,12 +115,6 @@ class JobView:
             )
         return NotImplemented
 
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self) -> int:
         return hash(self._field_values())
 

@@ -12,10 +12,11 @@ trace (the ``repro.serve`` replayer feeds from it), and
 :func:`append_trace` extends an existing file in place, so a trace can
 grow batch by batch the same way a live cluster log does.
 
-Durability: :func:`save_trace` writes through a temporary sibling and
-atomically renames it into place, so a crash mid-write can never leave
-a truncated file under the target name; :func:`append_trace` flushes
-and fsyncs before returning, so acknowledged batches survive a crash.
+Durability: :func:`save_trace` writes through :func:`atomic_write`
+(a fsynced temporary sibling renamed into place, shared with the
+columnar store), so a crash mid-write can never leave a truncated file
+under the target name; :func:`append_trace` flushes and fsyncs before
+returning, so acknowledged batches survive a crash.
 The only window left is a crash *inside* an append, which can tear the
 final line -- :func:`iter_trace` can skip exactly that case with
 ``tolerate_torn_tail=True``.
@@ -29,11 +30,12 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Union
 
 from ..core.architectures import Architecture
-from ..core.features import WorkloadFeatures
+from ..core.features import FEATURE_FIELDS, WorkloadFeatures
 from ..obs import WARNING, get_obs
 from .schema import JobRecord
 
@@ -49,17 +51,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_FEATURE_FIELDS = (
-    "name",
-    "num_cnodes",
-    "batch_size",
-    "flop_count",
-    "memory_access_bytes",
-    "input_bytes",
-    "weight_traffic_bytes",
-    "dense_weight_bytes",
-    "embedding_weight_bytes",
-    "embedding_traffic_bytes",
+#: Feature fields written as-is; ``architecture`` is written by label.
+_FEATURE_FIELDS = tuple(
+    name for name in FEATURE_FIELDS if name != "architecture"
 )
 
 
@@ -96,24 +90,21 @@ def job_from_dict(payload: dict) -> JobRecord:
     )
 
 
-def save_trace(jobs: Iterable[JobRecord], path: Union[str, Path]) -> int:
-    """Write a trace as JSON lines; returns the job count.
+@contextmanager
+def atomic_write(path: Path, mode: str = "wb") -> Iterator[IO]:
+    """Open ``path`` for a write that lands whole or not at all.
 
-    The write is atomic with respect to the target name: records go to
-    a ``.tmp`` sibling which is fsynced and renamed over ``path`` only
-    once every record is on disk.  A crash (or an exception raised by
-    the ``jobs`` iterable) mid-write leaves any pre-existing trace at
-    ``path`` untouched instead of a truncated, half-valid file.
+    The body writes to a ``.tmp`` sibling; on a clean exit the handle
+    is flushed and fsynced and the sibling is renamed over ``path``.
+    If the body raises (anything, ``KeyboardInterrupt`` included), the
+    sibling is removed and any pre-existing file at ``path`` is left
+    byte-identical.  Text modes write UTF-8.
     """
-    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    count = 0
+    encoding = None if "b" in mode else "utf-8"
     try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            for job in jobs:
-                handle.write(json.dumps(job_to_dict(job), sort_keys=True))
-                handle.write("\n")
-                count += 1
+        with tmp.open(mode, encoding=encoding) as handle:
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -123,6 +114,22 @@ def save_trace(jobs: Iterable[JobRecord], path: Union[str, Path]) -> int:
         except OSError:
             pass
         raise
+
+
+def save_trace(jobs: Iterable[JobRecord], path: Union[str, Path]) -> int:
+    """Write a trace as JSON lines; returns the job count.
+
+    The write goes through :func:`atomic_write`: a crash (or an
+    exception raised by the ``jobs`` iterable) mid-write leaves any
+    pre-existing trace at ``path`` untouched instead of a truncated,
+    half-valid file.
+    """
+    count = 0
+    with atomic_write(Path(path), "w") as handle:
+        for job in jobs:
+            handle.write(json.dumps(job_to_dict(job), sort_keys=True))
+            handle.write("\n")
+            count += 1
     return count
 
 

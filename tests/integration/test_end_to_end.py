@@ -6,8 +6,7 @@ from repro.core import (
     Architecture,
     PAPER_DEFAULT_EFFICIENCY,
     TABLE_VI_EFFICIENCIES,
-    analyze_population,
-    average_fractions,
+    batch_breakdowns,
     estimate_breakdown,
     projection_speedups,
 )
@@ -74,10 +73,8 @@ class TestTraceToConclusions:
     """From synthetic trace to the paper's headline conclusions."""
 
     def test_communication_is_the_bottleneck(self, trace, hardware):
-        analyzed = analyze_population(
-            [job.features for job in trace], hardware
-        )
-        fractions = average_fractions(analyzed, cnode_level=True)
+        analyzed = batch_breakdowns([job.features for job in trace], hardware)
+        fractions = analyzed.average_fractions(cnode_level=True)
         assert fractions["weight"] > max(
             fractions["compute_bound"], fractions["memory_bound"]
         )

@@ -53,15 +53,15 @@ def test_removing_shard_lock_from_ingest_fires_lock_discipline():
 
 
 def test_removing_os_replace_from_atomic_write_fires_resource_safety():
-    source = read("trace/columnar.py")
+    source = read("trace/serialization.py")
     anchor = "        os.replace(tmp, path)\n"
     assert anchor in source
     mutant = source.replace(anchor, "", 1)
     assert "resource-safety" not in rules_fired(
-        source, "repro.trace.columnar", ["resource-safety"]
+        source, "repro.trace.serialization", ["resource-safety"]
     )
     assert "resource-safety" in rules_fired(
-        mutant, "repro.trace.columnar", ["resource-safety"]
+        mutant, "repro.trace.serialization", ["resource-safety"]
     )
 
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core.architectures import Architecture
+from repro.core.features import FEATURE_FIELDS, WorkloadFeatures
 from repro.core.population import FeatureArrays
-from repro.trace import generate_trace
+from repro.trace import JobRecord, generate_trace
 from repro.trace.columnar import (
     COLUMNAR_FORMAT,
     MANIFEST_NAME,
@@ -19,6 +20,8 @@ from repro.trace.columnar import (
     write_columnar,
 )
 from repro.trace.serialization import save_trace
+
+ARCH_CODES = list(Architecture)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,58 @@ class TestFeatureArrays:
             FeatureArrays.from_columnar(columns)
         with pytest.raises(KeyError, match="missing columns"):
             FeatureArrays.from_columnar({"architecture": np.array([0])})
+
+    def test_plain_string_names_keep_trailing_nuls(self):
+        # A unicode array strips trailing NULs just like the S dtype.
+        record = WorkloadFeatures(
+            name="job\x00",
+            architecture=Architecture.SINGLE,
+            num_cnodes=1,
+            batch_size=1,
+            flop_count=1.0,
+            memory_access_bytes=1.0,
+            input_bytes=1.0,
+            weight_traffic_bytes=0.0,
+        )
+        columns = {
+            field: [getattr(record, field)] for field in FEATURE_FIELDS
+        }
+        columns["architecture"] = [ARCH_CODES.index(Architecture.SINGLE)]
+        view = FeatureArrays.from_columnar(columns).view(0)
+        assert view.name == "job\x00"
+        assert view == record
+
+    def test_cluster_cnodes_are_not_bounded_by_the_local_limit(
+        self, tmp_path
+    ):
+        record = JobRecord(
+            job_id=0,
+            features=WorkloadFeatures(
+                name="huge",
+                architecture=Architecture.PS_WORKER,
+                num_cnodes=2**20 + 1,
+                batch_size=1,
+                flop_count=1.0,
+                memory_access_bytes=1.0,
+                input_bytes=1.0,
+                weight_traffic_bytes=1.0,
+            ),
+        )
+        path = tmp_path / "huge.columnar"
+        write_columnar([record], path)
+        store = ColumnarTrace.open(path)
+        assert list(store.iter_records()) == [record]
+        assert store.feature_arrays().view(0) == record.features
+        local = dataclasses.replace(
+            record.features,
+            architecture=Architecture.ALLREDUCE_LOCAL,
+            num_cnodes=8,
+        )
+        columns = {field: [getattr(local, field)] for field in FEATURE_FIELDS}
+        columns["architecture"] = [ARCH_CODES.index(local.architecture)]
+        columns["num_cnodes"] = [9]
+        with pytest.raises(ValueError, match="local-cNode bound"):
+            FeatureArrays.from_columnar(columns)
 
     def test_empty_population_rejected(self, tmp_path):
         path = tmp_path / "empty.columnar"

@@ -4,7 +4,9 @@ These pin the two bugfixes: ``save_trace`` must be atomic (a crash or a
 poisoned iterator mid-write leaves any pre-existing trace intact), and
 ``iter_trace(tolerate_torn_tail=True)`` must recover a trace whose
 writer was killed mid-append -- and only that case; corruption anywhere
-before the final line still raises.
+before the final line still raises.  The columnar store's shard and
+manifest writes share ``save_trace``'s atomic commit and are pinned the
+same way.
 """
 
 import json
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.trace.columnar import MANIFEST_NAME, write_columnar
 from repro.trace.serialization import (
     append_trace,
     iter_trace,
@@ -64,6 +67,50 @@ class TestAtomicSave:
         path = tmp_path / "trace.jsonl"
         save_trace(small_trace[:3], path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.jsonl"]
+
+
+class _TornWriter:
+    """A file handle whose first write lands half its bytes, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        raise OSError("disk full mid-write")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+class TestAtomicColumnarWrite:
+    @pytest.mark.parametrize("target", ["shard-00000.npz", MANIFEST_NAME])
+    def test_failed_write_preserves_existing_file(
+        self, tmp_path, small_trace, monkeypatch, target
+    ):
+        store = tmp_path / "trace.columnar"
+        write_columnar(small_trace[:50], store)
+        before = (store / target).read_bytes()
+        real_open = Path.open
+
+        def open_torn(self, *args, **kwargs):
+            handle = real_open(self, *args, **kwargs)
+            if self.name == target + ".tmp":
+                return _TornWriter(handle)
+            return handle
+
+        monkeypatch.setattr(Path, "open", open_torn)
+        with pytest.raises(OSError, match="mid-write"):
+            write_columnar(small_trace[50:120], store)
+        monkeypatch.undo()
+        assert (store / target).read_bytes() == before
+        assert sorted(p.name for p in store.glob("*.tmp")) == []
 
 
 class TestTornTail:
