@@ -6,7 +6,6 @@ headline conclusions move.
 
 import dataclasses
 
-from repro.analysis.context import ps_worker_features
 from repro.core import (
     Architecture,
     PAPER_MODEL_OPTIONS,
@@ -17,6 +16,7 @@ from repro.core import (
 from repro.core.timemodel import OverlapMode
 from repro.graphs import Deployment, build_gcn
 from repro.sim import simulate_step
+from repro.trace import features_of_type
 
 
 def _not_sped_up(population, hardware, options):
@@ -32,7 +32,7 @@ def _not_sped_up(population, hardware, options):
 def test_ablation_input_contention(benchmark, jobs, hardware):
     """Without PCIe input contention the not-sped-up cohort vanishes --
     contention is the load-bearing mechanism behind Fig. 9's 22.6%."""
-    population = ps_worker_features(jobs)[:1500]
+    population = features_of_type(jobs, Architecture.PS_WORKER)[:1500]
     no_contention = dataclasses.replace(
         PAPER_MODEL_OPTIONS, input_pcie_contention=False
     )
@@ -53,7 +53,7 @@ def test_ablation_ring_traffic_factor(benchmark, jobs, hardware):
     (< 2x) shift in AllReduce weight time, same winner."""
     population = [
         f.with_architecture(Architecture.ALLREDUCE_LOCAL, num_cnodes=8)
-        for f in ps_worker_features(jobs)[:1000]
+        for f in features_of_type(jobs, Architecture.PS_WORKER)[:1000]
     ]
     ringed = dataclasses.replace(
         PAPER_MODEL_OPTIONS, allreduce_ring_factor=True
@@ -77,7 +77,7 @@ def test_ablation_ring_traffic_factor(benchmark, jobs, hardware):
 
 def test_ablation_overlap_composition(benchmark, jobs, hardware):
     """Sum vs max composition: totals shrink, bottleneck ranking holds."""
-    population = ps_worker_features(jobs)[:1000]
+    population = features_of_type(jobs, Architecture.PS_WORKER)[:1000]
     ideal = dataclasses.replace(PAPER_MODEL_OPTIONS, overlap=OverlapMode.IDEAL)
 
     def totals(options):

@@ -1,11 +1,11 @@
 """Extension study: break-even Ethernet bandwidth per PS job."""
 
-from repro.analysis.context import ps_worker_features
-from repro.core import crossover_distribution
+from repro.core import Architecture, crossover_distribution
+from repro.trace import features_of_type
 
 
 def test_crossover_distribution(benchmark, jobs, hardware):
-    population = ps_worker_features(jobs)[:300]
+    population = features_of_type(jobs, Architecture.PS_WORKER)[:300]
     results = benchmark.pedantic(
         crossover_distribution, args=(population, hardware), rounds=1,
         iterations=1,

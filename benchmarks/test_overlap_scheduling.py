@@ -1,12 +1,12 @@
 """Ablation: wait-free gradient-push overlap scheduling (Sec. V-B)."""
 
-from repro.analysis.context import ps_worker_features
+from repro.core import Architecture, estimate_step_time
 from repro.optim import OverlapSchedule, overlapped_step_time
-from repro.core import estimate_step_time
+from repro.trace import features_of_type
 
 
 def test_overlap_scheduling(benchmark, jobs, hardware):
-    population = ps_worker_features(jobs)[:800]
+    population = features_of_type(jobs, Architecture.PS_WORKER)[:800]
 
     def total_overlapped():
         schedule = OverlapSchedule(overlap_fraction=0.9, tail_fraction=0.1)

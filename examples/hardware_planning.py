@@ -9,10 +9,9 @@ Run with::
     python examples/hardware_planning.py
 """
 
-from repro.analysis.context import ps_worker_features, trace_features
 from repro.core import Architecture, pai_default_hardware, sweep_all_resources
 from repro.core.projection import project_to_allreduce_local
-from repro.trace import generate_trace
+from repro.trace import features_of_type, generate_trace
 
 
 def show_panel(title, population, hardware) -> None:
@@ -34,15 +33,15 @@ def main() -> None:
 
     show_panel(
         "1w1g workloads",
-        trace_features(jobs, Architecture.SINGLE)[:2000],
+        features_of_type(jobs, Architecture.SINGLE)[:2000],
         hardware,
     )
     show_panel(
         "1wng workloads",
-        trace_features(jobs, Architecture.LOCAL_CENTRALIZED),
+        features_of_type(jobs, Architecture.LOCAL_CENTRALIZED),
         hardware,
     )
-    ps = ps_worker_features(jobs)[:2000]
+    ps = features_of_type(jobs, Architecture.PS_WORKER)[:2000]
     show_panel("PS/Worker workloads", ps, hardware)
     show_panel(
         "the same jobs, ported to AllReduce-Local",

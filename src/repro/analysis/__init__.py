@@ -1,6 +1,6 @@
 """Per-table/figure experiment modules, registry and CLI."""
 
-from .registry import EXPERIMENTS, experiment_ids, run_all, run_experiment
+from .registry import EXPERIMENTS, experiment_ids, run_experiment
 from .result import ExperimentResult, format_value, render_table
 
 __all__ = [
@@ -9,6 +9,5 @@ __all__ = [
     "experiment_ids",
     "format_value",
     "render_table",
-    "run_all",
     "run_experiment",
 ]

@@ -8,9 +8,10 @@ migrations rather than averaged percentages.
 
 from __future__ import annotations
 
-from ..core.classify import Bottleneck, bottleneck_census, classify_population
-from ..core.projection import project_to_allreduce_local
-from .context import default_hardware, default_trace, ps_worker_features, trace_features
+from ..core.architectures import Architecture
+from ..core.classify import Bottleneck, bottleneck_census
+from ..core.population import batch_breakdowns
+from .context import default_hardware, trace_feature_arrays
 from .result import ExperimentResult
 
 __all__ = ["run"]
@@ -18,21 +19,18 @@ __all__ = ["run"]
 
 def run(jobs: tuple = None) -> ExperimentResult:
     """Label census for the whole trace and for the projected PS jobs."""
-    if jobs is None:
-        jobs = default_trace()
     hardware = default_hardware()
+    ps_worker = trace_feature_arrays(jobs, Architecture.PS_WORKER)
     populations = {
-        "all jobs": trace_features(jobs),
-        "PS/Worker": ps_worker_features(jobs),
-        "PS/Worker -> AllReduce-Local": [
-            project_to_allreduce_local(f) for f in ps_worker_features(jobs)
-        ],
+        "all jobs": trace_feature_arrays(jobs),
+        "PS/Worker": ps_worker,
+        "PS/Worker -> AllReduce-Local": ps_worker.project_ps_to(
+            Architecture.ALLREDUCE_LOCAL
+        ),
     }
     rows = []
     for name, population in populations.items():
-        census = bottleneck_census(
-            classify_population(population, hardware), cnode_level=False
-        )
+        census = bottleneck_census(batch_breakdowns(population, hardware))
         rows.append(
             {
                 "population": name,

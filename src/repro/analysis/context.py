@@ -19,10 +19,9 @@ import hashlib
 import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.architectures import Architecture
-from ..core.features import WorkloadFeatures
 from ..core.hardware import HardwareConfig, pai_default_hardware, testbed_v100_hardware
 from ..core.population import FeatureArrays
 from ..trace.columnar import MANIFEST_NAME, ColumnarTrace, is_columnar_store
@@ -41,9 +40,7 @@ __all__ = [
     "testbed_hardware",
     "external_trace_path",
     "trace_source_identity",
-    "trace_features",
     "trace_feature_arrays",
-    "ps_worker_features",
     "clear_caches",
 ]
 
@@ -63,9 +60,9 @@ TRACE_JOBS_ENV_VAR = "PAI_REPRO_TRACE_JOBS"
 #: instead of the synthetic generator: either a JSONL file or a
 #: columnar store directory (:mod:`repro.trace.columnar`).  Columnar
 #: stores feed the vectorized experiments straight from memory-mapped
-#: columns, so figs 7-11 run against million-job populations without
-#: materializing per-job records.  The trace's content digest
-#: participates in result-cache fingerprints.
+#: columns, so Figs. 7-11, 15 and 16 and the census run against
+#: million-job populations without materializing per-job records.  The
+#: trace's content digest participates in result-cache fingerprints.
 TRACE_PATH_ENV_VAR = "PAI_REPRO_TRACE_PATH"
 
 
@@ -210,30 +207,6 @@ def testbed_hardware() -> HardwareConfig:
     return testbed_v100_hardware()
 
 
-def trace_features(
-    jobs: tuple = None, architecture: Architecture = None
-) -> List[WorkloadFeatures]:
-    """Feature tuples from the default trace, optionally one type.
-
-    Columns-first: when :data:`TRACE_PATH_ENV_VAR` points at a columnar
-    store (and no explicit ``jobs`` are passed), the result is a list
-    of lazy row views over the memory-mapped columns -- bit-identical
-    attribute access without materializing a single record.  Explicit
-    ``jobs`` iterables keep the per-record escape hatch.
-    """
-    if jobs is None:
-        path = external_trace_path()
-        if path is not None and is_columnar_store(path):
-            arrays = trace_feature_arrays()
-            if architecture is not None:
-                arrays = arrays.of_architecture(architecture)
-            return list(arrays.iter_views())
-        jobs = default_trace()
-    if architecture is None:
-        return [job.features for job in jobs]
-    return features_of_type(list(jobs), architecture)
-
-
 #: Columnar-extraction memo: (trace identity, architecture) -> arrays.
 #: Keyed on object identity with the trace kept alive in the value, so a
 #: recycled ``id`` can never alias a different trace.
@@ -250,7 +223,8 @@ def trace_feature_arrays(
 
     Population columns feed the vectorized batch-evaluation path
     (:mod:`repro.core.population`); experiments sharing a population
-    (Figs. 7-11, calibration, observations) share one extraction.
+    (Figs. 7-11, 15 and 16, the census, observations) share one
+    extraction.
 
     When :data:`TRACE_PATH_ENV_VAR` points at a columnar store and no
     explicit ``jobs`` are passed, the columns come straight off the
@@ -278,16 +252,15 @@ def trace_feature_arrays(
     if hit is not None and hit[0] is jobs:
         _FEATURE_ARRAYS.move_to_end(key)  # repro: ignore[fork-safety] per-process memo
         return hit[1]
-    arrays = FeatureArrays.from_workloads(trace_features(jobs, architecture))
+    arrays = FeatureArrays.from_workloads(
+        [job.features for job in jobs]
+        if architecture is None
+        else features_of_type(jobs, architecture)
+    )
     _FEATURE_ARRAYS[key] = (jobs, arrays)  # repro: ignore[fork-safety] per-process memo
     while len(_FEATURE_ARRAYS) > _FEATURE_ARRAYS_MAX:
         _FEATURE_ARRAYS.popitem(last=False)  # repro: ignore[fork-safety] per-process memo
     return arrays
-
-
-def ps_worker_features(jobs: tuple = None) -> List[WorkloadFeatures]:
-    """The PS/Worker population (the Sec. III-C projection subjects)."""
-    return trace_features(jobs, Architecture.PS_WORKER)
 
 
 def clear_caches() -> None:

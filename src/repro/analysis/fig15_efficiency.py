@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from ..core.architectures import Architecture
 from ..core.sensitivity import FIG15_SCENARIOS, weight_share_scenarios
 from ..trace.statistics import EmpiricalCDF
-from .context import default_hardware, default_trace, ps_worker_features
+from .context import default_hardware, trace_feature_arrays
 from .result import ExperimentResult
 
 __all__ = ["run"]
@@ -12,10 +13,9 @@ __all__ = ["run"]
 
 def run(jobs: tuple = None) -> ExperimentResult:
     """Regenerate the Fig. 15 scenario CDFs (quantile summary)."""
-    if jobs is None:
-        jobs = default_trace()
-    population = ps_worker_features(jobs)
-    scenarios = weight_share_scenarios(population, default_hardware())
+    scenarios = weight_share_scenarios(
+        trace_feature_arrays(jobs, Architecture.PS_WORKER), default_hardware()
+    )
     rows = []
     medians = {}
     for scenario in FIG15_SCENARIOS:
@@ -28,7 +28,10 @@ def run(jobs: tuple = None) -> ExperimentResult:
                 "p25": cdf.quantile(0.25),
                 "p50": cdf.median,
                 "p75": cdf.quantile(0.75),
-                "mean": sum(shares) / len(shares),
+                # The builtin sum over Python floats, as this column has
+                # always been computed: NumPy's pairwise .mean() rounds
+                # differently.
+                "mean": sum(shares.tolist()) / len(shares),
                 "above_50pct": 1.0 - cdf.probability_at(0.5),
             }
         )

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from ..core.architectures import Architecture
 from ..core.sensitivity import compare_overlap_assumptions, eq3_weight_bound_speedup
 from ..trace.statistics import EmpiricalCDF
-from .context import default_hardware, default_trace, ps_worker_features
+from .context import default_hardware, trace_feature_arrays
 from .paper_constants import FIG16
 from .result import ExperimentResult
 
@@ -13,11 +14,9 @@ __all__ = ["run"]
 
 def run(jobs: tuple = None) -> ExperimentResult:
     """Regenerate the Fig. 16 comparison and check Eq. 3."""
-    if jobs is None:
-        jobs = default_trace()
     hardware = default_hardware()
     comparison = compare_overlap_assumptions(
-        ps_worker_features(jobs), hardware
+        trace_feature_arrays(jobs, Architecture.PS_WORKER), hardware
     )
     eq3 = eq3_weight_bound_speedup(hardware)
     ideal_cdf = EmpiricalCDF.from_samples(comparison.ideal_overlap_speedups)

@@ -30,7 +30,7 @@ from .sched_whatif import run as run_sched_whatif
 from .tenants import run as run_tenants
 from .result import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_all", "experiment_ids"]
+__all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids"]
 
 EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "table1": tables.run_table1,
@@ -83,12 +83,3 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
         ) from None
     return runner()
 
-
-def run_all() -> List[ExperimentResult]:
-    """Run the full suite (skipping the fig13 panel aliases)."""
-    skip = {"fig13a", "fig13b", "fig13c", "fig13d"}
-    return [
-        runner()
-        for experiment_id, runner in EXPERIMENTS.items()
-        if experiment_id not in skip
-    ]

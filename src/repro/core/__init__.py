@@ -7,13 +7,7 @@ sweeps and assumption-sensitivity analysis on top of that decomposition.
 """
 
 from .architectures import Architecture
-from .classify import (
-    Bottleneck,
-    ClassifiedJob,
-    bottleneck_census,
-    classify,
-    classify_population,
-)
+from .classify import Bottleneck, ClassifiedJob, bottleneck_census, classify
 from .crossover import (
     CrossoverResult,
     crossover_distribution,
@@ -118,7 +112,6 @@ __all__ = [
     "WorkloadFeatures",
     "bottleneck_census",
     "classify",
-    "classify_population",
     "crossover_distribution",
     "compare_overlap_assumptions",
     "eq3_weight_bound_speedup",

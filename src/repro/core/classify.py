@@ -6,25 +6,37 @@ explicit and auditable.  A job is *X-bound* when component X holds at
 least :data:`DOMINANCE_THRESHOLD` of the step time; otherwise it is
 *balanced*.  The census over a population is the cluster-health view a
 platform team tracks release over release.
+
+:func:`classify` labels one job through the per-job model;
+:func:`label_codes` labels a whole :class:`PopulationBreakdown` at once
+and is the one labelling behind the census experiment and
+``repro.serve``.  Both take the first maximal share in
+:data:`~repro.core.population.COMPONENT_KEYS` order as the dominant
+component, so they agree job for job.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from .efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
 from .features import WorkloadFeatures
 from .hardware import HardwareConfig
+from .population import COMPONENT_KEYS, PopulationBreakdown
 from .timemodel import PAPER_MODEL_OPTIONS, ModelOptions, estimate_breakdown
 
 __all__ = [
     "Bottleneck",
+    "CENSUS_LABELS",
     "DOMINANCE_THRESHOLD",
     "ClassifiedJob",
     "classify",
-    "classify_population",
+    "label_codes",
+    "label_totals",
     "bottleneck_census",
 ]
 
@@ -51,6 +63,12 @@ _COMPONENT_TO_LABEL = {
     "memory_bound": Bottleneck.MEMORY,
     "data_io": Bottleneck.INPUT_IO,
 }
+
+#: The labels :func:`label_codes` indexes: one per ``COMPONENT_KEYS``
+#: entry, in that order, then :attr:`Bottleneck.BALANCED`.
+CENSUS_LABELS: Tuple[Bottleneck, ...] = tuple(
+    _COMPONENT_TO_LABEL[key] for key in COMPONENT_KEYS
+) + (Bottleneck.BALANCED,)
 
 
 @dataclass(frozen=True)
@@ -93,32 +111,42 @@ def classify(
     )
 
 
-def classify_population(
-    workloads: Iterable[WorkloadFeatures],
-    hardware: HardwareConfig,
-    efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-    options: ModelOptions = PAPER_MODEL_OPTIONS,
-    threshold: float = DOMINANCE_THRESHOLD,
-) -> List[ClassifiedJob]:
-    """Classify every job in a population."""
-    return [
-        classify(features, hardware, efficiency, options, threshold)
-        for features in workloads
-    ]
+def label_codes(breakdown: PopulationBreakdown) -> np.ndarray:
+    """Every job's label at once, as an index into :data:`CENSUS_LABELS`.
+
+    The columnar :func:`classify`: argmax over the component shares
+    stacked in ``COMPONENT_KEYS`` order picks the first maximal
+    component, as ``max`` over the per-job ``fractions()`` dict does,
+    and a dominant share under :data:`DOMINANCE_THRESHOLD` makes the
+    job balanced.
+    """
+    fractions = breakdown.fractions()
+    stacked = np.stack([fractions[key] for key in COMPONENT_KEYS])
+    dominant = np.argmax(stacked, axis=0)
+    share = np.take_along_axis(stacked, dominant[np.newaxis, :], axis=0)[0]
+    return np.where(share >= DOMINANCE_THRESHOLD, dominant, len(COMPONENT_KEYS))
+
+
+def label_totals(
+    codes: np.ndarray, weights: Optional[np.ndarray] = None
+) -> Dict[Bottleneck, float]:
+    """Summed weight of each label (job counts when ``weights`` is None).
+
+    ``codes`` come from :func:`label_codes`; the result is keyed in
+    :class:`Bottleneck` order.
+    """
+    totals = np.bincount(codes, weights=weights, minlength=len(CENSUS_LABELS))
+    by_label = dict(zip(CENSUS_LABELS, totals))
+    return {label: float(by_label[label]) for label in Bottleneck}
 
 
 def bottleneck_census(
-    classified: Iterable[ClassifiedJob], cnode_level: bool = False
+    breakdown: PopulationBreakdown, cnode_level: bool = False
 ) -> Dict[Bottleneck, float]:
     """Population share of each label (optionally cNode-weighted)."""
-    jobs = list(classified)
-    if not jobs:
+    if len(breakdown) == 0:
         raise ValueError("population is empty")
-    weights = [
-        float(job.features.num_cnodes) if cnode_level else 1.0 for job in jobs
-    ]
-    total = sum(weights)
-    census = {label: 0.0 for label in Bottleneck}
-    for job, weight in zip(jobs, weights):
-        census[job.label] += weight
-    return {label: value / total for label, value in census.items()}
+    weights = breakdown.cnode_weights() if cnode_level else None
+    totals = label_totals(label_codes(breakdown), weights)
+    population = sum(totals.values())
+    return {label: total / population for label, total in totals.items()}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from math import inf
 from typing import Tuple
 
 from .architectures import Architecture
@@ -88,10 +89,11 @@ class WorkloadFeatures:
     embedding_traffic_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.num_cnodes < 1:
-            raise ValueError("num_cnodes must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not 1 <= self.num_cnodes < inf:
+            raise ValueError("num_cnodes must be finite and at least 1")
+        if not 1 <= self.batch_size < inf:
+            raise ValueError("batch_size must be finite and at least 1")
         for field in (
             "flop_count",
             "memory_access_bytes",
@@ -101,8 +103,8 @@ class WorkloadFeatures:
             "embedding_weight_bytes",
             "embedding_traffic_bytes",
         ):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be non-negative")
+            if not 0.0 <= getattr(self, field) < inf:
+                raise ValueError(f"{field} must be finite and non-negative")
         if self.architecture is Architecture.SINGLE:
             if self.num_cnodes != 1:
                 raise ValueError("1w1g workloads use exactly one cNode")

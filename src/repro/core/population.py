@@ -205,9 +205,21 @@ class FeatureArrays:
         missing = [name for name in _REQUIRED_COLUMNS if name not in columns]
         if missing:
             raise KeyError(f"missing columns: {', '.join(missing)}")
+
+        def _reject(mask: np.ndarray, message: str) -> None:
+            if mask.any():
+                raise ValueError(f"row {int(np.argmax(mask))}: {message}")
+
+        def _read(name: str, dtype: type) -> np.ndarray:
+            column = np.asarray(columns[name])
+            if column.dtype.kind == "f" and dtype is not float:
+                # NaN and inf have no integer value: the cast would
+                # invent one.
+                _reject(~np.isfinite(column), f"{name} must be finite")
+            return np.asarray(column, dtype=dtype)
+
         required = {
-            name: np.asarray(columns[name], dtype=dtype)
-            for name, dtype in _REQUIRED_COLUMNS.items()
+            name: _read(name, dtype) for name, dtype in _REQUIRED_COLUMNS.items()
         }
         store_codes = required["architecture"]
         count = int(store_codes.shape[0])
@@ -232,10 +244,6 @@ class FeatureArrays:
         weight_traffic = required["weight_traffic_bytes"]
         embedding_traffic = required["embedding_traffic_bytes"]
 
-        def _reject(mask: np.ndarray, message: str) -> None:
-            if mask.any():
-                raise ValueError(f"row {int(np.argmax(mask))}: {message}")
-
         _reject(num_cnodes < 1, "num_cnodes must be at least 1")
         _reject(batch_size < 1, "batch_size must be at least 1")
         optional = {
@@ -245,7 +253,10 @@ class FeatureArrays:
         }
         for name, column in {**required, **optional}.items():
             if column.dtype.kind == "f":
-                _reject(column < 0, f"{name} must be non-negative")
+                _reject(
+                    ~((0.0 <= column) & (column < np.inf)),
+                    f"{name} must be finite and non-negative",
+                )
         _reject(
             embedding_traffic > weight_traffic,
             "embedding_traffic_bytes cannot exceed weight_traffic_bytes",

@@ -11,24 +11,30 @@ jobs shifts (Fig. 15).  Sec. V-B recomputes the AllReduce-Local
 projection under an ideal-overlap composition ``T = max{T_d, T_c, T_w}``
 and shows the not-sped-up fraction barely changes (22.6 % -> 20.2 %)
 while weight-bound jobs pin at the exact Eq. 3 speedup of 21x (Fig. 16).
+
+Both run columns-first on :func:`~repro.core.population.batch_breakdowns`
+and :func:`~repro.core.population.batch_projection_speedups`; the
+per-job ``estimate_breakdown`` and ``projection_speedups`` are the
+oracle the tests hold them to, bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
+
+import numpy as np
 
 from .architectures import Architecture
 from .efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
 from .features import WorkloadFeatures
 from .hardware import HardwareConfig
-from .projection import projection_speedups
-from .timemodel import (
-    PAPER_MODEL_OPTIONS,
-    ModelOptions,
-    OverlapMode,
-    estimate_breakdown,
-)
+from .population import FeatureArrays, batch_breakdowns, batch_projection_speedups
+from .timemodel import PAPER_MODEL_OPTIONS, ModelOptions, OverlapMode
+
+#: A population as columns or as records; records are extracted once.
+Population = Union[FeatureArrays, Sequence[WorkloadFeatures]]
 
 __all__ = [
     "EfficiencyScenario",
@@ -69,28 +75,25 @@ FIG15_SCENARIOS: Tuple[EfficiencyScenario, ...] = (
 
 
 def weight_share_under_efficiency(
-    workloads: Iterable[WorkloadFeatures],
+    workloads: Population,
     hardware: HardwareConfig,
     efficiency: EfficiencyModel,
     options: ModelOptions = PAPER_MODEL_OPTIONS,
-) -> List[float]:
+) -> np.ndarray:
     """Per-job weight-traffic share of total step time."""
-    shares = []
-    for features in workloads:
-        breakdown = estimate_breakdown(features, hardware, efficiency, options)
-        shares.append(breakdown.fractions()["weight"])
-    return shares
+    breakdown = batch_breakdowns(workloads, hardware, efficiency, options)
+    return breakdown.fraction_samples("weight")
 
 
 def weight_share_scenarios(
-    workloads: Iterable[WorkloadFeatures],
+    workloads: Population,
     hardware: HardwareConfig,
     scenarios: Sequence[EfficiencyScenario] = FIG15_SCENARIOS,
     base_efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
     options: ModelOptions = PAPER_MODEL_OPTIONS,
-) -> Dict[str, List[float]]:
+) -> Dict[str, np.ndarray]:
     """Weight-traffic-share populations for each Fig. 15 scenario."""
-    population = list(workloads)
+    population = FeatureArrays.coerce(workloads)
     return {
         scenario.name: weight_share_under_efficiency(
             population, hardware, scenario.apply(base_efficiency), options
@@ -99,23 +102,26 @@ def weight_share_scenarios(
     }
 
 
+def _share(mask: np.ndarray) -> float:
+    """Fraction of the population a mask selects (0 when empty)."""
+    return int(np.count_nonzero(mask)) / len(mask) if len(mask) else 0.0
+
+
 @dataclass(frozen=True)
 class OverlapComparison:
     """Fig. 16: the AllReduce-Local projection under both compositions."""
 
-    non_overlap_speedups: Tuple[float, ...]
-    ideal_overlap_speedups: Tuple[float, ...]
-    non_overlap_weight_shares: Tuple[float, ...]
-    ideal_overlap_weight_shares: Tuple[float, ...]
+    non_overlap_speedups: np.ndarray
+    ideal_overlap_speedups: np.ndarray
+    non_overlap_weight_shares: np.ndarray
+    ideal_overlap_weight_shares: np.ndarray
 
     @staticmethod
-    def _not_sped_up_fraction(speedups: Sequence[float]) -> float:
+    def _not_sped_up_fraction(speedups: np.ndarray) -> float:
         # Strictly slowed down: under the ideal-overlap composition,
         # compute-bound jobs land at exactly 1.0 (the max term does not
         # move) -- those are unaffected, not slowed.
-        if not speedups:
-            return 0.0
-        return sum(1 for s in speedups if s < 1.0 - 1e-12) / len(speedups)
+        return _share(speedups < 1.0 - 1e-12)
 
     @property
     def non_overlap_not_sped_up(self) -> float:
@@ -135,14 +141,11 @@ class OverlapComparison:
         ratio under ideal overlap.
         """
         speedups = self.ideal_overlap_speedups
-        if not speedups:
-            return 0.0
-        hits = sum(1 for s in speedups if abs(s - target) / target <= tolerance)
-        return hits / len(speedups)
+        return _share(np.abs(speedups - target) / target <= tolerance)
 
 
 def compare_overlap_assumptions(
-    workloads: Iterable[WorkloadFeatures],
+    workloads: Population,
     hardware: HardwareConfig,
     efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
     options: ModelOptions = PAPER_MODEL_OPTIONS,
@@ -152,47 +155,36 @@ def compare_overlap_assumptions(
     Workloads that are not PS/Worker are ignored, matching the paper's
     focus.
     """
-    import dataclasses
-
-    non_overlap_options = dataclasses.replace(options, overlap=OverlapMode.NONE)
-    ideal_options = dataclasses.replace(options, overlap=OverlapMode.IDEAL)
-
-    non_speedups: List[float] = []
-    ideal_speedups: List[float] = []
-    non_shares: List[float] = []
-    ideal_shares: List[float] = []
-    for features in workloads:
-        if features.architecture is not Architecture.PS_WORKER:
-            continue
-        non_result = projection_speedups(
-            features,
+    if len(workloads) == 0:
+        empty = np.zeros(0)
+        return OverlapComparison(empty, empty, empty, empty)
+    population = FeatureArrays.coerce(workloads).of_architecture(
+        Architecture.PS_WORKER
+    )
+    speedups = {
+        overlap: batch_projection_speedups(
+            population,
             Architecture.ALLREDUCE_LOCAL,
             hardware,
             efficiency,
-            non_overlap_options,
-        )
-        ideal_result = projection_speedups(
-            features,
-            Architecture.ALLREDUCE_LOCAL,
-            hardware,
-            efficiency,
-            ideal_options,
-        )
-        non_speedups.append(non_result.single_cnode_speedup)
-        ideal_speedups.append(ideal_result.single_cnode_speedup)
-
-        breakdown = estimate_breakdown(features, hardware, efficiency, options)
-        non_shares.append(breakdown.fractions()["weight"])
-        # Under ideal overlap the "share" of the weight part is its time
-        # against the max-composition total, capped at 1.
-        total = breakdown.total_ideal_overlap
-        ideal_shares.append(breakdown.weight_total / total if total > 0 else 0.0)
-
+            dataclasses.replace(options, overlap=overlap),
+        ).single_cnode_speedup
+        for overlap in (OverlapMode.NONE, OverlapMode.IDEAL)
+    }
+    breakdown = batch_breakdowns(population, hardware, efficiency, options)
+    # Under ideal overlap the "share" of the weight part is its time
+    # against the max-composition total, capped at 1.
+    ideal_total = breakdown.total_ideal_overlap
     return OverlapComparison(
-        non_overlap_speedups=tuple(non_speedups),
-        ideal_overlap_speedups=tuple(ideal_speedups),
-        non_overlap_weight_shares=tuple(non_shares),
-        ideal_overlap_weight_shares=tuple(ideal_shares),
+        non_overlap_speedups=speedups[OverlapMode.NONE],
+        ideal_overlap_speedups=speedups[OverlapMode.IDEAL],
+        non_overlap_weight_shares=breakdown.fraction_samples("weight"),
+        ideal_overlap_weight_shares=np.divide(
+            breakdown.weight_total,
+            ideal_total,
+            out=np.zeros_like(ideal_total),
+            where=ideal_total > 0,
+        ),
     )
 
 

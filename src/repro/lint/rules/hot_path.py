@@ -37,7 +37,9 @@ __all__ = ["HotPathRule", "HOT_MODULES"]
 #: equals an entry or sits beneath it (``repro.core.population`` covers
 #: ``repro.core.population.views`` should it ever split).
 HOT_MODULES: Tuple[str, ...] = (
+    "repro.core.classify",
     "repro.core.population",
+    "repro.core.sensitivity",
     "repro.sched.engine",
     "repro.trace.columnar",
 )

@@ -59,16 +59,3 @@ class NoPrintRule(Rule):
             )
         return ()
 
-
-def find_prints(source: str, filename: str = "<string>"):
-    """``(line, context)`` pairs -- compatibility API for the old tool."""
-    tree = ast.parse(source, filename=filename)
-    hits = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-        ):
-            hits.append((node.lineno, ast.unparse(node)[:80]))
-    return hits

@@ -508,7 +508,8 @@ class TraceService:
         for index, record in enumerate(records):
             try:
                 jobs.append(job_from_dict(record))
-            except (KeyError, TypeError, ValueError) as error:
+            except (KeyError, OverflowError, TypeError, ValueError) as error:
+                # OverflowError: int() of an infinite job_id or submit_day.
                 raise QueryError(
                     400, f"invalid job record at index {index}: {error}"
                 ) from None

@@ -18,9 +18,11 @@ float summation order); CDFs merge exactly while the population fits
 the sketch capacity and with ~1/capacity rank error beyond it.
 
 :func:`batch_reference` computes the identical payload through the
-one-shot batch path (``core.population`` + ``core.classify`` +
+one-shot batch path (``core.population`` +
 ``EmpiricalCDF.from_samples``), which is what the equivalence tests and
-the CI smoke job compare a drained service against.
+the CI smoke job compare a drained service against.  Both label the
+census with :func:`repro.core.classify.label_codes`, the one labelling
+the census experiment uses too.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.classify import (
-    DOMINANCE_THRESHOLD,
     Bottleneck,
     bottleneck_census,
-    classify_population,
+    label_codes,
+    label_totals,
 )
 from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
 from ..core.hardware import HardwareConfig, pai_default_hardware
@@ -62,14 +64,6 @@ AGGREGATION_LEVELS: Tuple[str, ...] = ("job", "cnode")
 
 #: Metrics served as streaming CDFs by ``/cdf/<metric>``.
 CDF_METRICS: Tuple[str, ...] = COMPONENT_KEYS + ("step_time", "num_cnodes")
-
-#: COMPONENT_KEYS order -> census label, mirroring ``core.classify``.
-_COMPONENT_LABELS: Tuple[Bottleneck, ...] = (
-    Bottleneck.INPUT_IO,
-    Bottleneck.COMMUNICATION,
-    Bottleneck.COMPUTE,
-    Bottleneck.MEMORY,
-)
 
 #: Default per-metric sketch capacity: exact CDFs up to this many jobs
 #: per (shard, metric, level), bounded memory beyond.
@@ -175,21 +169,11 @@ class ShardStats:
                     None if level == "job" else weights,
                 )
 
-        # Vectorized bottleneck labeling; the scalar path in
-        # ``core.classify`` breaks ties by COMPONENT_KEYS order, and so
-        # does argmax over the same stacking order.
-        stacked = np.stack([fractions[key] for key in COMPONENT_KEYS])
-        dominant = np.argmax(stacked, axis=0)
-        dominant_share = np.take_along_axis(
-            stacked, dominant[np.newaxis, :], axis=0
-        )[0]
-        balanced = dominant_share < DOMINANCE_THRESHOLD
+        codes = label_codes(breakdown)
         for level, weights in level_weights.items():
             sums = self.census_sums[level]
-            for code, label in enumerate(_COMPONENT_LABELS):
-                mask = (dominant == code) & ~balanced
-                sums[str(label)] += float(weights[mask].sum())
-            sums[str(Bottleneck.BALANCED)] += float(weights[balanced].sum())
+            for label, total in label_totals(codes, weights).items():
+                sums[str(label)] += total
         return len(batch)
 
     # ---- merging ---------------------------------------------------
@@ -344,10 +328,9 @@ def batch_reference(
     """The one-shot batch-path aggregates over a materialized trace.
 
     Computed with exactly the primitives the ``report`` experiments use:
-    :func:`~repro.core.population.batch_breakdowns` for shares,
-    ``core.classify`` for the census and
-    :meth:`EmpiricalCDF.from_samples` for distributions.  The serve
-    acceptance check is that a drained service's
+    :func:`~repro.core.population.batch_breakdowns` for shares and the
+    census, and :meth:`EmpiricalCDF.from_samples` for distributions.
+    The serve acceptance check is that a drained service's
     :meth:`ShardStats.reference_payload` matches this, leaf by leaf.
     """
     records = list(jobs)
@@ -358,9 +341,6 @@ def batch_reference(
     arrays = FeatureArrays.from_workloads(job.features for job in records)
     breakdown = batch_breakdowns(arrays, hardware, efficiency, options)
     cnodes = arrays.num_cnodes.astype(float)
-    classified = classify_population(
-        [job.features for job in records], hardware, efficiency, options
-    )
     arch_jobs: Dict[str, int] = {}
     for architecture in arrays.architectures_present():
         arch_jobs[str(architecture)] = int(arrays.mask_of(architecture).sum())
@@ -391,7 +371,7 @@ def batch_reference(
         payload["census"][level] = {
             str(label): share
             for label, share in bottleneck_census(
-                classified, cnode_level=cnode_level
+                breakdown, cnode_level=cnode_level
             ).items()
         }
     for metric in CDF_METRICS:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..core.architectures import Architecture
 from ..core.features import WorkloadFeatures
-from ..core.population import FeatureArrays, FeatureView
+from ..core.population import FeatureView
 
 __all__ = [
     "JobRecord",
@@ -133,17 +133,9 @@ def jobs_of_type(
 
 
 def features_of_type(
-    jobs: Union[FeatureArrays, Iterable[JobRecord]],
-    architecture: Architecture,
+    jobs: Iterable[JobRecord], architecture: Architecture
 ) -> List[WorkloadFeatures]:
-    """Feature tuples of one workload type.
-
-    Columns-first: a :class:`FeatureArrays` population yields lazy
-    :class:`FeatureView` rows straight off the selected columns; an
-    iterable of records falls back to the per-job attribute walk.
-    """
-    if isinstance(jobs, FeatureArrays):
-        return list(jobs.of_architecture(architecture).iter_views())
+    """Feature tuples of one workload type."""
     return [job.features for job in jobs if job.workload_type is architecture]
 
 

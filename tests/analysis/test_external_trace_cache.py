@@ -110,26 +110,3 @@ class TestColumnarRewrite:
         after = context.trace_source_identity()
         assert before["format"] == after["format"] == "columnar"
         assert before["digest"] != after["digest"]
-
-
-class TestColumnsFirstTraceFeatures:
-    def test_columnar_trace_features_are_lazy_views(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.core.architectures import Architecture
-        from repro.core.population import FeatureView
-
-        trace, _ = _distinct_traces()
-        store = tmp_path / "trace.columnar"
-        write_columnar(trace, store)
-        monkeypatch.setenv(context.TRACE_PATH_ENV_VAR, str(store))
-
-        features = context.trace_features()
-        assert all(isinstance(f, FeatureView) for f in features)
-        assert features == [job.features for job in trace]
-        ps = context.trace_features(architecture=Architecture.PS_WORKER)
-        assert ps == [
-            job.features
-            for job in trace
-            if job.workload_type is Architecture.PS_WORKER
-        ]

@@ -1,5 +1,7 @@
 """Workload feature records and deployment transforms."""
 
+import math
+
 import pytest
 
 from repro.core.architectures import Architecture
@@ -22,7 +24,31 @@ def make_features(**overrides):
     return WorkloadFeatures(**defaults)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+#: Every numeric field of the record, the integer ones included.
+NUMERIC_FIELDS = [
+    "num_cnodes",
+    "batch_size",
+    "flop_count",
+    "memory_access_bytes",
+    "input_bytes",
+    "weight_traffic_bytes",
+    "dense_weight_bytes",
+    "embedding_weight_bytes",
+    "embedding_traffic_bytes",
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_rejects_non_finite(self, field, value):
+        # NaN compares false with everything, so a bare ``< 0`` range
+        # check lets it through.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_features(**{field: value})
+
     def test_valid(self):
         features = make_features()
         assert features.num_cnodes == 16

@@ -1,9 +1,11 @@
 """Population-level aggregation: job vs cNode weighting."""
 
+import math
+
 import pytest
 
 from repro.core.architectures import Architecture
-from repro.core.features import WorkloadFeatures
+from repro.core.features import FEATURE_FIELDS, WorkloadFeatures
 from repro.core.population import (
     COMPONENT_KEYS,
     HARDWARE_KEYS,
@@ -188,6 +190,29 @@ class TestFeatureArrays:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             FeatureArrays.from_workloads([])
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "field",
+        [
+            field
+            for field in FEATURE_FIELDS
+            if field not in ("name", "architecture")
+        ],
+    )
+    def test_from_columnar_rejects_non_finite(self, field, value):
+        columns = {
+            name: [getattr(job, name) for job in jobs()]
+            for name in FEATURE_FIELDS
+        }
+        columns["architecture"] = [
+            list(Architecture).index(job.architecture) for job in jobs()
+        ]
+        columns[field][1] = value
+        with pytest.raises(ValueError, match=f"row 1: {field} must be finite"):
+            FeatureArrays.from_columnar(columns)
 
 
 class TestProjectPsTo:

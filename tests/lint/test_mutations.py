@@ -103,6 +103,30 @@ def test_np_append_in_a_loop_fires_hot_path_in_a_hot_module():
     )
 
 
+@pytest.mark.parametrize(
+    "relative, module",
+    [
+        ("core/classify.py", "repro.core.classify"),
+        ("core/sensitivity.py", "repro.core.sensitivity"),
+    ],
+)
+def test_a_per_job_loop_fires_hot_path_in_the_columnar_analyses(
+    relative, module
+):
+    source = read(relative)
+    extra = (
+        "\n\n"
+        "def _shares(breakdowns):\n"
+        '    """Mutant: the per-job population loop, back again."""\n'
+        "    out = []\n"
+        "    for index in range(len(breakdowns)):\n"
+        "        out.append(breakdowns[index].fractions().tolist())\n"
+        "    return out\n"
+    )
+    assert "hot-path" not in rules_fired(source, module, ["hot-path"])
+    assert "hot-path" in rules_fired(source + extra, module, ["hot-path"])
+
+
 def test_the_same_defect_is_quiet_outside_hot_modules():
     source = (
         '"""Cold module."""\n\n'

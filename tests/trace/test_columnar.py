@@ -216,14 +216,18 @@ class TestFeatureArrays:
 
 class TestExperimentRouting:
     def test_figs_identical_across_trace_sources(self, tmp_path, monkeypatch):
-        """Figure experiments are byte-identical on columnar vs JSONL."""
+        """Figure experiments are byte-identical on columnar vs JSONL,
+        and the columnar run never materializes a ``JobRecord``."""
         import repro.analysis.context as ctx
         from repro.analysis import (
+            census,
             fig07_breakdown,
             fig08_cdf,
             fig09_allreduce,
             fig10_shift,
             fig11_hardware,
+            fig15_efficiency,
+            fig16_overlap,
         )
 
         jobs = generate_trace(num_jobs=1500, seed=3)
@@ -237,6 +241,9 @@ class TestExperimentRouting:
             fig09_allreduce,
             fig10_shift,
             fig11_hardware,
+            fig15_efficiency,
+            fig16_overlap,
+            census,
         )
 
         def result_bytes(result):
@@ -251,6 +258,7 @@ class TestExperimentRouting:
         try:
             monkeypatch.setenv(ctx.TRACE_PATH_ENV_VAR, str(columnar))
             via_columnar = run_all()
+            materialized = ctx._cached_external_trace.cache_info().currsize
             monkeypatch.setenv(ctx.TRACE_PATH_ENV_VAR, str(jsonl))
             via_jsonl = run_all()
             monkeypatch.delenv(ctx.TRACE_PATH_ENV_VAR)
@@ -260,6 +268,7 @@ class TestExperimentRouting:
             ]
         finally:
             ctx.clear_caches()
+        assert materialized == 0
         assert via_columnar == via_jsonl == explicit
 
     def test_fingerprint_covers_trace_source(self, tmp_path, monkeypatch):

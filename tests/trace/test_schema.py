@@ -144,26 +144,3 @@ class TestJobView:
         view = next(trace.iter_views())
         assert view != object()
         assert (view == object()) is False
-
-
-class TestFeaturesOfTypeDispatch:
-    def test_feature_arrays_input_yields_views(self):
-        from repro.core.population import FeatureArrays, FeatureView
-
-        jobs = [
-            record(0),
-            record(1, architecture=Architecture.PS_WORKER, num_cnodes=4),
-            record(2, architecture=Architecture.PS_WORKER, num_cnodes=2),
-        ]
-        arrays = FeatureArrays.from_workloads([j.features for j in jobs])
-        selected = features_of_type(arrays, Architecture.PS_WORKER)
-        assert all(isinstance(f, FeatureView) for f in selected)
-        assert selected == features_of_type(jobs, Architecture.PS_WORKER)
-
-    def test_empty_selection(self):
-        from repro.core.population import FeatureArrays
-
-        arrays = FeatureArrays.from_workloads(
-            [record(0).features, record(1).features]
-        )
-        assert features_of_type(arrays, Architecture.PEARL) == []
