@@ -8,8 +8,9 @@ The enforced order (lower layers never import higher ones)::
 
 ``obs`` is the measurement substrate and is importable from anywhere
 (it imports nothing of ``repro`` itself).  Note the order reflects the
-*actual* dependency direction of the code: ``sim.multijob`` is a thin
-client of ``sched`` since PR 1, so ``sched`` sits below ``sim``.
+*actual* dependency direction of the code: the ``sim`` executor models
+mixed precision and XLA fusion through ``optim``, so ``sim`` sits above
+layer 2.  ``sched`` and ``sim`` share no edge; ``faults`` drives both.
 ``trace.columnar`` lives in layer 1 like the rest of ``trace``: the
 columnar store depends only on ``core`` (for the feature schema and
 ``FeatureArrays``) and ``obs``, which is what lets every higher layer

@@ -6,8 +6,8 @@ cluster dimension as a first-class simulator.  A calibrated trace of
 :class:`Fleet` of 8-GPU servers by a discrete-event engine
 (:func:`run_schedule`) under a pluggable :class:`Policy`:
 
-* :class:`FifoPolicy` -- strict arrival order (the legacy
-  ``repro.sim.multijob`` behavior, which now delegates here);
+* :class:`FifoPolicy` -- strict arrival order with head-of-line
+  blocking;
 * :class:`SjfPolicy` -- shortest *model-predicted* job first, where
   predictions couple the analytical step-time model with a per-job
   step budget (:class:`ModelRuntimePredictor`);

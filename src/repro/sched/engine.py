@@ -31,7 +31,8 @@ outcome digests in the tier-1 tests enforce that.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.architectures import Architecture
 from ..obs import DEBUG, WARNING, get_obs
@@ -111,7 +112,6 @@ def run_schedule(
     policy: Policy,
     durations: Optional[Dict[int, float]] = None,
     predictor: Optional[ModelRuntimePredictor] = None,
-    on_unplaceable: str = "reject",
     collect_telemetry: bool = True,
     faults: Optional[SchedFaults] = None,
 ) -> ScheduleOutcome:
@@ -126,24 +126,24 @@ def run_schedule(
         policy: The scheduling discipline.
         durations: Per-job service hours keyed by job id.  When absent,
             ``predictor`` supplies them; when that is absent too, the
-            legacy log-normal :func:`~repro.sched.predictor.sample_durations`
+            log-normal :func:`~repro.sched.predictor.sample_durations`
             draw is used.
         predictor: Model-based runtime predictor (see
             :class:`~repro.sched.predictor.ModelRuntimePredictor`).
-        on_unplaceable: What to do with a job that can never fit the
-            fleet's geometry: ``"reject"`` records it as rejected,
-            ``"raise"`` raises ``RuntimeError`` (the legacy
-            ``repro.sim.multijob`` contract).  Jobs wider than the whole
-            fleet are always rejected.
         collect_telemetry: Sample fleet state at every event timestamp.
         faults: Injected disruptions (worker crashes, preemption
             storms); ``None`` = failure-free replay.
 
     Returns:
-        The per-job outcomes, rejects and fleet telemetry.
+        The per-job outcomes, rejects and fleet telemetry.  Jobs that
+        can never fit the fleet's geometry
+        (:meth:`~repro.sched.fleet.Fleet.can_ever_place`) are rejected,
+        in trace order.
+
+    Raises:
+        ValueError: Two jobs share a job id, or an admitted job's
+            duration is NaN, infinite or negative.
     """
-    if on_unplaceable not in ("reject", "raise"):
-        raise ValueError("on_unplaceable must be 'reject' or 'raise'")
     if faults is None:
         faults = SchedFaults()
     obs = get_obs()
@@ -151,28 +151,36 @@ def run_schedule(
     service = _resolve_durations(trace, durations, predictor)
 
     rejected: List[JobRecord] = []
-    admitted: List[JobRecord] = []
+    admitted: List[Tuple[JobRecord, float]] = []
     #: Admission screen memo: geometry feasibility is a pure function
     #: of (architecture, width), so a million-job trace asks the fleet
     #: once per distinct shape instead of once per job.
     feasible: Dict[Tuple[Architecture, int], bool] = {}
+    # Job ids key the per-job state and the event heap, so a repeated
+    # id would silently drop one job and leak its GPUs.
+    seen_ids: Set[int] = set()
     for job in trace:
-        if job.num_cnodes > fleet.total_gpus:
-            rejected.append(job)
-            continue
+        if job.job_id in seen_ids:
+            raise ValueError(f"duplicate job id {job.job_id} in the trace")
+        seen_ids.add(job.job_id)
         shape = (job.workload_type, job.num_cnodes)
         placeable = feasible.get(shape)
         if placeable is None:
             placeable = fleet.can_ever_place(*shape)
             feasible[shape] = placeable
         if not placeable:
-            if on_unplaceable == "raise":
-                raise RuntimeError(
-                    "scheduler stuck: job cannot be placed on an empty cluster"
-                )
             rejected.append(job)
             continue
-        admitted.append(job)
+        # A NaN completion never compares equal to the clock (the replay
+        # would spin forever), a negative one ends before its start, and
+        # an infinite one poisons utilization.
+        hours = service[job.job_id]
+        if not 0.0 <= hours < math.inf:
+            raise ValueError(
+                f"job {job.job_id}: duration must be finite and "
+                f"non-negative, got {hours!r} hours"
+            )
+        admitted.append((job, hours))
 
     # Event heap: (hour, sequence, kind, key, incarnation); kind 0 =
     # completion, 1 = arrival, so completions at a timestamp release
@@ -184,10 +192,10 @@ def run_schedule(
     events: List[Tuple[float, int, int, int, int]] = []
     states: Dict[int, _JobState] = {}
     sequence = 0
-    for job in admitted:
+    for job, hours in admitted:
         arrival = job.submit_day * _HOURS_PER_DAY
         events.append((arrival, sequence, 1, job.job_id, 0))
-        states[job.job_id] = _JobState(job, arrival, service[job.job_id])
+        states[job.job_id] = _JobState(job, arrival, hours)
         sequence += 1
     for crash_index, crash in enumerate(faults.crashes):
         events.append((crash.hour, sequence, 2, crash_index, 0))

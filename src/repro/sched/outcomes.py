@@ -258,6 +258,19 @@ class ScheduleOutcome:
             by_type[arch] = by_type.get(arch, 0.0) + outcome.gpu_hours
         return by_type
 
+    def distributed_resource_share(self) -> float:
+        """GPU-hour share of distributed (non-1w1g) jobs.
+
+        Sec. II-A2: "More than 85% computation resources on our cluster
+        are used by distributed training workloads."
+        """
+        by_type = self.gpu_hours_by_type()
+        total = sum(by_type.values())
+        if total == 0:
+            return 0.0
+        single = by_type.get(Architecture.SINGLE, 0.0)
+        return 1.0 - single / total
+
     def utilization(self) -> float:
         """GPU-hours used over GPU-hours available until the makespan."""
         span = self.makespan_hours

@@ -12,8 +12,7 @@ policy never mutates anything itself; trial placements are made on a
 Four disciplines are provided:
 
 * :class:`FifoPolicy` -- strict arrival order with head-of-line
-  blocking (the behavior of the legacy ``repro.sim.multijob``
-  scheduler).
+  blocking.
 * :class:`SjfPolicy` -- shortest predicted job first; the prediction
   comes from the runtime model, so this is where model-predicted step
   times pay off operationally.

@@ -5,7 +5,7 @@ estimate per job.  Two sources are provided:
 
 * :func:`sample_durations` -- the log-normal draw every production
   cluster study reports, deterministic per ``(seed, job_id)``.  This is
-  what the legacy :mod:`repro.sim.multijob` client uses.
+  :func:`~repro.sched.engine.run_schedule`'s default.
 * :class:`ModelRuntimePredictor` -- couples the analytical performance
   model (:func:`repro.core.timemodel.estimate_step_time`) with a
   deterministic per-job step *count*: duration = predicted step time
@@ -42,8 +42,10 @@ def sample_durations(
     seed: int = 7,
 ) -> Dict[int, float]:
     """Deterministic per-job log-normal runtimes, keyed by job id."""
-    if median_hours <= 0:
-        raise ValueError("median_hours must be positive")
+    if not 0 < median_hours < math.inf:
+        raise ValueError("median_hours must be positive and finite")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be non-negative and finite")
     durations = {}
     for job in jobs:
         rng = np.random.default_rng((seed, job.job_id))
@@ -73,12 +75,12 @@ class ModelRuntimePredictor:
         seed: int = 7,
         max_hours: Optional[float] = 168.0,
     ) -> None:
-        if median_steps <= 0:
-            raise ValueError("median_steps must be positive")
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if max_hours is not None and max_hours <= 0:
-            raise ValueError("max_hours must be positive")
+        if not 0 < median_steps < math.inf:
+            raise ValueError("median_steps must be positive and finite")
+        if not 0 <= sigma < math.inf:
+            raise ValueError("sigma must be non-negative and finite")
+        if max_hours is not None and not 0 < max_hours < math.inf:
+            raise ValueError("max_hours must be positive and finite")
         self.hardware = hardware if hardware is not None else pai_default_hardware()
         self.efficiency = efficiency
         self.options = options

@@ -12,12 +12,6 @@ from .events import Event, EventQueue, TimelineRecord
 from .executor import SimulationOptions, TestbedSimulator, simulate_step
 from .injection import LINK_KINDS, StepFaults
 from .measurement import StepMeasurement, medium_of_resource
-from .multijob import (
-    ClusterScheduler,
-    JobExecution,
-    ScheduleResult,
-    sample_durations,
-)
 from .pearl import PearlPartition, PearlSchedule, pearl_schedule, plan_pearl
 from .ps import (
     PsProvisioning,
@@ -39,15 +33,12 @@ from .topology import SimCluster, SimServer, build_cluster
 
 __all__ = [
     "Channel",
-    "ClusterScheduler",
     "CollectiveCost",
     "Device",
     "Event",
     "EventQueue",
     "JitterModel",
-    "JobExecution",
     "LINK_KINDS",
-    "ScheduleResult",
     "PearlPartition",
     "PearlSchedule",
     "PsProvisioning",
@@ -74,7 +65,6 @@ __all__ = [
     "reduce_scatter_time",
     "render_timeline",
     "ring_allreduce_time",
-    "sample_durations",
     "shard_loads",
     "simulate_step",
     "straggled_step_time",

@@ -1,7 +1,8 @@
-"""Scheduler safety invariants, property-tested.
+"""Multi-job scheduling safety invariants, property-tested.
 
-The central guarantee of the multi-job scheduler: at no instant does
-the placed GPU count exceed the cluster capacity, for *any* job mix.
+The central guarantee of scheduling many trace jobs onto one cluster:
+at no instant does the placed GPU count exceed the fleet capacity, for
+*any* job mix. The replay is FIFO over a 6-server fleet.
 """
 
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.architectures import Architecture
 from repro.core.features import WorkloadFeatures
-from repro.sim.multijob import ClusterScheduler
+from repro.sched import FifoPolicy, Fleet, run_schedule
 from repro.trace.schema import JobRecord
 
 
@@ -57,11 +58,20 @@ def job_lists(draw):
     return jobs
 
 
-def gpu_usage_at(executions, instant):
+def schedule(jobs, durations):
+    return run_schedule(
+        jobs,
+        Fleet(num_servers=6, gpus_per_server=8),
+        FifoPolicy(),
+        durations=durations,
+    )
+
+
+def gpu_usage_at(segments, instant):
     return sum(
-        e.job.num_cnodes
-        for e in executions
-        if e.start_hour <= instant < e.end_hour
+        s.placement.total_gpus
+        for s in segments
+        if s.start_hour <= instant < s.end_hour
     )
 
 
@@ -69,35 +79,37 @@ class TestSchedulerSafety:
     @settings(max_examples=40, deadline=None)
     @given(jobs=job_lists(), seed=st.integers(0, 100))
     def test_never_oversubscribed(self, jobs, seed):
-        scheduler = ClusterScheduler(num_servers=6, gpus_per_server=8)
         durations = {j.job_id: 1.0 + (j.job_id % 5) for j in jobs}
-        result = scheduler.schedule(jobs, durations)
+        outcome = schedule(jobs, durations)
+        segments = [s for o in outcome.outcomes for s in o.segments]
         # Check occupancy at every start instant (usage only changes there).
-        for execution in result.executions:
-            usage = gpu_usage_at(result.executions, execution.start_hour)
-            assert usage <= scheduler.total_gpus
+        for segment in segments:
+            usage = gpu_usage_at(segments, segment.start_hour)
+            assert usage <= 6 * 8
 
     @settings(max_examples=40, deadline=None)
     @given(jobs=job_lists())
     def test_every_job_placed_or_rejected(self, jobs):
-        scheduler = ClusterScheduler(num_servers=6, gpus_per_server=8)
         durations = {j.job_id: 2.0 for j in jobs}
-        result = scheduler.schedule(jobs, durations)
-        assert len(result.executions) + len(result.rejected) == len(jobs)
+        outcome = schedule(jobs, durations)
+        assert len(outcome.outcomes) + len(outcome.rejected) == len(jobs)
 
     @settings(max_examples=40, deadline=None)
     @given(jobs=job_lists())
     def test_no_job_starts_before_arrival(self, jobs):
-        scheduler = ClusterScheduler(num_servers=6, gpus_per_server=8)
         durations = {j.job_id: 0.5 for j in jobs}
-        result = scheduler.schedule(jobs, durations)
-        for execution in result.executions:
-            assert execution.start_hour >= execution.arrival_hour - 1e-9
+        outcome = schedule(jobs, durations)
+        for job_outcome in outcome.outcomes:
+            assert (
+                job_outcome.first_start_hour
+                >= job_outcome.arrival_hour - 1e-9
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(jobs=job_lists())
     def test_deterministic(self, jobs):
         durations = {j.job_id: 1.5 for j in jobs}
-        first = ClusterScheduler(6, 8).schedule(jobs, durations)
-        second = ClusterScheduler(6, 8).schedule(jobs, durations)
-        assert first.executions == second.executions
+        first = schedule(jobs, durations)
+        second = schedule(jobs, durations)
+        assert first.outcomes == second.outcomes
+        assert first.rejected == second.rejected

@@ -1,5 +1,12 @@
 """The discrete-event engine: mechanics, telemetry and determinism."""
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.architectures import Architecture
@@ -12,6 +19,8 @@ from repro.sched import (
 )
 
 from sched_helpers import make_job
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestMechanics:
@@ -33,20 +42,28 @@ class TestMechanics:
         outcome = run_schedule(jobs, Fleet(2), FifoPolicy(), durations={0: 1.0})
         assert [job.job_id for job in outcome.rejected] == [0]
 
-    def test_unplaceable_shape_raises_when_asked(self):
-        jobs = [make_job(0, Architecture.PS_WORKER, 4)]
-        with pytest.raises(RuntimeError):
+    def test_duplicate_job_id_raises(self):
+        # Both id-0 jobs used to start, one outcome was dropped and its
+        # 8 GPUs stayed allocated after the replay ended.
+        jobs = [
+            make_job(0, Architecture.ALLREDUCE_LOCAL, 8),
+            make_job(0, Architecture.ALLREDUCE_LOCAL, 8),
+            make_job(1),
+        ]
+        with pytest.raises(ValueError, match="duplicate job id 0"):
             run_schedule(
-                jobs,
-                Fleet(2),
-                FifoPolicy(),
-                durations={0: 1.0},
-                on_unplaceable="raise",
+                jobs, Fleet(2), FifoPolicy(), durations={0: 1.0, 1: 1.0}
             )
 
-    def test_on_unplaceable_validated(self):
-        with pytest.raises(ValueError):
-            run_schedule([], Fleet(1), FifoPolicy(), on_unplaceable="ignore")
+    @pytest.mark.parametrize(
+        "hours", [math.inf, -1.0], ids=["inf", "negative"]
+    )
+    def test_unusable_duration_raises(self, hours):
+        jobs = [make_job(0), make_job(1)]
+        with pytest.raises(ValueError, match="job 1: duration must be finite"):
+            run_schedule(
+                jobs, Fleet(1), FifoPolicy(), durations={0: 1.0, 1: hours}
+            )
 
     def test_outcomes_sorted_by_submission(self):
         jobs = [
@@ -70,6 +87,69 @@ class TestMechanics:
         assert [o.service_hours for o in first.outcomes] == [
             o.service_hours for o in second.outcomes
         ]
+
+
+def test_nan_duration_fails_fast():
+    """A NaN duration once stalled the replay forever: its completion
+    never compared equal to the clock, so it was never popped.  Run in
+    a child process so a regression times out instead of hanging."""
+    script = textwrap.dedent(
+        """
+        from repro.sched import FifoPolicy, Fleet, run_schedule
+        from repro.trace.generator import TraceConfig, generate_trace
+
+        jobs = generate_trace(config=TraceConfig(num_jobs=50, seed=3))
+        durations = {job.job_id: float("nan") for job in jobs}
+        run_schedule(jobs, Fleet(8), FifoPolicy(), durations=durations)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode != 0
+    assert "duration must be finite and non-negative, got nan" in result.stderr
+
+
+class TestPlacement:
+    """Architecture-shaped placement, seen through queueing delay."""
+
+    def test_local_job_needs_one_server(self):
+        jobs = [
+            make_job(0, Architecture.ALLREDUCE_LOCAL, 6),
+            make_job(1, Architecture.ALLREDUCE_LOCAL, 6),
+        ]
+        outcome = run_schedule(
+            jobs, Fleet(2), FifoPolicy(), durations={0: 1.0, 1: 1.0}
+        )
+        assert [o.queueing_delay_hours for o in outcome.outcomes] == [0.0, 0.0]
+
+    def test_fragmented_cluster_queues_local_jobs(self):
+        # Two 5-GPU jobs leave 3 + 3 free: a 6-GPU local job must wait
+        # for the first of them to end, though 6 GPUs are free in total.
+        jobs = [
+            make_job(0, Architecture.ALLREDUCE_LOCAL, 5),
+            make_job(1, Architecture.ALLREDUCE_LOCAL, 5),
+            make_job(2, Architecture.ALLREDUCE_LOCAL, 6),
+        ]
+        outcome = run_schedule(
+            jobs, Fleet(2), FifoPolicy(), durations={0: 2.0, 1: 3.0, 2: 1.0}
+        )
+        assert outcome.outcomes[2].queueing_delay_hours == 2.0
+
+    def test_ps_job_spreads_across_servers(self):
+        jobs = [
+            make_job(0, Architecture.PS_WORKER, 4),
+            make_job(1, Architecture.PS_WORKER, 4),
+        ]
+        outcome = run_schedule(
+            jobs, Fleet(4), FifoPolicy(), durations={0: 1.0, 1: 1.0}
+        )
+        assert [o.queueing_delay_hours for o in outcome.outcomes] == [0.0, 0.0]
 
 
 class TestDeterminism:
@@ -166,3 +246,35 @@ class TestOutcomeMetrics:
         jobs = [make_job(0, Architecture.ALLREDUCE_LOCAL, 8)]
         outcome = run_schedule(jobs, Fleet(2), FifoPolicy(), durations={0: 4.0})
         assert outcome.utilization() == pytest.approx(0.5)
+
+    def test_utilization_bounded(self, small_trace):
+        outcome = run_schedule(small_trace[:200], Fleet(64), FifoPolicy())
+        assert 0.0 < outcome.utilization() <= 1.0
+
+    def test_gpu_hours_by_type(self):
+        jobs = [make_job(0), make_job(1, Architecture.ALLREDUCE_LOCAL, 4)]
+        outcome = run_schedule(
+            jobs, Fleet(1), FifoPolicy(), durations={0: 3.0, 1: 2.0}
+        )
+        assert outcome.outcomes[1].gpu_hours == 8.0
+        assert outcome.gpu_hours_by_type() == {
+            Architecture.SINGLE: 3.0,
+            Architecture.ALLREDUCE_LOCAL: 8.0,
+        }
+
+    def test_makespan_covers_all_jobs(self):
+        jobs = [make_job(i, submit_day=i) for i in range(3)]
+        outcome = run_schedule(
+            jobs, Fleet(1), FifoPolicy(), durations={0: 1.0, 1: 1.0, 2: 5.0}
+        )
+        assert outcome.makespan_hours == 2 * 24 + 5.0
+        assert run_schedule([], Fleet(1), FifoPolicy()).makespan_hours == 0.0
+
+    def test_distributed_resource_share(self):
+        jobs = [make_job(0), make_job(1, Architecture.ALLREDUCE_LOCAL, 8)]
+        outcome = run_schedule(
+            jobs, Fleet(2), FifoPolicy(), durations={0: 1.0, 1: 1.0}
+        )
+        assert outcome.distributed_resource_share() == pytest.approx(8 / 9)
+        empty = run_schedule([], Fleet(1), FifoPolicy())
+        assert empty.distributed_resource_share() == 0.0

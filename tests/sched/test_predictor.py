@@ -1,5 +1,7 @@
 """Model-predicted runtimes: determinism, clamping, architecture effects."""
 
+import math
+
 import pytest
 
 from repro.core.architectures import Architecture
@@ -9,6 +11,8 @@ from repro.trace.columnar import ColumnarTrace, write_columnar
 from repro.trace.generator import TraceConfig, generate_trace
 
 from sched_helpers import make_job
+
+NON_FINITE = [math.nan, math.inf]
 
 
 class TestValidation:
@@ -23,6 +27,14 @@ class TestValidation:
     def test_max_hours_positive(self):
         with pytest.raises(ValueError):
             ModelRuntimePredictor(max_hours=0.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["median_steps", "sigma", "max_hours"])
+    def test_rejects_non_finite(self, field, value):
+        # A NaN step budget or spread made every duration NaN, and a
+        # NaN duration stalled the replay forever.
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            ModelRuntimePredictor(**{field: value})
 
 
 class TestPrediction:
@@ -100,11 +112,27 @@ class TestBatchDurations:
 
 
 class TestSampleDurations:
-    def test_matches_legacy_draw(self):
-        from repro.sim.multijob import sample_durations as legacy
-        jobs = [make_job(i) for i in range(5)]
-        assert sample_durations(jobs, seed=3) == legacy(jobs, seed=3)
+    def test_deterministic_per_seed(self, small_trace):
+        first = sample_durations(small_trace, seed=3)
+        second = sample_durations(small_trace, seed=3)
+        assert first == second
+
+    def test_different_seeds_differ(self, small_trace):
+        assert sample_durations(small_trace, seed=3) != sample_durations(
+            small_trace, seed=4
+        )
+
+    def test_positive(self, small_trace):
+        assert all(d > 0 for d in sample_durations(small_trace).values())
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_durations([], median_hours=0.0)
+        with pytest.raises(ValueError):
+            sample_durations([], sigma=-0.1)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["median_hours", "sigma"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            sample_durations([make_job(0)], **{field: value})

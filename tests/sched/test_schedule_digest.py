@@ -248,11 +248,6 @@ def test_small_trace_digest(name):
     assert schedule_digest(SMALL_CASES[name]()) == SMALL_TRACE_DIGESTS[name]
 
 
-def test_on_unplaceable_raise():
-    with pytest.raises(RuntimeError, match="cannot be placed"):
-        run_schedule(_small_trace(), Fleet(2), FifoPolicy(), on_unplaceable="raise")
-
-
 class TestCanonicalForm:
     """What a job held enters the digest, and every float bit counts."""
 

@@ -1,10 +1,11 @@
-"""The cluster-level multi-job scheduler."""
+"""Multi-job cluster scheduling of trace jobs through the repro.sched engine."""
 
 import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.features import WorkloadFeatures
-from repro.sim.multijob import ClusterScheduler, sample_durations
+from repro.sched import FifoPolicy, Fleet, run_schedule
+from repro.sched.predictor import sample_durations
 from repro.trace.schema import JobRecord
 
 
@@ -24,121 +25,26 @@ def job(job_id, architecture=Architecture.SINGLE, num_cnodes=1, submit_day=0):
 
 
 class TestDurations:
-    def test_deterministic_per_seed(self, small_trace):
-        first = sample_durations(small_trace, seed=3)
-        second = sample_durations(small_trace, seed=3)
-        assert first == second
-
-    def test_different_seeds_differ(self, small_trace):
-        assert sample_durations(small_trace, seed=3) != sample_durations(
-            small_trace, seed=4
-        )
-
-    def test_positive(self, small_trace):
-        assert all(d > 0 for d in sample_durations(small_trace).values())
-
     def test_validation(self, small_trace):
         with pytest.raises(ValueError):
             sample_durations(small_trace, median_hours=0.0)
 
 
 class TestPlacement:
-    def test_local_job_needs_one_server(self):
-        scheduler = ClusterScheduler(num_servers=2, gpus_per_server=8)
-        # A 6-GPU local job and then another: both fit, one per server.
-        jobs = [
-            job(0, Architecture.ALLREDUCE_LOCAL, 6),
-            job(1, Architecture.ALLREDUCE_LOCAL, 6),
-        ]
-        result = scheduler.schedule(jobs, durations={0: 1.0, 1: 1.0})
-        assert all(e.wait_hours == 0 for e in result.executions)
-
-    def test_fragmented_cluster_queues_local_jobs(self):
-        scheduler = ClusterScheduler(num_servers=2, gpus_per_server=8)
-        # Two 5-GPU jobs leave 3+3 free: a 6-GPU local job must wait even
-        # though 6 GPUs are free in total.
-        jobs = [
-            job(0, Architecture.ALLREDUCE_LOCAL, 5),
-            job(1, Architecture.ALLREDUCE_LOCAL, 5),
-            job(2, Architecture.ALLREDUCE_LOCAL, 6),
-        ]
-        result = scheduler.schedule(
-            jobs, durations={0: 2.0, 1: 3.0, 2: 1.0}
-        )
-        waits = {e.job.job_id: e.wait_hours for e in result.executions}
-        assert waits[2] >= 2.0  # waits for the first 5-GPU job to end
-
-    def test_ps_job_spreads_across_servers(self):
-        scheduler = ClusterScheduler(num_servers=4, gpus_per_server=8)
-        # A 4-worker PS job takes one GPU per server; a second one too.
-        jobs = [
-            job(0, Architecture.PS_WORKER, 4),
-            job(1, Architecture.PS_WORKER, 4),
-        ]
-        result = scheduler.schedule(jobs, durations={0: 1.0, 1: 1.0})
-        assert all(e.wait_hours == 0 for e in result.executions)
-
-    def test_ps_job_wider_than_cluster_waits_forever_guard(self):
-        scheduler = ClusterScheduler(num_servers=2, gpus_per_server=8)
-        # 4 workers > 2 servers at 1 worker/server: never placeable.
-        with pytest.raises(RuntimeError):
-            scheduler.schedule(
-                [job(0, Architecture.PS_WORKER, 4)], durations={0: 1.0}
-            )
-
     def test_oversized_jobs_rejected(self):
-        scheduler = ClusterScheduler(num_servers=1, gpus_per_server=8)
-        result = scheduler.schedule(
-            [job(0, Architecture.ALLREDUCE_CLUSTER, 100)], durations={0: 1.0}
+        outcome = run_schedule(
+            [job(0, Architecture.ALLREDUCE_CLUSTER, 100)],
+            Fleet(num_servers=1, gpus_per_server=8),
+            FifoPolicy(),
+            durations={0: 1.0},
         )
-        assert len(result.rejected) == 1
-        assert not result.executions
+        assert len(outcome.rejected) == 1
+        assert not outcome.outcomes
 
 
 class TestMetrics:
-    def test_gpu_hours(self):
-        scheduler = ClusterScheduler(num_servers=1, gpus_per_server=8)
-        result = scheduler.schedule(
-            [job(0, Architecture.ALLREDUCE_LOCAL, 4)], durations={0: 2.0}
-        )
-        assert result.executions[0].gpu_hours == pytest.approx(8.0)
-
-    def test_distributed_resource_share(self):
-        scheduler = ClusterScheduler(num_servers=2, gpus_per_server=8)
-        jobs = [
-            job(0, Architecture.SINGLE, 1),
-            job(1, Architecture.ALLREDUCE_LOCAL, 8),
-        ]
-        result = scheduler.schedule(jobs, durations={0: 1.0, 1: 1.0})
-        assert result.distributed_resource_share() == pytest.approx(8 / 9)
-
-    def test_utilization_bounded(self, small_trace):
-        scheduler = ClusterScheduler(num_servers=64, gpus_per_server=8)
-        placeable = [
-            j for j in small_trace
-            if j.num_cnodes <= 8 or j.workload_type is not Architecture.PS_WORKER
-        ]
-        # PS jobs wider than 64 servers cannot spread; drop them.
-        placeable = [
-            j for j in placeable
-            if not (
-                j.workload_type is Architecture.PS_WORKER and j.num_cnodes > 64
-            )
-        ]
-        result = scheduler.schedule(placeable[:200])
-        assert 0.0 < result.utilization() <= 1.0
-
-    def test_makespan_covers_all_jobs(self):
-        scheduler = ClusterScheduler(num_servers=1, gpus_per_server=8)
-        jobs = [job(i, Architecture.SINGLE, 1, submit_day=i) for i in range(3)]
-        result = scheduler.schedule(
-            jobs, durations={0: 1.0, 1: 1.0, 2: 5.0}
-        )
-        assert result.makespan_hours >= 2 * 24 + 5.0
-
     def test_paper_claim_distributed_dominates(self, trace):
         """Sec. II-A2: distributed training uses >85% of resources."""
-        scheduler = ClusterScheduler(num_servers=512, gpus_per_server=8)
         placeable = [
             j for j in trace
             if not (
@@ -146,13 +52,18 @@ class TestMetrics:
                 and j.num_cnodes > 512
             )
         ][:1500]
-        result = scheduler.schedule(placeable)
-        assert result.distributed_resource_share() > 0.85
+        outcome = run_schedule(
+            placeable,
+            Fleet(num_servers=512, gpus_per_server=8),
+            FifoPolicy(),
+            collect_telemetry=False,
+        )
+        assert outcome.distributed_resource_share() > 0.85
 
 
 class TestValidation:
     def test_cluster_dimensions(self):
         with pytest.raises(ValueError):
-            ClusterScheduler(num_servers=0)
+            Fleet(num_servers=0)
         with pytest.raises(ValueError):
-            ClusterScheduler(num_servers=1, gpus_per_server=0)
+            Fleet(num_servers=1, gpus_per_server=0)

@@ -13,6 +13,8 @@ FAST_EXAMPLES = [
     "architecture_advisor.py",
     "inference_characterization.py",
     "pearl_vs_ps.py",
+    "cluster_occupancy.py",
+    "scheduling_policies.py",
 ]
 
 
