@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.architectures import Architecture
-from ..obs import DEBUG, WARNING, get_obs
+from ..obs import DEBUG, INFO, get_obs
 from ..trace.schema import JobRecord
 from .faults import SchedFaults
 from .fleet import Fleet, Placement
@@ -217,6 +218,9 @@ def run_schedule(
     #: ``faults.storms``).
     pending_crashes: List[int] = []
     pending_storm_ticks: List[int] = []
+    #: Event counts for the metric registry, added once per run: a
+    #: registry counter takes a lock and a lookup on every use.
+    tally: Counter = Counter()
 
     def start_job(state: _JobState, placement: Placement, now: float) -> None:
         nonlocal sequence
@@ -231,10 +235,10 @@ def run_schedule(
         running[state.job.job_id] = RunningJob(
             job=state.job, placement=placement, start_hour=now, end_hour=end
         )
-        obs.metrics.counter("sched.starts").inc()
+        tally["sched.starts"] += 1
 
     def preempt_job(state: _JobState, now: float) -> None:
-        obs.metrics.counter("sched.preemptions").inc()
+        tally["sched.preemptions"] += 1
         obs.event(
             "sched.preempted",
             level=DEBUG,
@@ -284,10 +288,12 @@ def run_schedule(
         state.incarnation += 1  # invalidate the in-flight completion
         state.retries += 1
         del running[state.job.job_id]
-        obs.metrics.counter("sched.failures").inc()
+        tally["sched.failures"] += 1
+        # Every crash is injected (and counted above), so it is not a
+        # warning: a library replay stays silent on stderr.
         obs.event(
             "sched.job_failed",
-            level=WARNING,
+            level=INFO,
             job_id=state.job.job_id,
             hour=now,
             retries=state.retries,
@@ -300,146 +306,161 @@ def run_schedule(
             (now + backoff_hours, sequence, 1, state.job.job_id, 0),
         )
 
-    while events:
-        now = events[0][0]
-        # Integrate GPU activity over the idle gap just ended.
-        active_gpu_hours += fleet.busy_gpus * (now - previous_hour)
-        previous_hour = now
-        while events and events[0][0] == now:
-            _, _, kind, job_id, incarnation = heapq.heappop(events)
-            if kind == 2:
-                # Crashes fire after this timestamp's scheduling pass
-                # (below), when jobs started at this instant are
-                # visible as running victims.
-                pending_crashes.append(job_id)
-                continue
-            if kind == 3:
-                pending_storm_ticks.append(job_id)
-                continue
-            state = states[job_id]
-            if kind == 0:
-                if incarnation != state.incarnation or state.placement is None:
-                    continue  # stale completion of a preempted run
-                state.segments.append(
-                    ExecutionSegment(
-                        start_hour=state.segment_start,
-                        end_hour=now,
-                        placement=state.placement,
-                    )
-                )
-                state.remaining_hours = 0.0
-                fleet.release(state.placement)
-                state.placement = None
-                del running[job_id]
-                finished.append(
-                    JobOutcome(
-                        job=state.job,
-                        arrival_hour=state.arrival_hour,
-                        service_hours=state.service_hours,
-                        segments=tuple(state.segments),
-                        retries=state.retries,
-                    )
-                )
-                obs.metrics.counter("sched.completions").inc()
-            else:
-                queue.append(
-                    PendingJob(
-                        job=state.job,
-                        arrival_hour=state.arrival_hour,
-                        remaining_hours=state.remaining_hours,
-                    )
-                )
-
-        for _ in range(_MAX_DECISION_ROUNDS):
-            if not queue:
-                break
-            context = SchedulingContext(
-                now=now,
-                fleet=fleet,
-                queue=tuple(queue),
-                running=tuple(running.values()),
-            )
-            decision: SchedulingDecision = policy.select(context)
-            if decision.is_empty:
-                break
-            applied = 0
-            for job_id in decision.preemptions:
-                state = states.get(job_id)
-                if state is None or state.placement is None:
-                    continue  # policy named a job that is not running
-                preempt_job(state, now)
-                applied += 1
-            pending_by_id = {p.job_id: p for p in queue}
-            for job_id in decision.starts:
-                pending = pending_by_id.get(job_id)
-                if pending is None:
-                    continue  # policy named a job that is not queued
-                state = states[job_id]
-                placement = fleet.try_place(
-                    state.job.workload_type, state.job.num_cnodes
-                )
-                if placement is None:
-                    continue  # plan no longer fits the live fleet
-                if pending is not queue[0]:
-                    # Started past an older waiter: a backfill (or
-                    # priority jump) by the policy's own choice.
-                    obs.metrics.counter("sched.backfills").inc()
-                queue.remove(pending)
-                start_job(state, placement, now)
-                applied += 1
-            if applied == 0:
-                break  # non-empty decision that changed nothing
-
-        # Injected faults fire once the timestamp's scheduling settled:
-        # storms evict whoever is running now; a crash kills its victim
-        # (or waits armed until one exists).  Evicted/failed jobs sit
-        # queued until the next event -- their freed GPUs are claimed
-        # then, exactly as a monitoring-loop detection lag would.
-        if pending_storm_ticks:
-            for storm_index in pending_storm_ticks:
-                storm = faults.storms[storm_index]
-                for victim in sorted(running)[: storm.victims_per_tick]:
-                    preempt_job(states[victim], now)
-            pending_storm_ticks.clear()
-        if pending_crashes:
-            still_armed: List[int] = []
-            for crash_index in pending_crashes:
-                crash = faults.crashes[crash_index]
-                victim: Optional[int] = None
-                if running:
-                    if crash.job_id is not None and crash.job_id in running:
-                        victim = crash.job_id
-                    else:
-                        victim = min(running)
-                if victim is None:
-                    still_armed.append(crash_index)
+    try:
+        while events:
+            now = events[0][0]
+            # Integrate GPU activity over the idle gap just ended.
+            active_gpu_hours += fleet.busy_gpus * (now - previous_hour)
+            previous_hour = now
+            while events and events[0][0] == now:
+                _, _, kind, job_id, incarnation = heapq.heappop(events)
+                if kind == 2:
+                    # Crashes fire after this timestamp's scheduling pass
+                    # (below), when jobs started at this instant are
+                    # visible as running victims.
+                    pending_crashes.append(job_id)
                     continue
-                crash_job(states[victim], now, crash.backoff_hours)
-            pending_crashes[:] = still_armed
+                if kind == 3:
+                    pending_storm_ticks.append(job_id)
+                    continue
+                state = states[job_id]
+                if kind == 0:
+                    stale = incarnation != state.incarnation
+                    if stale or state.placement is None:
+                        continue  # stale completion of a preempted run
+                    state.segments.append(
+                        ExecutionSegment(
+                            start_hour=state.segment_start,
+                            end_hour=now,
+                            placement=state.placement,
+                        )
+                    )
+                    state.remaining_hours = 0.0
+                    fleet.release(state.placement)
+                    state.placement = None
+                    del running[job_id]
+                    finished.append(
+                        JobOutcome(
+                            job=state.job,
+                            arrival_hour=state.arrival_hour,
+                            service_hours=state.service_hours,
+                            segments=tuple(state.segments),
+                            retries=state.retries,
+                        )
+                    )
+                    tally["sched.completions"] += 1
+                else:
+                    queue.append(
+                        PendingJob(
+                            job=state.job,
+                            arrival_hour=state.arrival_hour,
+                            remaining_hours=state.remaining_hours,
+                        )
+                    )
 
-        if collect_telemetry:
-            samples.append(
-                TelemetrySample(
-                    hour=now,
-                    busy_gpus=fleet.busy_gpus,
-                    free_gpus=fleet.free_gpus,
-                    running_jobs=len(running),
-                    queue_depth=len(queue),
-                    fragmentation=fleet.fragmentation(),
+            for _ in range(_MAX_DECISION_ROUNDS):
+                if not queue:
+                    break
+                context = SchedulingContext(
+                    now=now,
+                    fleet=fleet,
+                    queue=tuple(queue),
+                    running=tuple(running.values()),
                 )
-            )
-            # Mirror the sample into the metric registry so fleet state
-            # shows up in the obs summary alongside everything else.
-            obs.metrics.gauge("sched.queue_depth").set(len(queue))
-            obs.metrics.gauge("sched.busy_gpus").set(fleet.busy_gpus)
-            obs.metrics.gauge("sched.fragmentation").set(fleet.fragmentation())
-        if not events and queue and not running:
-            # Placeable jobs remain, nothing running, no future events:
-            # the policy refuses to start them and never will.
-            raise RuntimeError(
-                "scheduler stuck: policy left placeable jobs queued on an "
-                "idle cluster"
-            )
+                decision: SchedulingDecision = policy.select(context)
+                if decision.is_empty:
+                    break
+                applied = 0
+                for job_id in decision.preemptions:
+                    state = states.get(job_id)
+                    if state is None or state.placement is None:
+                        continue  # policy named a job that is not running
+                    preempt_job(state, now)
+                    applied += 1
+                pending_by_id = {p.job_id: p for p in queue}
+                for job_id in decision.starts:
+                    pending = pending_by_id.get(job_id)
+                    if pending is None:
+                        continue  # policy named a job that is not queued
+                    state = states[job_id]
+                    placement = fleet.try_place(
+                        state.job.workload_type, state.job.num_cnodes
+                    )
+                    if placement is None:
+                        continue  # plan no longer fits the live fleet
+                    # By identity: a dataclass ``==`` scan would compare
+                    # every job record ahead of it.
+                    position = next(
+                        index
+                        for index, queued in enumerate(queue)
+                        if queued is pending
+                    )
+                    if position:
+                        # Started past an older waiter: a backfill (or
+                        # priority jump) by the policy's own choice.
+                        tally["sched.backfills"] += 1
+                    del queue[position]
+                    start_job(state, placement, now)
+                    applied += 1
+                if applied == 0:
+                    break  # non-empty decision that changed nothing
+
+            # Injected faults fire once the timestamp's scheduling settled:
+            # storms evict whoever is running now; a crash kills its victim
+            # (or waits armed until one exists).  Evicted/failed jobs sit
+            # queued until the next event -- their freed GPUs are claimed
+            # then, exactly as a monitoring-loop detection lag would.
+            if pending_storm_ticks:
+                for storm_index in pending_storm_ticks:
+                    storm = faults.storms[storm_index]
+                    for victim in sorted(running)[: storm.victims_per_tick]:
+                        preempt_job(states[victim], now)
+                pending_storm_ticks.clear()
+            if pending_crashes:
+                still_armed: List[int] = []
+                for crash_index in pending_crashes:
+                    crash = faults.crashes[crash_index]
+                    victim: Optional[int] = None
+                    if running:
+                        named = crash.job_id
+                        if named is not None and named in running:
+                            victim = named
+                        else:
+                            victim = min(running)
+                    if victim is None:
+                        still_armed.append(crash_index)
+                        continue
+                    crash_job(states[victim], now, crash.backoff_hours)
+                pending_crashes[:] = still_armed
+
+            if collect_telemetry:
+                samples.append(
+                    TelemetrySample(
+                        hour=now,
+                        busy_gpus=fleet.busy_gpus,
+                        free_gpus=fleet.free_gpus,
+                        running_jobs=len(running),
+                        queue_depth=len(queue),
+                        fragmentation=fleet.fragmentation(),
+                    )
+                )
+                # Mirror the sample into the metric registry so fleet state
+                # shows up in the obs summary alongside everything else.
+                obs.metrics.gauge("sched.queue_depth").set(len(queue))
+                obs.metrics.gauge("sched.busy_gpus").set(fleet.busy_gpus)
+                obs.metrics.gauge("sched.fragmentation").set(
+                    fleet.fragmentation()
+                )
+            if not events and queue and not running:
+                # Placeable jobs remain, nothing running, no future events:
+                # the policy refuses to start them and never will.
+                raise RuntimeError(
+                    "scheduler stuck: policy left placeable jobs queued on an "
+                    "idle cluster"
+                )
+    finally:
+        for name, count in tally.items():
+            obs.metrics.counter(name).inc(count)
 
     outcomes = sorted(
         finished, key=lambda o: (o.job.submit_day, o.job.job_id)

@@ -12,6 +12,12 @@ Table II deployment taxonomy:
 * packed cluster architectures (AllReduce-Cluster, PEARL) fill servers
   greedily up to their GPU count.
 
+A :class:`Placement` is *sparse*: the ascending indices of the servers
+a job holds GPUs on and the positive count on each, so it has at most
+``num_cnodes`` entries however large the fleet is.  Allocating and
+releasing touch only those servers; only the placement scan itself
+reads every server's free count.
+
 Because local gangs need *contiguous* per-server capacity, a fleet can
 hold many free GPUs yet be unable to start a job -- the fragmentation
 the telemetry in :mod:`repro.sched.outcomes` tracks.
@@ -20,7 +26,8 @@ the telemetry in :mod:`repro.sched.outcomes` tracks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import lt
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,21 +36,67 @@ from ..core.architectures import Architecture
 __all__ = ["Fleet", "Placement"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Placement:
-    """GPUs held by one running job, as per-server counts."""
+    """GPUs held by one running job, as sparse per-server counts.
 
-    gpus_by_server: Tuple[int, ...]
+    Attributes:
+        servers: Indices of the servers holding the job's GPUs, strictly
+            ascending.
+        counts: GPUs held on each of ``servers``, all positive.
+
+    ``Placement(gpus_by_server=...)`` builds one from dense per-server
+    counts, dropping the idle servers; only the sparse fields are kept.
+
+    Raises:
+        ValueError: ``servers`` and ``counts`` differ in length, a
+            server index is negative or out of order (a repeated server
+            would over-release on :meth:`Fleet.release`), or a count is
+            not positive.
+    """
+
+    servers: Tuple[int, ...]
+    counts: Tuple[int, ...]
+
+    def __init__(
+        self,
+        servers: Sequence[int] = (),
+        counts: Sequence[int] = (),
+        *,
+        gpus_by_server: Optional[Sequence[int]] = None,
+    ) -> None:
+        if gpus_by_server is not None:
+            if servers or counts:
+                raise ValueError(
+                    "pass gpus_by_server or servers/counts, not both"
+                )
+            servers = [s for s, count in enumerate(gpus_by_server) if count]
+            counts = [gpus_by_server[server] for server in servers]
+        servers = tuple(servers)
+        counts = tuple(counts)
+        if len(servers) != len(counts):
+            raise ValueError("a placement needs one count per server")
+        if servers and (
+            servers[0] < 0 or not all(map(lt, servers, servers[1:]))
+        ):
+            raise ValueError(
+                "placement servers must be non-negative and strictly "
+                "ascending"
+            )
+        if counts and min(counts) < 1:
+            raise ValueError("placement counts must be positive")
+        object.__setattr__(self, "servers", servers)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total_gpus(self) -> int:
         """GPUs held across all servers."""
-        return sum(self.gpus_by_server)
+        return sum(self.counts)
 
     @property
     def servers_used(self) -> int:
         """Servers holding at least one of the job's GPUs."""
-        return sum(1 for count in self.gpus_by_server if count > 0)
+        return len(self.servers)
 
 
 class Fleet:
@@ -119,9 +172,10 @@ class Fleet:
 
     def _shape(
         self, architecture: Architecture, num_gpus: int
-    ) -> Optional[np.ndarray]:
-        """Per-server counts for a placement, or ``None`` if it does
-        not fit right now.  Does not mutate the fleet.
+    ) -> Optional[Tuple[List[int], List[int]]]:
+        """The servers and per-server counts of a placement, or
+        ``None`` if it does not fit right now.  Does not mutate the
+        fleet.
 
         Both shapes reproduce the greedy left-to-right scan exactly:
         first-fit picks the lowest-indexed server with room, and the
@@ -132,23 +186,24 @@ class Fleet:
             raise ValueError("num_gpus must be positive")
         if architecture.is_local:
             fits_here = self._free >= num_gpus
-            if not fits_here.any():
+            server = int(fits_here.argmax())
+            if not fits_here[server]:
                 return None
-            taken = np.zeros(self.num_servers, dtype=np.int64)
-            taken[int(fits_here.argmax())] = num_gpus
-            return taken
+            return [server], [num_gpus]
         per_server_cap = (
             1 if architecture is Architecture.PS_WORKER else self.gpus_per_server
         )
         grab_cap = np.minimum(self._free, per_server_cap)
-        cumulative = np.cumsum(grab_cap)
-        if cumulative[-1] < num_gpus:
-            return None
-        stop = int(np.searchsorted(cumulative, num_gpus))
-        taken = np.zeros(self.num_servers, dtype=np.int64)
-        taken[: stop + 1] = grab_cap[: stop + 1]
-        taken[stop] -= int(cumulative[stop]) - num_gpus
-        return taken
+        cumulative = grab_cap.cumsum()
+        stop = int(cumulative.searchsorted(num_gpus))
+        if stop == self.num_servers:
+            return None  # every server's share together falls short
+        # grab_cap[stop] > 0, so the last server held is ``stop`` and
+        # trimming the overshoot leaves it a positive count.
+        servers = grab_cap[: stop + 1].nonzero()[0]
+        counts = grab_cap[servers].tolist()
+        counts[-1] -= cumulative.item(stop) - num_gpus
+        return servers.tolist(), counts
 
     def fits(self, architecture: Architecture, num_gpus: int) -> bool:
         """Whether the job could be placed on the fleet right now."""
@@ -168,19 +223,33 @@ class Fleet:
         self, architecture: Architecture, num_gpus: int
     ) -> Optional[Placement]:
         """Allocate GPUs in the architecture's shape, or return ``None``."""
-        taken = self._shape(architecture, num_gpus)
-        if taken is None:
+        shape = self._shape(architecture, num_gpus)
+        if shape is None:
             return None
-        self._free -= taken
-        return Placement(gpus_by_server=tuple(int(grab) for grab in taken))
+        servers, counts = shape
+        free = self._free
+        for server, count in zip(servers, counts):
+            free[server] = free.item(server) - count
+        return Placement(servers, counts)
 
     def release(self, placement: Placement) -> None:
-        """Return a placement's GPUs to the free pool."""
-        if len(placement.gpus_by_server) != self.num_servers:
-            raise ValueError("placement does not match this fleet's geometry")
-        released = self._free + np.asarray(
-            placement.gpus_by_server, dtype=np.int64
-        )
-        if bool((released > self.gpus_per_server).any()):
-            raise ValueError("release would exceed server capacity")
-        self._free = released
+        """Return a placement's GPUs to the free pool.
+
+        Raises:
+            ValueError: The placement names a server outside the fleet
+                or would push a server past its capacity; the fleet is
+                left unchanged.
+        """
+        servers, counts = placement.servers, placement.counts
+        # Servers ascend, so the last one is the largest index.
+        if servers and servers[-1] >= self.num_servers:
+            raise ValueError(
+                "placement does not match this fleet's geometry"
+            )
+        free = self._free
+        room = self.gpus_per_server
+        for server, count in zip(servers, counts):
+            if free.item(server) + count > room:
+                raise ValueError("release would exceed server capacity")
+        for server, count in zip(servers, counts):
+            free[server] = free.item(server) + count

@@ -211,8 +211,8 @@ class BackfillPolicy:
             return SchedulingDecision(starts=tuple(starts))
         reservation = self._reservation_hour(context, head, trial)
         horizon = reservation - context.now + _BACKFILL_EPSILON
-        blocked_at = ordered.index(head)
-        for pending in ordered[blocked_at + 1 :]:
+        # The started prefix ends right before the head.
+        for pending in ordered[len(starts) + 1 :]:
             if pending.remaining_hours > horizon:
                 continue
             job = pending.job

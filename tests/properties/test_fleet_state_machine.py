@@ -1,0 +1,168 @@
+"""Fleet accounting as a state machine, checked against a dense oracle.
+
+Hypothesis drives a :class:`~repro.sched.fleet.Fleet`, and clones of it,
+through random ``try_place`` / ``fits`` / ``release`` / ``clone`` steps.
+Every placement is compared with :func:`dense_shape`: the dense
+per-server scan the fleet ran before placements became sparse, kept
+here as the oracle.  After every step each fleet's free GPUs plus the
+GPUs its placements hold equal its capacity, server by server, which
+also shows that a clone shares nothing with its source.  A release
+the fleet rejects must leave every free count as it was.
+"""
+
+from typing import List, Optional
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.core.architectures import Architecture
+from repro.sched.fleet import Fleet, Placement
+
+MAX_FLEETS = 4
+
+
+def dense_shape(
+    free: np.ndarray,
+    gpus_per_server: int,
+    architecture: Architecture,
+    num_gpus: int,
+) -> Optional[np.ndarray]:
+    """Per-server counts of the placement the fleet must make, or
+    ``None`` if it does not fit: first-fit onto one server for local
+    shapes, a greedy left-to-right fill of ``min(free, cap)`` per
+    server for cluster shapes."""
+    if architecture.is_local:
+        fits_here = free >= num_gpus
+        if not fits_here.any():
+            return None
+        taken = np.zeros(len(free), dtype=np.int64)
+        taken[int(fits_here.argmax())] = num_gpus
+        return taken
+    per_server_cap = (
+        1 if architecture is Architecture.PS_WORKER else gpus_per_server
+    )
+    grab_cap = np.minimum(free, per_server_cap)
+    cumulative = np.cumsum(grab_cap)
+    if cumulative[-1] < num_gpus:
+        return None
+    stop = int(np.searchsorted(cumulative, num_gpus))
+    taken = np.zeros(len(free), dtype=np.int64)
+    taken[: stop + 1] = grab_cap[: stop + 1]
+    taken[stop] -= int(cumulative[stop]) - num_gpus
+    return taken
+
+
+class FleetMachine(RuleBasedStateMachine):
+    """Fleets and the placements each one holds."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fleets: List[Fleet] = []
+        self.held: List[List[Placement]] = []
+
+    @initialize(
+        num_servers=st.integers(1, 6), gpus_per_server=st.integers(1, 8)
+    )
+    def build(self, num_servers, gpus_per_server):
+        self.fleets.append(Fleet(num_servers, gpus_per_server))
+        self.held.append([])
+
+    def _pick(self, data) -> int:
+        return data.draw(st.integers(0, len(self.fleets) - 1))
+
+    @rule(
+        data=st.data(),
+        architecture=st.sampled_from(list(Architecture)),
+        extra=st.integers(0, 2),
+    )
+    def place(self, data, architecture, extra):
+        index = self._pick(data)
+        fleet = self.fleets[index]
+        num_gpus = data.draw(st.integers(1, fleet.total_gpus + extra))
+        before = np.array(fleet.free_by_server)
+        expected = dense_shape(
+            before, fleet.gpus_per_server, architecture, num_gpus
+        )
+        assert fleet.fits(architecture, num_gpus) == (expected is not None)
+        assert fleet.free_by_server == tuple(before)
+        placement = fleet.try_place(architecture, num_gpus)
+        if expected is None:
+            assert placement is None
+            assert fleet.free_by_server == tuple(before)
+            return
+        servers = tuple(int(s) for s in np.flatnonzero(expected))
+        assert placement.servers == servers
+        assert placement.counts == tuple(int(expected[s]) for s in servers)
+        assert placement.total_gpus == num_gpus
+        assert placement.servers_used <= num_gpus
+        assert fleet.free_by_server == tuple(before - expected)
+        self.held[index].append(placement)
+
+    @precondition(lambda self: any(self.held))
+    @rule(data=st.data())
+    def release(self, data):
+        index = data.draw(
+            st.sampled_from([i for i, held in enumerate(self.held) if held])
+        )
+        held = self.held[index]
+        placement = held.pop(data.draw(st.integers(0, len(held) - 1)))
+        self.fleets[index].release(placement)
+
+    @rule(data=st.data(), out_of_range=st.booleans())
+    def rejected_release(self, data, out_of_range):
+        fleet = self.fleets[self._pick(data)]
+        free = fleet.free_by_server
+        servers = sorted(
+            data.draw(
+                st.sets(st.integers(0, fleet.num_servers - 1), min_size=1)
+            )
+        )
+        counts = [
+            data.draw(st.integers(1, fleet.gpus_per_server)) for _ in servers
+        ]
+        if out_of_range:
+            servers.append(
+                fleet.num_servers + data.draw(st.integers(0, 3))
+            )
+            counts.append(1)
+        else:
+            # One server gets back more GPUs than it has in use.
+            spot = data.draw(st.integers(0, len(servers) - 1))
+            server = servers[spot]
+            counts[spot] = fleet.gpus_per_server - free[server] + 1
+        with pytest.raises(ValueError):
+            fleet.release(Placement(servers=servers, counts=counts))
+        assert fleet.free_by_server == free
+
+    @precondition(lambda self: len(self.fleets) < MAX_FLEETS)
+    @rule(data=st.data())
+    def clone(self, data):
+        index = self._pick(data)
+        self.fleets.append(self.fleets[index].clone())
+        self.held.append(list(self.held[index]))
+
+    @invariant()
+    def free_plus_held_is_capacity(self):
+        for fleet, held in zip(self.fleets, self.held):
+            in_use = np.zeros(fleet.num_servers, dtype=np.int64)
+            for placement in held:
+                for server, count in zip(placement.servers, placement.counts):
+                    in_use[server] += count
+            free = np.array(fleet.free_by_server)
+            assert (free + in_use == fleet.gpus_per_server).all()
+            assert fleet.free_gpus + int(in_use.sum()) == fleet.total_gpus
+
+
+FleetMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestFleetMachine = FleetMachine.TestCase

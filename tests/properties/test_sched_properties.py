@@ -119,7 +119,8 @@ def test_capacity_never_exceeded(case):
         per_server = [0] * NUM_SERVERS
         for segment in segments:
             if segment.start_hour <= instant < segment.end_hour:
-                for index, count in enumerate(segment.placement.gpus_by_server):
+                placement = segment.placement
+                for index, count in zip(placement.servers, placement.counts):
                     per_server[index] += count
         assert all(count <= GPUS_PER_SERVER for count in per_server)
 

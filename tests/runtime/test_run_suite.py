@@ -221,3 +221,17 @@ class TestFullSuite:
         for s, p in zip(serial, parallel):
             assert s.experiment_id == p.experiment_id
             assert p.result.render() == s.result.render()
+
+
+class TestQuietLibrary:
+    def test_injected_faults_write_nothing_to_stderr(self, capfd):
+        from repro.obs import reset_obs
+
+        # Start from the library default: warnings and errors on stderr.
+        reset_obs()
+        try:
+            outcomes = run_suite(["faults_scenarios"], cache=None)
+        finally:
+            reset_obs()
+        assert failed_ids(outcomes) == []
+        assert capfd.readouterr().err == ""

@@ -10,11 +10,16 @@ from pathlib import Path
 import pytest
 
 from repro.core.architectures import Architecture
+from repro.obs import get_obs
 from repro.sched import (
+    BackfillPolicy,
+    CrashSpec,
     FifoPolicy,
     Fleet,
     PriorityPolicy,
+    SchedFaults,
     SjfPolicy,
+    StormSpec,
     run_schedule,
 )
 
@@ -212,6 +217,76 @@ class TestTelemetry:
         assert outcome.telemetry.samples == ()
         # Integration happens regardless of sampling.
         assert outcome.telemetry.active_gpu_hours == pytest.approx(1.0)
+
+
+class TestRegistryCounters:
+    """The engine's event counters, added to the registry once a run."""
+
+    NAMES = (
+        "sched.starts",
+        "sched.completions",
+        "sched.failures",
+        "sched.preemptions",
+        "sched.backfills",
+    )
+
+    def _counted(self, replay):
+        registry = get_obs().metrics
+        before = {name: registry.counter(name).value for name in self.NAMES}
+        outcome = replay()
+        added = {
+            name: registry.counter(name).value - before[name]
+            for name in self.NAMES
+        }
+        return outcome, added
+
+    def test_counts_match_the_outcome_under_faults(self):
+        jobs = [make_job(i, Architecture.ALLREDUCE_LOCAL, 4) for i in range(8)]
+        faults = SchedFaults(
+            crashes=(CrashSpec(hour=2.0), CrashSpec(hour=5.0, job_id=6)),
+            storms=(
+                StormSpec(
+                    start_hour=1.0,
+                    ticks=3,
+                    interval_hours=1.0,
+                    victims_per_tick=2,
+                ),
+            ),
+        )
+        outcome, added = self._counted(
+            lambda: run_schedule(
+                jobs,
+                Fleet(2),
+                FifoPolicy(),
+                durations={i: 4.0 for i in range(8)},
+                faults=faults,
+            )
+        )
+        assert len(outcome.outcomes) == 8
+        assert added["sched.starts"] == sum(
+            len(job.segments) for job in outcome.outcomes
+        )
+        assert added["sched.completions"] == len(outcome.outcomes)
+        assert added["sched.failures"] == outcome.total_retries == 2
+        assert added["sched.preemptions"] == outcome.total_preemptions > 0
+
+    def test_backfill_counts_the_job_started_past_the_head(self):
+        jobs = [
+            make_job(0, Architecture.ALLREDUCE_LOCAL, 6),
+            make_job(1, Architecture.ALLREDUCE_LOCAL, 4),
+            make_job(2),
+        ]
+        outcome, added = self._counted(
+            lambda: run_schedule(
+                jobs,
+                Fleet(1),
+                BackfillPolicy(),
+                durations={0: 10.0, 1: 1.0, 2: 1.0},
+            )
+        )
+        starts = {o.job.job_id: o.first_start_hour for o in outcome.outcomes}
+        assert starts == {0: 0.0, 1: 10.0, 2: 0.0}
+        assert added["sched.backfills"] == 1
 
 
 class TestOutcomeMetrics:

@@ -20,27 +20,58 @@ class TestValidation:
 
     def test_release_checks_geometry(self):
         fleet = Fleet(num_servers=2)
-        with pytest.raises(ValueError):
-            fleet.release(Placement(gpus_by_server=(1,)))
+        fleet.try_place(Architecture.ALLREDUCE_CLUSTER, 16)
+        with pytest.raises(ValueError, match="geometry"):
+            fleet.release(Placement(servers=(1, 2), counts=(1, 1)))
+        assert fleet.free_by_server == (0, 0)
 
     def test_release_checks_capacity(self):
-        fleet = Fleet(num_servers=1, gpus_per_server=8)
-        with pytest.raises(ValueError):
-            fleet.release(Placement(gpus_by_server=(1,)))
+        fleet = Fleet(num_servers=2, gpus_per_server=8)
+        fleet.try_place(Architecture.ALLREDUCE_LOCAL, 8)
+        with pytest.raises(ValueError, match="capacity"):
+            fleet.release(Placement(servers=(0, 1), counts=(1, 1)))
+        # Rejected whole: server 0 could take its GPU back, but keeps
+        # its free count.
+        assert fleet.free_by_server == (0, 8)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(servers=(0, 1), counts=(1,)), "one count per server"),
+            (dict(servers=(-1,), counts=(1,)), "non-negative"),
+            (dict(servers=(1, 0), counts=(1, 1)), "ascending"),
+            (dict(servers=(2, 2), counts=(1, 1)), "ascending"),
+            (dict(servers=(0, 1), counts=(1, 0)), "positive"),
+            (dict(servers=(0,), counts=(-2,)), "positive"),
+            (dict(gpus_by_server=(2, -1)), "positive"),
+            (
+                dict(servers=(0,), counts=(1,), gpus_by_server=(1,)),
+                "not both",
+            ),
+        ],
+    )
+    def test_placement_rejects_malformed_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Placement(**fields)
+
+    def test_dense_counts_normalize_to_sparse_fields(self):
+        placement = Placement(gpus_by_server=(0, 3, 0, 1))
+        assert placement == Placement(servers=(1, 3), counts=(3, 1))
+        assert not hasattr(placement, "gpus_by_server")
 
 
 class TestPlacementShapes:
     def test_local_gang_on_one_server(self):
         fleet = Fleet(num_servers=2, gpus_per_server=8)
         placement = fleet.try_place(Architecture.ALLREDUCE_LOCAL, 6)
-        assert placement.gpus_by_server == (6, 0)
+        assert (placement.servers, placement.counts) == ((0,), (6,))
         assert placement.servers_used == 1
 
     def test_local_gang_first_fit_skips_fragmented_servers(self):
         fleet = Fleet(num_servers=2, gpus_per_server=8)
         fleet.try_place(Architecture.ALLREDUCE_LOCAL, 5)
         placement = fleet.try_place(Architecture.ALLREDUCE_LOCAL, 6)
-        assert placement.gpus_by_server == (0, 6)
+        assert (placement.servers, placement.counts) == ((1,), (6,))
 
     def test_local_gang_blocked_by_fragmentation(self):
         fleet = Fleet(num_servers=2, gpus_per_server=8)
@@ -53,7 +84,7 @@ class TestPlacementShapes:
     def test_ps_spreads_one_per_server(self):
         fleet = Fleet(num_servers=4, gpus_per_server=8)
         placement = fleet.try_place(Architecture.PS_WORKER, 3)
-        assert placement.gpus_by_server == (1, 1, 1, 0)
+        assert (placement.servers, placement.counts) == ((0, 1, 2), (1, 1, 1))
 
     def test_ps_wider_than_fleet_fails(self):
         fleet = Fleet(num_servers=2, gpus_per_server=8)
@@ -62,7 +93,7 @@ class TestPlacementShapes:
     def test_packed_fills_greedily(self):
         fleet = Fleet(num_servers=2, gpus_per_server=8)
         placement = fleet.try_place(Architecture.ALLREDUCE_CLUSTER, 10)
-        assert placement.gpus_by_server == (8, 2)
+        assert (placement.servers, placement.counts) == ((0, 1), (8, 2))
 
     def test_placement_total(self):
         fleet = Fleet(num_servers=3, gpus_per_server=8)

@@ -9,8 +9,8 @@ every telemetry sample -- with floats written by ``float.hex`` so the
 digest is exact.
 
 Placements enter the digest as sorted ``(server, gpus)`` pairs with
-``gpus > 0``, never as the library's own representation, so a change
-from dense per-server counts to a sparse placement hashes the same.
+``gpus > 0``: the sparse ``Placement``'s ``servers``/``counts``, which
+write the same text the dense per-server counts did before them.
 
 The digests were recorded while the scheduler still had a second,
 day-batched replay engine alongside the per-event one, and both
@@ -120,11 +120,7 @@ SMALL_TRACE_DIGESTS = {
 
 def placement_pairs(placement):
     """The servers a placement holds GPUs on, as sorted pairs."""
-    return [
-        (server, gpus)
-        for server, gpus in enumerate(placement.gpus_by_server)
-        if gpus > 0
-    ]
+    return list(zip(placement.servers, placement.counts))
 
 
 def _hex(value) -> str:
@@ -252,7 +248,8 @@ class TestCanonicalForm:
     """What a job held enters the digest, and every float bit counts."""
 
     def test_placement_pairs_skip_idle_servers(self):
-        assert placement_pairs(Placement((0, 3, 0, 1))) == [(1, 3), (3, 1)]
+        dense = Placement(gpus_by_server=(0, 3, 0, 1))
+        assert placement_pairs(dense) == [(1, 3), (3, 1)]
 
     def test_digest_moves_with_any_float_bit(self):
         outcome = _explicit_durations()
