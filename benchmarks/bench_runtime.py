@@ -1,24 +1,19 @@
 """Benchmark the repro.runtime execution layer end to end.
 
-Measures the three wins this layer claims, and writes them to a BENCH
-JSON file (committed as ``benchmarks/BENCH.json``; CI uploads the quick
-variant as an artifact):
+Measures the rows ``tools/bench_gate.py`` gates, and writes them to a
+BENCH JSON file (committed as ``benchmarks/BENCH.json``; CI uploads the
+quick variant as an artifact):
 
 * ``cold_serial_s`` / ``cold_parallel_s`` -- full-suite runs with an
   empty result cache, in-process and with worker processes;
 * ``warm_cached_s`` / ``warm_speedup`` -- the same suite served from
   the on-disk cache, plus whether the warm report is byte-identical;
-* ``scalar_loop_s`` / ``vectorized_s`` / ``vectorized_speedup`` -- the
-  per-job Python-loop evaluation the figure experiments used before the
-  columnar path, replayed on the same populations the suite analyzes,
-  against the batch path;
 * ``populations`` -- per-size rows (20k / 200k / 1M full, smaller for
   ``--quick``) timing scalar vs vectorized analysis and JSONL parsing
   vs columnar-mmap loading, with a byte-identity check on the Fig. 7
-  statistics both load paths produce;
-* ``sched`` -- per-size rows replaying columnar traces through the
-  scheduling engine (FIFO, model-predicted durations), one timed
-  replay per size up to one million jobs.
+  statistics both load paths produce.
+
+Scheduler replays are measured by ``bench/``'s ``sched_*`` workloads.
 
 The payload is stamped with the package version (read from
 ``repro.__version__``, never hardcoded) and, when ``--output`` is
@@ -51,15 +46,6 @@ QUICK_TRACE_JOBS = 2000
 #: speedup ratios against the committed full-mode baseline.
 FULL_POPULATION_SIZES = (20_000, 200_000, 1_000_000)
 QUICK_POPULATION_SIZES = (QUICK_TRACE_JOBS, 20_000)
-
-#: Sched-engine rows: the trace's submission window stretches with job
-#: count so the arrival rate -- and hence the absorbing fleet -- stays
-#: constant and replay cost stays linear in trace size.
-SCHED_ARRIVALS_PER_DAY = 400
-#: Fleet sizing for the sched rows: headroom over the trace's own
-#: peak-day GPU demand, so each day's batch is absorbed and the rows
-#: measure engine throughput rather than queueing pathology.
-SCHED_FLEET_HEADROOM = 1.5
 
 
 def _time(fn):
@@ -119,83 +105,6 @@ def _per_job_cnode_fractions(features, hardware) -> dict:
             sums[key] += fractions[key] * weight
     total_weight = sum(weights)
     return {key: value / total_weight for key, value in sums.items()}
-
-
-def bench_vectorization() -> dict:
-    """Per-job scalar loop vs the columnar batch path, same populations."""
-    from repro.analysis.context import default_hardware, default_trace
-    from repro.core.architectures import Architecture
-    from repro.core.population import (
-        FeatureArrays,
-        batch_breakdowns,
-        batch_projection_speedups,
-    )
-    from repro.core.projection import projection_speedups
-    from repro.core.sweep import sweep_resource
-    from repro.core.timemodel import estimate_breakdown
-    from repro.core.units import gbps
-
-    jobs = default_trace()
-    hardware = default_hardware()
-    everyone = [job.features for job in jobs]
-    ps_jobs = [
-        job.features
-        for job in jobs
-        if job.features.architecture is Architecture.PS_WORKER
-    ]
-    ethernet_candidates = [gbps(50), gbps(100), gbps(400)]
-
-    def scalar_loop():
-        fractions = _per_job_cnode_fractions(everyone, hardware)
-        speedups = [
-            projection_speedups(
-                f, Architecture.ALLREDUCE_LOCAL, hardware
-            ).throughput_speedup
-            for f in ps_jobs
-        ]
-        # The pre-columnar sweep loop (Fig. 11's dominant cost): one
-        # scalar model evaluation per job per candidate value.
-        base = [estimate_breakdown(f, hardware).total for f in ps_jobs]
-        sweeps = []
-        for value in ethernet_candidates:
-            varied = hardware.with_resource("ethernet", value)
-            new = [estimate_breakdown(f, varied).total for f in ps_jobs]
-            sweeps.append(
-                sum(b / n for b, n in zip(base, new)) / len(base)
-            )
-        return fractions, speedups, sweeps
-
-    def vectorized():
-        analyzed = batch_breakdowns(
-            FeatureArrays.from_workloads(everyone), hardware
-        )
-        fractions = analyzed.average_fractions(cnode_level=True)
-        ps_arrays = FeatureArrays.from_workloads(ps_jobs)
-        speedups = batch_projection_speedups(
-            ps_arrays, Architecture.ALLREDUCE_LOCAL, hardware
-        ).throughput_speedup
-        sweeps = [
-            point.average_speedup
-            for point in sweep_resource(
-                ps_arrays, "ethernet", ethernet_candidates, hardware
-            ).points
-        ]
-        return fractions, speedups, sweeps
-
-    scalar_loop_s, (scalar_fracs, _, scalar_sweeps) = _time(scalar_loop)
-    vectorized_s, (batch_fracs, _, batch_sweeps) = _time(vectorized)
-    drift = max(
-        max(abs(scalar_fracs[k] - batch_fracs[k]) for k in scalar_fracs),
-        max(abs(s - b) for s, b in zip(scalar_sweeps, batch_sweeps)),
-    )
-    if drift > 1e-9:
-        raise RuntimeError(f"scalar/vector drift {drift:.3e} exceeds 1e-9")
-    return {
-        "population": len(everyone),
-        "scalar_loop_s": round(scalar_loop_s, 4),
-        "vectorized_s": round(vectorized_s, 4),
-        "vectorized_speedup": round(scalar_loop_s / vectorized_s, 1),
-    }
 
 
 def bench_populations(sizes) -> list:
@@ -286,70 +195,6 @@ def bench_populations(sizes) -> list:
     return rows
 
 
-def bench_sched(sizes) -> list:
-    """Per-size rows: one timed scheduling replay each.
-
-    Each row generates a calibrated trace, writes it to a columnar
-    store, and replays the store's lazy job views through
-    ``sched.run_schedule`` under FIFO with model-predicted durations
-    (the Sec. II-B analytical model, evaluated for the whole trace on
-    the vectorized path).  Durations are clamped to 24 hours so
-    occupancy carries over at most one day and the peak-day-sized
-    fleet stays absorbing.
-    """
-    import numpy as np
-
-    from repro.analysis.context import DEFAULT_TRACE_SEED
-    from repro.sched import Fleet, FifoPolicy, ModelRuntimePredictor
-    from repro.sched import run_schedule
-    from repro.trace.columnar import ColumnarTrace, write_columnar
-    from repro.trace.generator import TraceConfig, generate_trace
-
-    gpus_per_server = 8
-    rows = []
-    for size in sizes:
-        days = max(51, size // SCHED_ARRIVALS_PER_DAY)
-        jobs = generate_trace(
-            config=TraceConfig(
-                num_jobs=size, seed=DEFAULT_TRACE_SEED, trace_days=days
-            )
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            store_path = Path(tmp) / "trace.columnar"
-            write_columnar(jobs, store_path)
-            del jobs
-            store = ColumnarTrace.open(store_path)
-            demand = np.bincount(
-                store.column("submit_day"),
-                weights=store.column("num_cnodes"),
-            )
-            servers = max(
-                64,
-                int(SCHED_FLEET_HEADROOM * demand.max() / gpus_per_server),
-            )
-            trace = list(store.iter_views())
-            replay_s, outcome = _time(
-                lambda: run_schedule(
-                    trace,
-                    Fleet(servers, gpus_per_server=gpus_per_server),
-                    FifoPolicy(),
-                    predictor=ModelRuntimePredictor(max_hours=24.0),
-                    collect_telemetry=False,
-                )
-            )
-            row = {
-                "jobs": size,
-                "policy": "fifo",
-                "trace_days": days,
-                "servers": servers,
-                "completed": len(outcome.outcomes),
-                "rejected": len(outcome.rejected),
-                "replay_s": round(replay_s, 4),
-            }
-            rows.append(row)
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -384,9 +229,7 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "trace_jobs": default_trace_config().num_jobs,
         "suite": bench_suite(args.parallel),
-        "vectorization": bench_vectorization(),
         "populations": bench_populations(sizes),
-        "sched": bench_sched(sizes),
     }
     text = json.dumps(payload, indent=2) + "\n"
     print(text, end="")

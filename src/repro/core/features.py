@@ -29,9 +29,9 @@ __all__ = ["FEATURE_FIELDS", "WorkloadFeatures"]
 
 #: The schema's field names, in declaration order.  This is the shared
 #: contract between the eager record below and the lazy columnar row
-#: view (:class:`repro.core.population.FeatureView`): equality and
-#: hashing on both sides reduce to the tuple of these attributes, so a
-#: view can stand in for a record in dict keys and comparisons.
+#: view (:class:`repro.core.population.FeatureView`): both expose these
+#: attributes, column extraction reads them, and
+#: ``FeatureView.materialize`` rebuilds a record from them.
 FEATURE_FIELDS: Tuple[str, ...] = (
     "name",
     "architecture",

@@ -435,9 +435,8 @@ class FeatureView:
     backing :class:`FeatureArrays` columns -- bit-identical to the
     eagerly constructed record (the property tests in
     ``tests/properties`` pin all eleven fields plus the derived
-    properties).  Views hash and compare like the frozen dataclass
-    (the tuple of :data:`~repro.core.features.FEATURE_FIELDS` values),
-    so they interoperate in dict keys and equality checks; per-record
+    properties).  A view compares and hashes by identity; use
+    :meth:`materialize` for value equality with a record.  Per-record
     ``__post_init__`` validation is skipped because the columnar
     constructors already enforced the same invariants vectorized.
     """
@@ -533,15 +532,6 @@ class FeatureView:
     ) -> WorkloadFeatures:
         """Re-deploy this row's job under a different architecture."""
         return self.materialize().with_architecture(architecture, num_cnodes)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (FeatureView, WorkloadFeatures)):
-            return _SCHEMA_FIELDS(self) == _SCHEMA_FIELDS(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Matches the frozen dataclass: hash of the field-value tuple.
-        return hash(_SCHEMA_FIELDS(self))
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,8 @@ Two refinements beyond the bare equations are controlled by
 * **Collective traffic shaping** -- optionally apply the ring-AllReduce
   ``2(n-1)/n`` traffic factor and PEARL's partitioned-gather parallelism
   instead of the paper's flat ``S_w/B_w``.  Both default to the paper's
-  simple model; the ablation benchmarks flip them.
+  simple model; the ablations in ``tests/core/test_timemodel.py`` flip
+  them.
 """
 
 from __future__ import annotations

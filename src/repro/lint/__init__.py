@@ -39,7 +39,6 @@ from .dataflow import (
     ForwardAnalysis,
     HeldLocks,
     OpenResources,
-    ReachingDefinitions,
     run_forward,
 )
 from .engine import LintResult, assert_clean, lint_paths, lint_source
@@ -60,7 +59,6 @@ __all__ = [
     "LintResult",
     "OpenResources",
     "Reachability",
-    "ReachingDefinitions",
     "Rule",
     "WithExit",
     "all_rules",

@@ -8,9 +8,8 @@ tuples are the convention) -- the engine terminates when no block's
 in-state changes, and raises if a buggy analysis fails to converge
 within a generous bound.
 
-Three abstract states ship with the engine:
+Two abstract states ship with the engine:
 
-* :class:`ReachingDefinitions` -- the classic ``(name, line)`` def sets;
 * :class:`HeldLocks` -- which ``with <dotted-path>:`` acquisitions
   enclose each program point, released exactly at the matching
   :class:`~repro.lint.cfg.WithExit` marker;
@@ -18,7 +17,7 @@ Three abstract states ship with the engine:
   caller classifies, killed by ``close``/``os.replace``/``unlink``,
   context management, or escape (returned, stored, passed along).
 
-All three join with set union: a fact holds at a point if it holds on
+Both join with set union: a fact holds at a point if it holds on
 *some* path there, which is the right polarity for "a lock might not be
 held" and "a handle might still be open" questions.
 """
@@ -43,7 +42,6 @@ __all__ = [
     "ForwardAnalysis",
     "DataflowResult",
     "run_forward",
-    "ReachingDefinitions",
     "HeldLocks",
     "OpenResources",
     "Resource",
@@ -188,20 +186,6 @@ def assigned_names(element: Element) -> List[Tuple[str, int]]:
 
 # ---------------------------------------------------------------------
 # bundled analyses
-
-
-class ReachingDefinitions(ForwardAnalysis):
-    """Facts: ``(name, line)`` -- the definition of ``name`` at ``line``
-    may reach this point."""
-
-    def transfer(self, state: FrozenSet, element: Element) -> FrozenSet:
-        bound = assigned_names(element)
-        if not bound:
-            return state
-        killed = {name for name, _line in bound}
-        return frozenset(
-            fact for fact in state if fact[0] not in killed
-        ) | frozenset(bound)
 
 
 class HeldLocks(ForwardAnalysis):

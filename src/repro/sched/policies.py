@@ -27,16 +27,15 @@ Four disciplines are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
-
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
-
+from typing import (
+    Callable,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from ..trace.schema import JobRecord
 from .fleet import Fleet, Placement

@@ -24,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.architectures import Architecture
 from ..core.hardware import HardwareConfig, pai_default_hardware
-from ..core.projection import project_to_allreduce_local, projection_speedups
+from ..core.population import FeatureArrays, batch_projection_speedups
+from ..core.projection import project_to_allreduce_local
 from ..trace.schema import JobRecord
 from .engine import run_schedule
 from .fleet import Fleet
@@ -78,6 +81,8 @@ def project_trace(
 
     A job is rewritten when its model fits one GPU's memory *and* the
     analytical model predicts a throughput win (Fig. 9's criteria).
+    The speedups come from one batch evaluation over the PS/Worker jobs
+    whose model fits.
 
     Returns:
         The rewritten trace, the number of PS/Worker jobs considered,
@@ -85,28 +90,31 @@ def project_trace(
     """
     if hardware is None:
         hardware = pai_default_hardware()
-    rewritten: List[JobRecord] = []
-    considered = 0
-    projected = 0
-    for job in jobs:
-        if job.workload_type is not Architecture.PS_WORKER:
-            rewritten.append(job)
-            continue
-        considered += 1
-        try:
-            features = project_to_allreduce_local(job.features, hardware)
-        except ValueError:  # model does not fit one GPU
-            rewritten.append(job)
-            continue
-        result = projection_speedups(
-            job.features, Architecture.ALLREDUCE_LOCAL, hardware
+    rewritten = list(jobs)
+    ps_rows = [
+        index
+        for index, job in enumerate(rewritten)
+        if job.workload_type is Architecture.PS_WORKER
+    ]
+    if not ps_rows:
+        return rewritten, 0, 0
+    population = FeatureArrays.from_workloads(
+        rewritten[index].features for index in ps_rows
+    )
+    fits = np.flatnonzero(
+        population.dense_weight_bytes + population.embedding_weight_bytes
+        <= hardware.gpu.memory_capacity
+    )
+    speedups = batch_projection_speedups(
+        population.take(fits), Architecture.ALLREDUCE_LOCAL, hardware
+    )
+    winners = fits[speedups.throughput_speedup > 1.0].tolist()
+    for row in winners:
+        job = rewritten[ps_rows[row]]
+        rewritten[ps_rows[row]] = replace(
+            job, features=project_to_allreduce_local(job.features)
         )
-        if not result.sped_up:
-            rewritten.append(job)
-            continue
-        rewritten.append(replace(job, features=features))
-        projected += 1
-    return rewritten, considered, projected
+    return rewritten, len(ps_rows), len(winners)
 
 
 def run_projection_what_if(

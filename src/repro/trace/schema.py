@@ -75,8 +75,8 @@ class JobView:
     the feature tuple as a lazy :class:`FeatureView`; no
     ``__post_init__`` re-validation happens because the backing store
     enforced the schema invariants vectorized when the columns were
-    extracted.  Equality and hashing mirror the frozen dataclass, so a
-    view interoperates with records in comparisons and dict keys.
+    extracted.  Views compare and hash by identity; compare a view's
+    fields (or ``features.materialize()``) with a record's instead.
     """
 
     __slots__ = ("job_id", "features", "submit_day", "user_group")
@@ -101,22 +101,6 @@ class JobView:
     @property
     def num_cnodes(self) -> int:
         return self.features.num_cnodes
-
-    def _field_values(self) -> Tuple:
-        return (self.job_id, self.features, self.submit_day, self.user_group)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (JobView, JobRecord)):
-            return self._field_values() == (
-                other.job_id,
-                other.features,
-                other.submit_day,
-                other.user_group,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._field_values())
 
     def __repr__(self) -> str:
         return (

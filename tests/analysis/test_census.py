@@ -27,6 +27,17 @@ class TestCensus:
             > rows["PS/Worker -> AllReduce-Local"]["communication"]
         )
 
+    def test_paper_bottleneck_shift(self):
+        # Sec. III-C1's bottleneck shift as label migration, on the
+        # 8,000-job trace the figure tests use.
+        result = run(default_trace(8000))
+        rows = {row["population"]: row for row in result.rows}
+        before = rows["PS/Worker"]
+        after = rows["PS/Worker -> AllReduce-Local"]
+        assert before["communication"] > 0.5
+        assert after["communication"] < 0.2
+        assert after["io"] > before["io"]
+
     def test_registered(self):
         from repro.analysis.registry import experiment_ids
 

@@ -1,9 +1,11 @@
-"""Tenants and batch-scaling experiment modules."""
+"""Tenants, batch-scaling and scheduling experiment modules."""
 
 import pytest
 
 from repro.analysis.batch_scaling import BATCH_FACTORS, run as run_batch
 from repro.analysis.context import default_trace
+from repro.analysis.sched_policies import run as run_policies
+from repro.analysis.sched_whatif import run as run_whatif
 from repro.analysis.tenants import run as run_tenants
 
 
@@ -33,6 +35,8 @@ class TestBatchScaling:
         resnet = [r for r in result.rows if r["model"] == "ResNet50"]
         comm = [r["comm_share"] for r in resnet]
         assert comm == sorted(comm, reverse=True)
+        # The fixed sync volume amortizes over the batch sweep.
+        assert comm[-1] < comm[0] / 3
 
     def test_throughput_monotone_for_dense(self, result):
         resnet = [r for r in result.rows if r["model"] == "ResNet50"]
@@ -43,3 +47,20 @@ class TestBatchScaling:
         multi = [r for r in result.rows if r["model"] == "Multi-Interests"]
         comm = [r["comm_share"] for r in multi]
         assert max(comm) - min(comm) < 0.05
+        # Embedding traffic scales with the batch: no amortization.
+        assert comm[-1] > comm[0] * 0.8
+
+
+class TestScheduling:
+    def test_predicted_runtimes_cut_queueing(self):
+        by_policy = {row["policy"]: row for row in run_policies().rows}
+        # Knowing predicted runtimes pays: SJF and EASY backfill beat
+        # FIFO on mean queueing delay.
+        fifo_wait = by_policy["fifo"]["mean_wait_h"]
+        assert by_policy["sjf"]["mean_wait_h"] < fifo_wait
+        assert by_policy["backfill"]["mean_wait_h"] < fifo_wait
+
+    def test_projection_frees_the_fleet(self):
+        baseline, projected = run_whatif().rows
+        assert projected["mean_wait_h"] <= baseline["mean_wait_h"]
+        assert projected["gpu_hours"] < baseline["gpu_hours"]

@@ -42,6 +42,7 @@ class TestInferenceReport:
         by_model = {row["model"]: row for row in result.rows}
         assert not by_model["Multi-Interests"]["fits_one_gpu"]
         assert by_model["ResNet50"]["fits_one_gpu"]
+        assert by_model["ResNet50"]["bottleneck"] == "compute_bound"
 
     def test_latency_columns_when_fitting(self):
         result = run_inference()

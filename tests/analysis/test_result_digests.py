@@ -1,12 +1,13 @@
-"""Pinned SHA-256 digests of the Sec. V and census experiment results.
+"""Pinned SHA-256 digests of the Sec. V, census and fleet what-if results.
 
-Figs. 15 and 16 and the bottleneck census are byte-identical contracts:
-a refactor may change how they are computed, never what they report.
-Each case runs one experiment on the default 20k-job trace and hashes a
-canonical text form of its ``ExperimentResult`` -- every row's cells in
-column order, then every note -- with floats written by ``float.hex``
-so the digest moves with any bit, as ``tests/sched/test_schedule_digest.py``
-does for schedules.
+Figs. 15 and 16, the bottleneck census and the fleet what-if are
+byte-identical contracts: a refactor may change how they are computed,
+never what they report.  Each case runs one experiment on its default
+trace -- the 20k-job trace, or for ``sched_whatif`` its own 1,200-job
+slice -- and hashes a canonical text form of its ``ExperimentResult``
+-- every row's cells in column order, then every note -- with floats
+written by ``float.hex`` so the digest moves with any bit, as
+``tests/sched/test_schedule_digest.py`` does for schedules.
 
 The digests were recorded while these experiments still evaluated the
 model job by job through ``estimate_breakdown`` and
@@ -18,7 +19,12 @@ import math
 
 import pytest
 
-from repro.analysis import census, fig15_efficiency, fig16_overlap
+from repro.analysis import (
+    census,
+    fig15_efficiency,
+    fig16_overlap,
+    sched_whatif,
+)
 from repro.analysis.context import DEFAULT_TRACE_JOBS, default_trace
 from repro.analysis.result import ExperimentResult
 
@@ -32,13 +38,20 @@ RESULT_DIGESTS = {
     "fig16": (
         "6f9df9609cea4326407e2e3d26bc55d22bc2b1275bfbc79b6d9fc5430278cf6e"
     ),
+    "sched_whatif": (
+        "293fe5c98b1a44b98d9e1a97516d7719f3bb78a930a9b8a2418dfb77c0ee9a98"
+    ),
 }
 
 _RUNNERS = {
     "fig15": fig15_efficiency.run,
     "fig16": fig16_overlap.run,
     "census": census.run,
+    "sched_whatif": sched_whatif.run,
 }
+
+#: Trace sizes that differ from the 20k default: the what-if's own slice.
+_TRACE_JOBS = {"sched_whatif": sched_whatif.TRACE_JOBS}
 
 
 def _cell(value) -> str:
@@ -70,7 +83,7 @@ def result_digest(result: ExperimentResult) -> str:
 
 @pytest.mark.parametrize("experiment", sorted(RESULT_DIGESTS))
 def test_default_trace_result_digest(experiment):
-    jobs = default_trace(DEFAULT_TRACE_JOBS)
+    jobs = default_trace(_TRACE_JOBS.get(experiment, DEFAULT_TRACE_JOBS))
     result = _RUNNERS[experiment](jobs)
     assert result_digest(result) == RESULT_DIGESTS[experiment]
 

@@ -84,9 +84,9 @@ class TestDistribution:
 
         population = features_of_type(
             list(trace), Architecture.PS_WORKER
-        )[:200]
+        )[:300]
         results = crossover_distribution(population, hardware)
-        assert len(results) == 200
+        assert len(results) == 300
         always = [r for r in results if r.always_better]
         finite = [r for r in results if r.has_crossover]
         # Most jobs want NVLink at any fabric speed (the PCIe hop floors

@@ -11,6 +11,7 @@ from repro.core.hardware import (
     pai_default_hardware,
     testbed_v100_hardware as v100_hardware,
 )
+from repro.core.projection import projection_speedups
 from repro.core.timemodel import (
     ModelOptions,
     OverlapMode,
@@ -21,6 +22,7 @@ from repro.core.timemodel import (
     ring_allreduce_factor,
     weight_traffic_times,
 )
+from repro.trace import features_of_type
 
 
 def features_for(architecture, **overrides):
@@ -292,3 +294,64 @@ class TestEfficiencyScaling:
         slowed = estimate_breakdown(features, hardware, slow_memory)
         assert slowed.compute_memory == pytest.approx(2 * base.compute_memory)
         assert slowed.compute_flops == pytest.approx(base.compute_flops)
+
+
+def _not_sped_up(population, hardware, options):
+    """Fig. 9's single-cNode "not sped up" share under ``options``."""
+    speedups = [
+        projection_speedups(
+            f, Architecture.ALLREDUCE_LOCAL, hardware, options=options
+        ).single_cnode_speedup
+        for f in population
+    ]
+    return sum(1 for speedup in speedups if speedup <= 1.0) / len(speedups)
+
+
+def _total_step_time(population, hardware, options):
+    return sum(
+        estimate_step_time(f, hardware, options=options) for f in population
+    )
+
+
+class TestAblations:
+    """Each :class:`ModelOptions` refinement flipped over the trace's
+    PS/Worker jobs: how far the headline conclusions move."""
+
+    def test_input_contention_makes_the_not_sped_up_cohort(
+        self, trace, hardware
+    ):
+        """Without PCIe input contention the not-sped-up cohort vanishes:
+        contention is the mechanism behind Fig. 9's 22.6%."""
+        population = features_of_type(trace, Architecture.PS_WORKER)[:1500]
+        no_contention = dataclasses.replace(
+            PAPER_MODEL_OPTIONS, input_pcie_contention=False
+        )
+        assert _not_sped_up(population, hardware, PAPER_MODEL_OPTIONS) > 0.12
+        assert _not_sped_up(population, hardware, no_contention) < 0.02
+
+    def test_ring_factor_shift_is_bounded(self, trace, hardware):
+        """The ring 2(n-1)/n factor against the paper's flat S_w/B_w: a
+        bounded (< 2x) shift in AllReduce step time."""
+        population = [
+            f.with_architecture(Architecture.ALLREDUCE_LOCAL, num_cnodes=8)
+            for f in features_of_type(trace, Architecture.PS_WORKER)[:1000]
+        ]
+        ringed = dataclasses.replace(
+            PAPER_MODEL_OPTIONS, allreduce_ring_factor=True
+        )
+        flat = _total_step_time(population, hardware, PAPER_MODEL_OPTIONS)
+        with_ring = _total_step_time(population, hardware, ringed)
+        assert with_ring <= flat  # (n-1)/n < 1 shrinks traffic
+        assert with_ring > 0.5 * flat
+
+    def test_ideal_overlap_shrinks_totals_at_most_3x(self, trace, hardware):
+        """Sum against max composition over three terms."""
+        population = features_of_type(trace, Architecture.PS_WORKER)[:1000]
+        ideal = dataclasses.replace(
+            PAPER_MODEL_OPTIONS, overlap=OverlapMode.IDEAL
+        )
+        non_overlap = _total_step_time(
+            population, hardware, PAPER_MODEL_OPTIONS
+        )
+        overlapped = _total_step_time(population, hardware, ideal)
+        assert non_overlap / 3 <= overlapped <= non_overlap

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lint.cfg import WithExit, build_cfg, walk_element
-from repro.lint.dataflow import ReachingDefinitions, run_forward
+from repro.lint.dataflow import ForwardAnalysis, HeldLocks, run_forward
 
 
 def cfg_of(source: str):
@@ -266,14 +266,14 @@ def test_statements_land_in_exactly_one_block_outside_finally(source):
 def test_dataflow_reaches_fixpoint_on_generated_cfgs(source):
     cfg = cfg_of(source)
     # Termination (no RuntimeError) is the property under test.
-    result = run_forward(cfg, ReachingDefinitions())
+    result = run_forward(cfg, HeldLocks())
     for _element, state in result.states():
         assert isinstance(state, frozenset)
 
 
 @pytest.mark.parametrize("max_passes", [1])
 def test_non_converging_analysis_raises(max_passes):
-    class Diverging(ReachingDefinitions):
+    class Diverging(ForwardAnalysis):
         def transfer(self, state, element):
             # Grows a fresh fact every visit: can never stabilize.
             return state | {("bogus", len(state))}

@@ -1,4 +1,5 @@
-"""The bundled analyses: held locks, open resources, reaching defs."""
+"""The bundled analyses (held locks, open resources) and the engine's
+join and kill, driven by a toy reaching-definitions analysis."""
 
 from __future__ import annotations
 
@@ -6,9 +7,10 @@ import ast
 
 from repro.lint.cfg import WithExit, build_cfg
 from repro.lint.dataflow import (
+    ForwardAnalysis,
     HeldLocks,
     OpenResources,
-    ReachingDefinitions,
+    assigned_names,
     run_forward,
 )
 
@@ -181,7 +183,20 @@ def test_atomic_write_without_commit_leaks():
     ) == {"tmp"}
 
 
-# ---- ReachingDefinitions -------------------------------------------
+# ---- engine join and kill ------------------------------------------
+
+
+class ReachingDefinitions(ForwardAnalysis):
+    """Toy analysis: ``(name, line)`` facts, killed when ``name`` is
+    rebound."""
+
+    def transfer(self, state, element):
+        bound = assigned_names(element)
+        if not bound:
+            return state
+        killed = {name for name, _line in bound}
+        live = frozenset(fact for fact in state if fact[0] not in killed)
+        return live | frozenset(bound)
 
 
 def test_reaching_definitions_merge_at_joins():

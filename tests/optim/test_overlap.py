@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.features import WorkloadFeatures
-from repro.core.timemodel import estimate_breakdown
+from repro.core.timemodel import estimate_breakdown, estimate_step_time
 from repro.optim.overlap import (
     OverlapSchedule,
     overlap_speedup,
     overlapped_step_time,
 )
+from repro.trace import features_of_type
 
 
 def ps_job(weight=2e9, flops=2e12, **kw):
@@ -103,3 +104,16 @@ class TestValidation:
             OverlapSchedule(overlap_fraction=1.5)
         with pytest.raises(ValueError):
             OverlapSchedule(tail_fraction=-0.1)
+
+
+class TestTracePopulation:
+    def test_wait_free_push_on_ps_jobs(self, trace, hardware):
+        # Comm-heavy population: the schedule helps, but cannot beat the
+        # ideal-overlap bound of ~3x.
+        population = features_of_type(trace, Architecture.PS_WORKER)[:800]
+        schedule = OverlapSchedule(overlap_fraction=0.9, tail_fraction=0.1)
+        overlapped = sum(
+            overlapped_step_time(f, hardware, schedule) for f in population
+        )
+        baseline = sum(estimate_step_time(f, hardware) for f in population)
+        assert 1.02 < baseline / overlapped < 3.0

@@ -235,6 +235,7 @@ def test_default_trace_digest(policy_name, faulty):
         _POLICIES[policy_name](),
         faults=_FAULTS if faulty else None,
     )
+    assert len(outcome.outcomes) + len(outcome.rejected) == len(trace)
     key = f"{'faults' if faulty else 'healthy'}-{policy_name}"
     assert schedule_digest(outcome) == DEFAULT_TRACE_DIGESTS[key]
 

@@ -1,8 +1,15 @@
 """The fleet-level PS -> AllReduce what-if coupling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.architectures import Architecture
+from repro.core.hardware import pai_default_hardware
+from repro.core.projection import (
+    project_to_allreduce_local,
+    projection_speedups,
+)
 from repro.sched import (
     ModelRuntimePredictor,
     project_trace,
@@ -46,7 +53,6 @@ class TestProjectTrace:
     def test_oversized_model_not_projected(self):
         # dense_weight_bytes is tiny here, so force the memory check via
         # a features tuple whose weights exceed one GPU.
-        from dataclasses import replace
         job = make_job(0, Architecture.PS_WORKER, 12)
         big = replace(
             job, features=replace(job.features, dense_weight_bytes=1e12)
@@ -54,6 +60,33 @@ class TestProjectTrace:
         _, considered, projected = project_trace([big])
         assert considered == 1
         assert projected == 0
+
+    def test_batch_selection_matches_the_per_job_rewrite(self, trace):
+        """Fig. 9's criteria applied job by job, the reference for the
+        batch evaluation."""
+        hardware = pai_default_hardware()
+        expected = []
+        for job in trace:
+            if (
+                job.workload_type is Architecture.PS_WORKER
+                and job.features.weight_bytes <= hardware.gpu.memory_capacity
+                and projection_speedups(
+                    job.features, Architecture.ALLREDUCE_LOCAL, hardware
+                ).sped_up
+            ):
+                job = replace(
+                    job, features=project_to_allreduce_local(job.features)
+                )
+            expected.append(job)
+        rewritten, _, projected = project_trace(trace, hardware)
+        assert rewritten == expected
+        assert projected == sum(
+            1 for before, after in zip(trace, expected) if before is not after
+        )
+
+    def test_no_ps_jobs_leaves_the_trace(self):
+        trace = [make_job(i) for i in range(3)]
+        assert project_trace(trace) == (trace, 0, 0)
 
 
 class TestWhatIf:

@@ -93,6 +93,8 @@ class TestEfficiencyEffects:
         )
         # 3.1% GDDR efficiency vs 70%: memory time explodes ~22x.
         assert measured.memory_time > 15 * nominal.memory_time
+        # The efficiency scheme alone makes Speech Fig. 12's outlier.
+        assert measured.serial_total > 1.5 * nominal.serial_total
 
 
 class TestOverheads:

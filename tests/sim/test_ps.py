@@ -89,6 +89,11 @@ class TestScalingCurve:
         assert rows[0]["ps_bound"]
         assert not rows[-1]["ps_bound"]
 
+    def test_one_shard_per_worker_removes_the_ps_bottleneck(self, hardware):
+        # A GCN-class job: 3 GB of round-trip traffic per worker.
+        rows = ps_scaling_curve(3e9, 32, hardware, [1, 2, 4, 8, 16, 32])
+        assert rows[0]["sync_time_s"] > 10 * rows[-1]["sync_time_s"]
+
     def test_default_counts_include_worker_count(self, hardware):
         rows = ps_scaling_curve(1e9, 32, hardware)
         assert any(row["num_ps"] == 32 for row in rows)

@@ -99,6 +99,12 @@ class TestPenaltyCurve:
         assert inflations == sorted(inflations)
         assert inflations[0] == pytest.approx(1.0)
 
+    def test_inflation_grows_out_to_256_replicas(self, hardware):
+        rows = synchronization_penalty_curve(
+            ps_job(), hardware, [1, 8, 64, 256], JitterModel(sigma=0.1)
+        )
+        assert rows[-1]["step_inflation"] > rows[0]["step_inflation"]
+
     def test_inflation_bounded_by_factor(self, hardware):
         # The step inflates less than the compute factor because the
         # communication part does not jitter.

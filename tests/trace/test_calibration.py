@@ -3,6 +3,7 @@
 import pytest
 
 from repro.trace.calibration import CALIBRATION_TARGETS, evaluate_targets
+from repro.trace.generator import generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +50,20 @@ class TestKeyHeadlines:
         assert checks["ethernet_100g_speedup"]["measured"] == pytest.approx(
             1.7, abs=0.2
         )
+
+
+def test_targets_hold_beyond_one_seed():
+    """The default seed passes everything; other seeds may drop at most a
+    couple of noisy tail statistics at this trace size."""
+    counts = [
+        sum(
+            1
+            for check in evaluate_targets(
+                generate_trace(num_jobs=6000, seed=seed)
+            )
+            if check["ok"]
+        )
+        for seed in (20190501, 7, 99)
+    ]
+    assert counts[0] == 20
+    assert all(count >= 17 for count in counts)

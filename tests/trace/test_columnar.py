@@ -170,7 +170,7 @@ class TestFeatureArrays:
         columns["architecture"] = [ARCH_CODES.index(Architecture.SINGLE)]
         view = FeatureArrays.from_columnar(columns).view(0)
         assert view.name == "job\x00"
-        assert view == record
+        assert view.materialize() == record
 
     def test_cluster_cnodes_are_not_bounded_by_the_local_limit(
         self, tmp_path
@@ -192,7 +192,7 @@ class TestFeatureArrays:
         write_columnar([record], path)
         store = ColumnarTrace.open(path)
         assert list(store.iter_records()) == [record]
-        assert store.feature_arrays().view(0) == record.features
+        assert store.feature_arrays().view(0).materialize() == record.features
         local = dataclasses.replace(
             record.features,
             architecture=Architecture.ALLREDUCE_LOCAL,

@@ -39,6 +39,10 @@ class TestResourceConcentration:
         share = resource_concentration(list(trace), top_fraction=0.2)
         assert 0.2 <= share <= 1.0
 
+    def test_production_tenants_dominate(self, trace):
+        # Zipf-skewed assignment: the top fifth holds most cNodes.
+        assert resource_concentration(list(trace), top_fraction=0.2) > 0.7
+
     def test_full_fraction_is_everything(self, small_trace):
         assert resource_concentration(small_trace, top_fraction=1.0) == (
             pytest.approx(1.0)

@@ -122,23 +122,6 @@ class TestJobView:
         write_columnar(jobs, path, shard_rows=2)
         return jobs, ColumnarTrace.open(path)
 
-    def test_views_equal_records_both_ways(self, store):
-        jobs, trace = store
-        views = list(trace.iter_views())
-        assert views == jobs
-        assert jobs == views
-        for view, job in zip(views, jobs):
-            assert hash(view) == hash(job)
-            assert view.workload_type is job.workload_type
-            assert view.num_cnodes == job.num_cnodes
-            assert view.user_group == job.user_group
-
-    def test_views_interchange_as_dict_keys(self, store):
-        jobs, trace = store
-        by_record = {job: job.job_id for job in jobs}
-        for view in trace.iter_views():
-            assert by_record[view] == view.job_id
-
     def test_inequality_against_other_types(self, store):
         jobs, trace = store
         view = next(trace.iter_views())
