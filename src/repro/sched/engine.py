@@ -16,6 +16,12 @@ work is conserved; every run of a job is recorded as an
 :class:`~repro.sched.outcomes.ExecutionSegment` and the per-job
 history rolls up into :class:`~repro.sched.outcomes.JobOutcome`.
 
+The engine keeps the queue in (arrival hour, job id) order and the
+running set in (end hour, job id) order, inserting and removing by
+``bisect`` as jobs arrive, start, end, are preempted and crash, and
+hands both to the policy in that order: no policy re-sorts either one
+per decision round.
+
 Durations are resolved for the whole trace before the replay starts;
 model-predicted ones come from one vectorized evaluation
 (:meth:`~repro.sched.predictor.ModelRuntimePredictor.durations`).
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -70,24 +77,33 @@ class _JobState:
 
     __slots__ = (
         "job",
+        "rank",
         "arrival_hour",
         "service_hours",
         "remaining_hours",
         "segments",
         "placement",
         "segment_start",
+        "running_key",
         "incarnation",
         "retries",
     )
 
-    def __init__(self, job: JobRecord, arrival_hour: float, service_hours: float):
+    def __init__(
+        self, job: JobRecord, rank: int, arrival_hour: float, service_hours: float
+    ):
         self.job = job
+        #: Place in (arrival hour, job id) order: the job's queue key.
+        self.rank = rank
         self.arrival_hour = arrival_hour
         self.service_hours = service_hours
         self.remaining_hours = service_hours
         self.segments: List[ExecutionSegment] = []
         self.placement: Optional[Placement] = None
         self.segment_start = 0.0
+        #: (Predicted end hour, job id) of the current run: its key in
+        #: the running order.
+        self.running_key: Tuple[float, int] = (0.0, 0)
         #: Bumped on every (re)start so stale completion events are
         #: recognizable after a preemption.
         self.incarnation = 0
@@ -193,10 +209,12 @@ def run_schedule(
     events: List[Tuple[float, int, int, int, int]] = []
     states: Dict[int, _JobState] = {}
     sequence = 0
-    for job, hours in admitted:
+    # ``admitted`` is in (submit day, job id) order, which is (arrival
+    # hour, job id) order, so a job's index in it is its queue key.
+    for rank, (job, hours) in enumerate(admitted):
         arrival = job.submit_day * _HOURS_PER_DAY
         events.append((arrival, sequence, 1, job.job_id, 0))
-        states[job.job_id] = _JobState(job, arrival, hours)
+        states[job.job_id] = _JobState(job, rank, arrival, hours)
         sequence += 1
     for crash_index, crash in enumerate(faults.crashes):
         events.append((crash.hour, sequence, 2, crash_index, 0))
@@ -207,8 +225,16 @@ def run_schedule(
             sequence += 1
     heapq.heapify(events)
 
+    # Both kept sorted by ``bisect`` over a parallel key list: a job's
+    # ``rank`` for the queue, its ``running_key`` for the running set.
+    # A re-queued job keeps its rank, so it slots back in ahead of
+    # younger waiters.  Backfill reads the running order in every round
+    # its head is blocked; keeping it here is cheaper than sorting it
+    # there.
     queue: List[PendingJob] = []
-    running: Dict[int, RunningJob] = {}
+    queue_keys: List[int] = []
+    running: List[RunningJob] = []
+    running_keys: List[Tuple[float, int]] = []
     finished: List[JobOutcome] = []
     samples: List[TelemetrySample] = []
     active_gpu_hours = 0.0
@@ -222,20 +248,52 @@ def run_schedule(
     #: registry counter takes a lock and a lookup on every use.
     tally: Counter = Counter()
 
+    def enqueue(state: _JobState) -> None:
+        index = bisect_left(queue_keys, state.rank)
+        queue_keys.insert(index, state.rank)
+        queue.insert(
+            index,
+            PendingJob(
+                job=state.job,
+                arrival_hour=state.arrival_hour,
+                remaining_hours=state.remaining_hours,
+            ),
+        )
+
     def start_job(state: _JobState, placement: Placement, now: float) -> None:
         nonlocal sequence
+        job_id = state.job.job_id
         state.placement = placement
         state.segment_start = now
         state.incarnation += 1
         end = now + state.remaining_hours
         sequence += 1
-        heapq.heappush(
-            events, (end, sequence, 0, state.job.job_id, state.incarnation)
-        )
-        running[state.job.job_id] = RunningJob(
-            job=state.job, placement=placement, start_hour=now, end_hour=end
+        heapq.heappush(events, (end, sequence, 0, job_id, state.incarnation))
+        key = state.running_key = (end, job_id)
+        index = bisect_left(running_keys, key)
+        running_keys.insert(index, key)
+        running.insert(
+            index,
+            RunningJob(
+                job=state.job, placement=placement, start_hour=now, end_hour=end
+            ),
         )
         tally["sched.starts"] += 1
+
+    def end_segment(state: _JobState, now: float) -> None:
+        """Close the job's current run at ``now`` and free its GPUs."""
+        state.segments.append(
+            ExecutionSegment(
+                start_hour=state.segment_start,
+                end_hour=now,
+                placement=state.placement,
+            )
+        )
+        fleet.release(state.placement)
+        state.placement = None
+        index = bisect_left(running_keys, state.running_key)
+        del running_keys[index]
+        del running[index]
 
     def preempt_job(state: _JobState, now: float) -> None:
         tally["sched.preemptions"] += 1
@@ -246,25 +304,10 @@ def run_schedule(
             hour=now,
             num_cnodes=state.job.num_cnodes,
         )
-        state.segments.append(
-            ExecutionSegment(
-                start_hour=state.segment_start,
-                end_hour=now,
-                placement=state.placement,
-            )
-        )
+        end_segment(state, now)
         state.remaining_hours -= now - state.segment_start
-        fleet.release(state.placement)
-        state.placement = None
         state.incarnation += 1  # invalidate the in-flight completion
-        del running[state.job.job_id]
-        queue.append(
-            PendingJob(
-                job=state.job,
-                arrival_hour=state.arrival_hour,
-                remaining_hours=state.remaining_hours,
-            )
-        )
+        enqueue(state)
 
     def crash_job(state: _JobState, now: float, backoff_hours: float) -> None:
         """A worker of a running job dies: fail, back off, re-queue.
@@ -275,19 +318,10 @@ def run_schedule(
         not lost service hours.
         """
         nonlocal sequence
-        state.segments.append(
-            ExecutionSegment(
-                start_hour=state.segment_start,
-                end_hour=now,
-                placement=state.placement,
-            )
-        )
+        end_segment(state, now)
         state.remaining_hours -= now - state.segment_start
-        fleet.release(state.placement)
-        state.placement = None
         state.incarnation += 1  # invalidate the in-flight completion
         state.retries += 1
-        del running[state.job.job_id]
         tally["sched.failures"] += 1
         # Every crash is injected (and counted above), so it is not a
         # warning: a library replay stays silent on stderr.
@@ -328,17 +362,8 @@ def run_schedule(
                     stale = incarnation != state.incarnation
                     if stale or state.placement is None:
                         continue  # stale completion of a preempted run
-                    state.segments.append(
-                        ExecutionSegment(
-                            start_hour=state.segment_start,
-                            end_hour=now,
-                            placement=state.placement,
-                        )
-                    )
+                    end_segment(state, now)
                     state.remaining_hours = 0.0
-                    fleet.release(state.placement)
-                    state.placement = None
-                    del running[job_id]
                     finished.append(
                         JobOutcome(
                             job=state.job,
@@ -350,13 +375,7 @@ def run_schedule(
                     )
                     tally["sched.completions"] += 1
                 else:
-                    queue.append(
-                        PendingJob(
-                            job=state.job,
-                            arrival_hour=state.arrival_hour,
-                            remaining_hours=state.remaining_hours,
-                        )
-                    )
+                    enqueue(state)
 
             for _ in range(_MAX_DECISION_ROUNDS):
                 if not queue:
@@ -365,7 +384,7 @@ def run_schedule(
                     now=now,
                     fleet=fleet,
                     queue=tuple(queue),
-                    running=tuple(running.values()),
+                    running=tuple(running),
                 )
                 decision: SchedulingDecision = policy.select(context)
                 if decision.is_empty:
@@ -377,28 +396,29 @@ def run_schedule(
                         continue  # policy named a job that is not running
                     preempt_job(state, now)
                     applied += 1
-                pending_by_id = {p.job_id: p for p in queue}
                 for job_id in decision.starts:
-                    pending = pending_by_id.get(job_id)
-                    if pending is None:
+                    state = states.get(job_id)
+                    if state is None:
                         continue  # policy named a job that is not queued
-                    state = states[job_id]
+                    position = bisect_left(queue_keys, state.rank)
+                    if (
+                        position == len(queue)
+                        or queue_keys[position] != state.rank
+                    ):
+                        continue  # policy named a job that is not queued
                     placement = fleet.try_place(
                         state.job.workload_type, state.job.num_cnodes
                     )
                     if placement is None:
                         continue  # plan no longer fits the live fleet
-                    # By identity: a dataclass ``==`` scan would compare
-                    # every job record ahead of it.
-                    position = next(
-                        index
-                        for index, queued in enumerate(queue)
-                        if queued is pending
-                    )
                     if position:
-                        # Started past an older waiter: a backfill (or
-                        # priority jump) by the policy's own choice.
+                        # An earlier arrival is still waiting: a backfill
+                        # (or priority jump) by the policy's own choice.
+                        # A re-queued job keeps its first arrival hour,
+                        # so starting it ahead of younger waiters is not
+                        # one.
                         tally["sched.backfills"] += 1
+                    del queue_keys[position]
                     del queue[position]
                     start_job(state, placement, now)
                     applied += 1
@@ -413,43 +433,41 @@ def run_schedule(
             if pending_storm_ticks:
                 for storm_index in pending_storm_ticks:
                     storm = faults.storms[storm_index]
-                    for victim in sorted(running)[: storm.victims_per_tick]:
+                    victims = sorted(r.job_id for r in running)
+                    for victim in victims[: storm.victims_per_tick]:
                         preempt_job(states[victim], now)
                 pending_storm_ticks.clear()
             if pending_crashes:
                 still_armed: List[int] = []
                 for crash_index in pending_crashes:
                     crash = faults.crashes[crash_index]
-                    victim: Optional[int] = None
-                    if running:
-                        named = crash.job_id
-                        if named is not None and named in running:
-                            victim = named
-                        else:
-                            victim = min(running)
-                    if victim is None:
+                    if not running:
                         still_armed.append(crash_index)
                         continue
-                    crash_job(states[victim], now, crash.backoff_hours)
+                    # A named victim that is not running (or not in the
+                    # trace) falls back to the lowest running job id.
+                    victim = states.get(crash.job_id)
+                    if victim is None or victim.placement is None:
+                        victim = states[min(r.job_id for r in running)]
+                    crash_job(victim, now, crash.backoff_hours)
                 pending_crashes[:] = still_armed
 
             if collect_telemetry:
-                samples.append(
-                    TelemetrySample(
-                        hour=now,
-                        busy_gpus=fleet.busy_gpus,
-                        free_gpus=fleet.free_gpus,
-                        running_jobs=len(running),
-                        queue_depth=len(queue),
-                        fragmentation=fleet.fragmentation(),
-                    )
+                sample = TelemetrySample(
+                    hour=now,
+                    busy_gpus=fleet.busy_gpus,
+                    free_gpus=fleet.free_gpus,
+                    running_jobs=len(running),
+                    queue_depth=len(queue),
+                    fragmentation=fleet.fragmentation(),
                 )
+                samples.append(sample)
                 # Mirror the sample into the metric registry so fleet state
                 # shows up in the obs summary alongside everything else.
-                obs.metrics.gauge("sched.queue_depth").set(len(queue))
-                obs.metrics.gauge("sched.busy_gpus").set(fleet.busy_gpus)
+                obs.metrics.gauge("sched.queue_depth").set(sample.queue_depth)
+                obs.metrics.gauge("sched.busy_gpus").set(sample.busy_gpus)
                 obs.metrics.gauge("sched.fragmentation").set(
-                    fleet.fragmentation()
+                    sample.fragmentation
                 )
             if not events and queue and not running:
                 # Placeable jobs remain, nothing running, no future events:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import lt
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,3 +253,66 @@ class Fleet:
                 raise ValueError("release would exceed server capacity")
         for server, count in zip(servers, counts):
             free[server] = free.item(server) + count
+
+    def releases_to_fit(
+        self,
+        architecture: Architecture,
+        num_gpus: int,
+        placements: Iterable[Placement],
+    ) -> Optional[int]:
+        """How many of ``placements``, released in order, the job waits
+        for before it fits, or ``None`` if releasing all of them is not
+        enough.  Does not mutate the fleet.
+
+        The answer equals releasing them one at a time on a clone and
+        calling :meth:`fits` after each -- never before the first, so
+        an empty ``placements`` gives ``None`` -- but one scan over a
+        copy of the free counts tracks each shape's test incrementally:
+        the largest free block for local gangs, the servers with a free
+        GPU for PS/Worker, and the free total for packed cluster shapes.
+
+        Raises:
+            ValueError: ``num_gpus`` is not positive, or a placement
+                reached before the job fits names a server outside the
+                fleet or would push a server past its capacity (as
+                :meth:`release` would).
+        """
+        if num_gpus < 1:
+            raise ValueError("num_gpus must be positive")
+        free = self._free.tolist()
+        num_servers = self.num_servers
+        room = self.gpus_per_server
+        local = architecture.is_local
+        spread = architecture is Architecture.PS_WORKER
+        if local:
+            reach = max(free)
+        elif spread:
+            reach = num_servers - free.count(0)
+        else:
+            reach = sum(free)
+        for released, placement in enumerate(placements, 1):
+            servers = placement.servers
+            if servers and servers[-1] >= num_servers:
+                raise ValueError(
+                    "placement does not match this fleet's geometry"
+                )
+            # Checking each entry as it is added is as good as checking
+            # all of them first: ``free`` is a private copy, dropped on
+            # a raise, and a placement names each server once.
+            for server, count in zip(servers, placement.counts):
+                before = free[server]
+                after = before + count
+                if after > room:
+                    raise ValueError("release would exceed server capacity")
+                free[server] = after
+                if local:
+                    if after > reach:
+                        reach = after
+                elif spread:
+                    if not before:
+                        reach += 1
+                else:
+                    reach += count
+            if reach >= num_gpus:
+                return released
+        return None

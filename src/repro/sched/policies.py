@@ -6,8 +6,14 @@ duration of every job -- and returns a :class:`SchedulingDecision`:
 which queued jobs to start now (in order) and which running jobs to
 evict first.  The engine (:mod:`repro.sched.engine`) applies the
 decision and asks again until the policy has nothing more to do, so a
-policy never mutates anything itself; trial placements are made on a
-``fleet.clone()``.
+policy never mutates anything itself.
+
+The engine keeps the context in the two orders the policies read, so
+no policy re-sorts them: ``queue`` in (arrival hour, job id) order and
+``running`` in (predicted end hour, job id) order.  Greedy starts are
+planned on a ``fleet.clone()``; what-if questions -- how many running
+jobs must end or be evicted before a blocked job fits -- are one
+:meth:`~repro.sched.fleet.Fleet.releases_to_fit` scan, with no clone.
 
 Four disciplines are provided:
 
@@ -89,16 +95,20 @@ class RunningJob:
 
 @dataclass(frozen=True)
 class SchedulingContext:
-    """Everything a policy may look at when deciding."""
+    """Everything a policy may look at when deciding.
+
+    Attributes:
+        now: The decision hour.
+        fleet: The live fleet; policies must not mutate it.
+        queue: Waiting jobs in strict (arrival hour, job id) order; a
+            preempted or retried job keeps its first arrival hour.
+        running: Running jobs in (end hour, job id) order.
+    """
 
     now: float
     fleet: Fleet
     queue: Tuple[PendingJob, ...]
     running: Tuple[RunningJob, ...]
-
-    def fifo_order(self) -> List[PendingJob]:
-        """The queue in strict (arrival, job id) order."""
-        return sorted(self.queue, key=lambda p: (p.arrival_hour, p.job_id))
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,7 @@ class FifoPolicy:
 
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """Start the longest placeable prefix of the FIFO queue."""
-        starts, _, _ = _greedy_starts(context.fifo_order(), context.fleet)
+        starts, _, _ = _greedy_starts(context.queue, context.fleet)
         return SchedulingDecision(starts=tuple(starts))
 
 
@@ -171,10 +181,9 @@ class SjfPolicy:
 
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """Start the shortest placeable prefix of the queue."""
-        ordered = sorted(
-            context.queue,
-            key=lambda p: (p.remaining_hours, p.arrival_hour, p.job_id),
-        )
+        # A stable sort of the arrival-ordered queue: ties on remaining
+        # hours keep (arrival hour, job id) order.
+        ordered = sorted(context.queue, key=lambda p: p.remaining_hours)
         starts, _, _ = _greedy_starts(ordered, context.fleet)
         return SchedulingDecision(starts=tuple(starts))
 
@@ -190,28 +199,28 @@ class BackfillPolicy:
     ) -> float:
         """Earliest hour the blocked head could start, assuming the
         currently running jobs release in predicted end order."""
-        shadow = trial.clone()
         job = head.job
-        for running in sorted(
-            context.running, key=lambda r: (r.end_hour, r.job_id)
-        ):
-            shadow.release(running.placement)
-            if shadow.fits(job.workload_type, job.num_cnodes):
-                return running.end_hour
-        # Not placeable even on an empty fleet; nothing can be
-        # reserved, so refuse to backfill past it.
-        return context.now
+        released = trial.releases_to_fit(
+            job.workload_type,
+            job.num_cnodes,
+            (running.placement for running in context.running),
+        )
+        if released is None:
+            # Not placeable even on an empty fleet; nothing can be
+            # reserved, so refuse to backfill past it.
+            return context.now
+        return context.running[released - 1].end_hour
 
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """FIFO prefix, then backfill jobs that cannot delay the head."""
-        ordered = context.fifo_order()
-        starts, head, trial = _greedy_starts(ordered, context.fleet)
+        queue = context.queue
+        starts, head, trial = _greedy_starts(queue, context.fleet)
         if head is None:
             return SchedulingDecision(starts=tuple(starts))
         reservation = self._reservation_hour(context, head, trial)
         horizon = reservation - context.now + _BACKFILL_EPSILON
         # The started prefix ends right before the head.
-        for pending in ordered[len(starts) + 1 :]:
+        for pending in queue[len(starts) + 1 :]:
             if pending.remaining_hours > horizon:
                 continue
             job = pending.job
@@ -253,22 +262,21 @@ class PriorityPolicy:
             (r for r in context.running if self.priority(r.job) < threshold),
             key=lambda r: (self.priority(r.job), -r.start_hour, r.job_id),
         )
-        what_if = trial.clone()
-        victims: List[int] = []
         job = pending.job
-        for running in candidates:
-            what_if.release(running.placement)
-            victims.append(running.job_id)
-            if what_if.fits(job.workload_type, job.num_cnodes):
-                return victims
-        return None
+        evicted = trial.releases_to_fit(
+            job.workload_type,
+            job.num_cnodes,
+            (running.placement for running in candidates),
+        )
+        if evicted is None:
+            return None
+        return [running.job_id for running in candidates[:evicted]]
 
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """Start by priority; evict lower priority for a blocked job."""
-        ordered = sorted(
-            context.queue,
-            key=lambda p: (-self.priority(p.job), p.arrival_hour, p.job_id),
-        )
+        # A stable sort of the arrival-ordered queue: ties on priority
+        # keep (arrival hour, job id) order.
+        ordered = sorted(context.queue, key=lambda p: -self.priority(p.job))
         starts, blocked, trial = _greedy_starts(ordered, context.fleet)
         if blocked is None or not self.preempt:
             return SchedulingDecision(starts=tuple(starts))

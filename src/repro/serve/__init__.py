@@ -22,7 +22,7 @@ it with :class:`~repro.serve.client.ServeClient`.
 from .client import TRANSIENT_ERRORS, ServeClient, ServiceError
 from .replay import ReplayBatch, TraceReplayer
 from .server import QueryError, TraceService, serialize_jobs
-from .state import ShardedState, StatsSnapshot
+from .state import DuplicateJobError, ShardedState, StatsSnapshot
 from .stats import (
     AGGREGATION_LEVELS,
     CDF_METRICS,
@@ -34,6 +34,7 @@ from .stats import (
 __all__ = [
     "AGGREGATION_LEVELS",
     "CDF_METRICS",
+    "DuplicateJobError",
     "QueryError",
     "ReplayBatch",
     "ServeClient",

@@ -189,7 +189,15 @@ class ServeClient:
         return self._request(f"/cdf/{metric}?level={level}&points={points}")
 
     def ingest(self, jobs: Sequence[JobRecord]) -> Dict[str, Any]:
-        """Append a batch of job records to the live population."""
+        """Append a batch of job records to the live population.
+
+        Raises ``ServiceError`` with status 409 if the population
+        already holds one of the batch's ids.  That includes a retried
+        attempt whose first attempt the service had applied before the
+        connection dropped or it answered 5xx: the batch is then in the
+        population once, and the 409 cannot tell that apart from a
+        conflict with another writer's batch.
+        """
         return self._request("/ingest", body=serialize_jobs(jobs))
 
     # ---- convenience -----------------------------------------------

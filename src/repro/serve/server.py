@@ -13,7 +13,8 @@ Endpoints (all JSON):
 ``GET /cdf/<metric>``       sketched CDF of one metric
                             (``?level=job|cnode&points=N``)
 ``GET /census``             bottleneck-label population shares
-``POST /ingest``            append a batch of serialized job records
+``POST /ingest``            append a batch of serialized job records;
+                            409 if it repeats an ingested job id
 ==========================  =============================================
 
 Query responses are content-addressed into the existing
@@ -40,13 +41,13 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..analysis.result import ExperimentResult
-from ..obs import get_obs
+from ..obs import WARNING, get_obs
 from ..runtime.cache import ResultCache
 from ..runtime.fingerprint import fingerprint
 from ..trace.schema import JobRecord
 from ..trace.serialization import job_from_dict, job_to_dict
 from .replay import TraceReplayer
-from .state import ShardedState, StatsSnapshot
+from .state import DuplicateJobError, ShardedState, StatsSnapshot
 from .stats import AGGREGATION_LEVELS, CDF_METRICS
 
 __all__ = ["MAX_INGEST_BYTES", "QueryError", "TraceService", "serialize_jobs"]
@@ -214,15 +215,31 @@ class TraceService:
         return f"http://{self.host}:{self.port}"
 
     def start_replay(self, replayer: TraceReplayer) -> None:
-        """Begin streaming a trace into the state on its own thread."""
+        """Begin streaming a trace into the state on its own thread.
+
+        A job whose id the population already holds -- posted by a
+        client before the replay reached it, or repeated in the trace
+        -- is skipped with a ``serve.replay.repeated_ids`` warning, and
+        the replay goes on to the end of the trace.
+        """
         if self._replay_thread is not None:
             raise RuntimeError("a replay is already running")
         self._replayer = replayer
         self._replay_done.clear()
 
+        def _sink(jobs: Sequence[JobRecord]) -> None:
+            _, skipped = self.state.ingest_new(jobs)
+            if skipped:
+                get_obs().event(
+                    "serve.replay.repeated_ids",
+                    level=WARNING,
+                    job_id=skipped[0],
+                    skipped=len(skipped),
+                )
+
         def _run() -> None:
             try:
-                replayer.replay(self.state.ingest)
+                replayer.replay(_sink)
             finally:
                 self._replay_done.set()
 
@@ -319,6 +336,10 @@ class TraceService:
             if self._started_at is not None
             else 0.0
         )
+        # Read before the snapshot: a replay that finishes in between
+        # must not be reported complete next to a count that lacks its
+        # last batch.
+        ingest_complete = self.ingest_complete
         # Counts come from the same snapshot view the query endpoints
         # serve, so a client alternating endpoints never sees the job
         # count move backwards while a merge is in flight.
@@ -328,7 +349,7 @@ class TraceService:
             "jobs": snapshot.job_count,
             "generation": snapshot.generation,
             "shards": self.state.num_shards,
-            "ingest_complete": self.ingest_complete,
+            "ingest_complete": ingest_complete,
             "uptime_s": uptime,
         }
 
@@ -513,7 +534,10 @@ class TraceService:
                 raise QueryError(
                     400, f"invalid job record at index {index}: {error}"
                 ) from None
-        ingested = self.state.ingest(jobs)
+        try:
+            ingested = self.state.ingest(jobs)
+        except DuplicateJobError as error:
+            raise QueryError(409, str(error)) from None
         return {
             "ingested": ingested,
             "jobs": self.state.job_count,

@@ -28,6 +28,14 @@ different traces that happen to reach the same batch counts still get
 distinct digests, which is what lets the query layer key persistent
 caches by snapshot without ever serving one population's numbers for
 another.
+
+Job ids are unique across the population: a batch that repeats an id,
+within itself or from any earlier batch, is rejected whole with a
+:class:`DuplicateJobError` before any shard sees it.  A client that
+retries a POST the service had already applied therefore gets an error
+instead of counting the batch twice.  A trace replay cannot stop at
+such an error, so it ingests through :meth:`ShardedState.ingest_new`,
+which keeps the copy already held and skips the repeat.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
 from ..core.hardware import HardwareConfig
@@ -46,7 +54,20 @@ from ..trace.schema import JobRecord
 from ..trace.serialization import job_to_dict
 from .stats import DEFAULT_SKETCH_CAPACITY, ShardStats
 
-__all__ = ["ShardedState", "StatsSnapshot"]
+__all__ = ["DuplicateJobError", "ShardedState", "StatsSnapshot"]
+
+
+class DuplicateJobError(ValueError):
+    """An ingest batch repeats a job id already in the population or
+    earlier in the same batch; nothing of the batch was ingested.
+
+    Attributes:
+        job_id: The first repeated id, in batch order.
+    """
+
+    def __init__(self, job_id: int) -> None:
+        super().__init__(f"repeated job id {job_id}")
+        self.job_id = job_id
 
 
 @dataclass(frozen=True)
@@ -120,17 +141,60 @@ class ShardedState:
         self._snapshot_lock = threading.Lock()
         self._merge_lock = threading.Lock()
         self._cached_snapshot: Optional[StatsSnapshot] = None
+        #: Every job id ingested so far, guarded by ``_ids_lock``.  Unlike
+        #: the sketches it grows with the population, ~70 bytes a job.
+        self._ids_lock = threading.Lock()
+        self._ids: Set[int] = set()
 
     # ---- write side ------------------------------------------------
 
     def ingest(self, jobs: Sequence[JobRecord]) -> int:
         """Route a batch to its shards and fold it in; returns the count.
 
-        Each shard lock is held only while that shard's slice of the
-        batch is folded in, so ingestion interleaves with snapshots and
-        with other writers at shard granularity.
+        The batch's ids are checked and claimed under one lock before
+        any shard is touched, so of two writers racing on an id exactly
+        one lands.  Each shard lock is held only while that shard's
+        slice of the batch is folded in, so ingestion interleaves with
+        snapshots and with other writers at shard granularity.
+
+        Raises:
+            DuplicateJobError: A job id repeats one already ingested or
+                one earlier in the batch; no shard, version or digest
+                changes.
         """
         batch = list(jobs)
+        with self._ids_lock:
+            fresh: Set[int] = set()
+            for job in batch:
+                if job.job_id in self._ids or job.job_id in fresh:
+                    raise DuplicateJobError(job.job_id)
+                fresh.add(job.job_id)
+            self._ids |= fresh
+        return self._fold(batch)
+
+    def ingest_new(self, jobs: Sequence[JobRecord]) -> Tuple[int, List[int]]:
+        """Fold in the jobs whose ids are new; skip the rest.
+
+        The ids are checked and claimed under the same lock as
+        :meth:`ingest`, one job at a time, so a repeat within the batch
+        keeps its first copy.
+
+        Returns:
+            The count folded in, and the skipped ids in batch order.
+        """
+        batch: List[JobRecord] = []
+        skipped: List[int] = []
+        with self._ids_lock:
+            for job in jobs:
+                if job.job_id in self._ids:
+                    skipped.append(job.job_id)
+                else:
+                    self._ids.add(job.job_id)
+                    batch.append(job)
+        return self._fold(batch), skipped
+
+    def _fold(self, batch: List[JobRecord]) -> int:
+        """Route a claimed batch to its shards and fold it in."""
         if not batch:
             return 0
         by_shard: Dict[int, List[JobRecord]] = {}

@@ -1,16 +1,20 @@
-"""Fleet accounting as a state machine, checked against a dense oracle.
+"""Fleet accounting as a state machine, checked against two oracles.
 
 Hypothesis drives a :class:`~repro.sched.fleet.Fleet`, and clones of it,
-through random ``try_place`` / ``fits`` / ``release`` / ``clone`` steps.
-Every placement is compared with :func:`dense_shape`: the dense
-per-server scan the fleet ran before placements became sparse, kept
-here as the oracle.  After every step each fleet's free GPUs plus the
-GPUs its placements hold equal its capacity, server by server, which
-also shows that a clone shares nothing with its source.  A release
-the fleet rejects must leave every free count as it was.
+through random ``try_place`` / ``fits`` / ``release`` / ``clone`` /
+``releases_to_fit`` steps.  Every placement is compared with
+:func:`dense_shape`: the dense per-server scan the fleet ran before
+placements became sparse, kept here as the oracle.  Every
+``releases_to_fit`` answer is compared with
+:func:`released_until_fit`: the clone, release, ``fits`` loop backfill
+and priority ran before the one-pass scan, kept here too.  After every
+step each fleet's free GPUs plus the GPUs its placements hold equal its
+capacity, server by server, which also shows that a clone shares
+nothing with its source.  A release the fleet rejects, and any
+``releases_to_fit`` call, must leave every free count as it was.
 """
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -59,6 +63,41 @@ def dense_shape(
     taken[: stop + 1] = grab_cap[: stop + 1]
     taken[stop] -= int(cumulative[stop]) - num_gpus
     return taken
+
+
+def released_until_fit(
+    fleet: Fleet,
+    architecture: Architecture,
+    num_gpus: int,
+    placements: Sequence[Placement],
+) -> Optional[int]:
+    """How many of ``placements``, released in order on a clone, the
+    job waits for before ``fits`` says yes; ``None`` if all of them are
+    not enough.  A placement the clone rejects raises ``ValueError``."""
+    shadow = fleet.clone()
+    for released, placement in enumerate(placements, 1):
+        shadow.release(placement)
+        if shadow.fits(architecture, num_gpus):
+            return released
+    return None
+
+
+def _answer(scan, *args):
+    """A scan's result, or ``ValueError`` if it raised one."""
+    try:
+        return scan(*args)
+    except ValueError:
+        return ValueError
+
+
+#: One architecture per shape test -- a local gang, PS/Worker, a
+#: packed cluster fill -- and the widest job of that shape a fleet can
+#: hold.
+FAMILIES = {
+    Architecture.ALLREDUCE_LOCAL: lambda fleet: fleet.gpus_per_server,
+    Architecture.PS_WORKER: lambda fleet: fleet.num_servers,
+    Architecture.ALLREDUCE_CLUSTER: lambda fleet: fleet.total_gpus,
+}
 
 
 class FleetMachine(RuleBasedStateMachine):
@@ -142,6 +181,40 @@ class FleetMachine(RuleBasedStateMachine):
         with pytest.raises(ValueError):
             fleet.release(Placement(servers=servers, counts=counts))
         assert fleet.free_by_server == free
+
+    @rule(
+        data=st.data(),
+        spoiler=st.sampled_from([None, "foreign", "over_capacity"]),
+    )
+    def releases_to_fit(self, data, spoiler):
+        index = self._pick(data)
+        fleet = self.fleets[index]
+        held = data.draw(st.permutations(self.held[index]))
+        placements = held[: data.draw(st.integers(0, len(held)))]
+        if spoiler is not None:
+            # Wherever it lands, the spoiler is invalid when reached:
+            # it names a server past the fleet, or returns one more GPU
+            # to a server than that server has in use now (releases
+            # ahead of it only raise the free count further).
+            server = data.draw(st.integers(0, fleet.num_servers - 1))
+            if spoiler == "foreign":
+                bad = Placement(servers=(fleet.num_servers,), counts=(1,))
+            else:
+                room = fleet.gpus_per_server - fleet.free_by_server[server]
+                bad = Placement(servers=(server,), counts=(room + 1,))
+            placements.insert(
+                data.draw(st.integers(0, len(placements))), bad
+            )
+        before = fleet.free_by_server
+        for architecture, widest in FAMILIES.items():
+            # One past the widest never fits.
+            num_gpus = data.draw(st.integers(1, widest(fleet) + 1))
+            args = (fleet, architecture, num_gpus, placements)
+            expected = _answer(released_until_fit, *args)
+            assert _answer(Fleet.releases_to_fit, *args) == expected
+            if spoiler is not None and placements[0] is bad:
+                assert expected is ValueError
+            assert fleet.free_by_server == before
 
     @precondition(lambda self: len(self.fleets) < MAX_FLEETS)
     @rule(data=st.data())

@@ -208,6 +208,17 @@ class TestTelemetry:
         with pytest.raises(ValueError):
             outcome.telemetry.energy_kwh(gpu_watts=-1.0)
 
+    def test_gauges_mirror_the_last_sample(self):
+        jobs = [make_job(0, Architecture.ALLREDUCE_LOCAL, 5)]
+        outcome = run_schedule(jobs, Fleet(2), FifoPolicy(), durations={0: 1.0})
+        last = outcome.telemetry.samples[-1]
+        # An idle two-server fleet: half its free GPUs sit apart.
+        assert last.fragmentation == 0.5
+        registry = get_obs().metrics
+        assert registry.gauge("sched.busy_gpus").value == last.busy_gpus
+        assert registry.gauge("sched.fragmentation").value == last.fragmentation
+        assert registry.gauge("sched.queue_depth").value == last.queue_depth
+
     def test_telemetry_can_be_disabled(self):
         jobs = [make_job(0)]
         outcome = run_schedule(
@@ -286,6 +297,36 @@ class TestRegistryCounters:
         )
         starts = {o.job.job_id: o.first_start_hour for o in outcome.outcomes}
         assert starts == {0: 0.0, 1: 10.0, 2: 0.0}
+        assert added["sched.backfills"] == 1
+
+    def test_a_requeued_job_keeps_its_arrival_place(self):
+        # Jobs 0 (6 GPUs) and 1 (2 GPUs) fill the server at hour 0; job
+        # 2 arrives at hour 24 and waits.  A storm at hour 30 evicts job
+        # 0, which re-queues after job 2 in event order but ahead of it
+        # in arrival order.  At hour 100 (job 0's stale completion) SJF
+        # starts job 2 while job 0, blocked on 5 free GPUs, still
+        # waits: a start past an earlier arrival, so one backfill.
+        jobs = [
+            make_job(0, Architecture.ALLREDUCE_LOCAL, 6),
+            make_job(1, Architecture.ALLREDUCE_LOCAL, 2),
+            make_job(2, submit_day=1),
+        ]
+        storm = StormSpec(start_hour=30.0, ticks=1, victims_per_tick=1)
+        outcome, added = self._counted(
+            lambda: run_schedule(
+                jobs,
+                Fleet(1),
+                SjfPolicy(),
+                durations={0: 100.0, 1: 200.0, 2: 5.0},
+                faults=SchedFaults(storms=(storm,)),
+            )
+        )
+        starts = {
+            o.job.job_id: [segment.start_hour for segment in o.segments]
+            for o in outcome.outcomes
+        }
+        assert starts == {0: [0.0, 105.0], 1: [0.0], 2: [100.0]}
+        assert added["sched.preemptions"] == 1
         assert added["sched.backfills"] == 1
 
 

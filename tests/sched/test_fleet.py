@@ -139,6 +139,47 @@ class TestAccounting:
         assert fleet.utilization() == pytest.approx(0.25)
 
 
+class TestReleasesToFit:
+    """How many running jobs a blocked job waits for, without a clone."""
+
+    def test_each_shape_waits_for_its_own_test(self):
+        fleet = Fleet(num_servers=2, gpus_per_server=8)
+        first = fleet.try_place(Architecture.ALLREDUCE_LOCAL, 5)
+        second = fleet.try_place(Architecture.ALLREDUCE_LOCAL, 5)
+        order = [second, first]
+        # 3 + 3 free: a 6-GPU gang needs one server to empty, a 9-GPU
+        # gang never fits one server, a 9-GPU fill needs 9 free.
+        assert fleet.releases_to_fit(Architecture.ALLREDUCE_LOCAL, 6, order) == 1
+        assert fleet.releases_to_fit(Architecture.ALLREDUCE_LOCAL, 9, order) is None
+        assert fleet.releases_to_fit(Architecture.ALLREDUCE_CLUSTER, 9, order) == 1
+        assert fleet.releases_to_fit(Architecture.PS_WORKER, 2, order) == 1
+        assert fleet.free_by_server == (3, 3)
+
+    def test_tested_only_after_a_release(self):
+        # The job is tested only after a release: one that fits now
+        # still counts the first, and nothing to release gives None.
+        fleet = Fleet(num_servers=2, gpus_per_server=8)
+        held = fleet.try_place(Architecture.SINGLE, 1)
+        assert fleet.releases_to_fit(Architecture.SINGLE, 1, [held]) == 1
+        assert fleet.releases_to_fit(Architecture.SINGLE, 1, []) is None
+
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            Fleet(num_servers=2).releases_to_fit(Architecture.SINGLE, 0, [])
+
+    def test_rejects_what_release_rejects(self):
+        fleet = Fleet(num_servers=2, gpus_per_server=8)
+        held = fleet.try_place(Architecture.ALLREDUCE_LOCAL, 8)
+        foreign = Placement(servers=(2,), counts=(1,))
+        # 17 GPUs never fit 16, so the scan reaches the bad placement.
+        wide = Architecture.ALLREDUCE_CLUSTER, 17
+        with pytest.raises(ValueError, match="geometry"):
+            fleet.releases_to_fit(*wide, [held, foreign])
+        with pytest.raises(ValueError, match="capacity"):
+            fleet.releases_to_fit(*wide, [held, held])
+        assert fleet.free_by_server == (0, 8)
+
+
 class TestCanEverPlace:
     def test_local_bounded_by_server(self):
         fleet = Fleet(num_servers=4, gpus_per_server=8)

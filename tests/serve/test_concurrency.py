@@ -103,6 +103,39 @@ class TestReadersDuringIngestion:
         finally:
             service.stop()
 
+    def test_healthz_never_reports_complete_short_of_the_last_batch(
+        self, small_trace
+    ):
+        # The replay's last batch lands (and the replay finishes) after
+        # /healthz took its snapshot but before it answered: the answer
+        # must not pair ingest_complete with the count before that batch.
+        state = ShardedState(num_shards=2)
+        service = TraceService(state=state)
+        last_batch = threading.Event()
+        ingest_new, snapshot = state.ingest_new, state.snapshot
+
+        def gated_ingest(jobs):
+            if small_trace[-1] in jobs:
+                last_batch.wait(timeout=30)
+            return ingest_new(jobs)
+
+        def snapshot_then_finish():
+            view = snapshot()
+            last_batch.set()
+            assert service.wait_for_ingest(timeout=30)
+            return view
+
+        state.ingest_new = gated_ingest
+        try:
+            service.start_replay(TraceReplayer(small_trace, batch_size=100))
+            state.snapshot = snapshot_then_finish
+            health = service.handle("GET", "/healthz", {}, None)
+        finally:
+            last_batch.set()
+            service.stop()
+        assert health["jobs"] < len(small_trace)
+        assert not health["ingest_complete"]
+
     def test_concurrent_writers_through_http(self, small_trace):
         state = ShardedState(num_shards=4)
         service = TraceService(state=state)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -90,7 +91,13 @@ class TestEndpoints:
 
     def test_ingest_grows_the_population(self, service, client, small_trace):
         before = client.stats()["jobs"]
-        outcome = client.ingest(small_trace[:25])
+        # The service already holds every trace id; these are new jobs.
+        next_id = max(job.job_id for job in small_trace) + 1
+        fresh = [
+            replace(job, job_id=next_id + offset)
+            for offset, job in enumerate(small_trace[:25])
+        ]
+        outcome = client.ingest(fresh)
         assert outcome["ingested"] == 25
         assert outcome["jobs"] == before + 25
         assert client.stats()["jobs"] == before + 25
