@@ -159,7 +159,8 @@ def run_schedule(
 
     Raises:
         ValueError: Two jobs share a job id, or an admitted job's
-            duration is NaN, infinite or negative.
+            duration is missing from ``durations``, NaN, infinite or
+            negative.
     """
     if faults is None:
         faults = SchedFaults()
@@ -188,10 +189,15 @@ def run_schedule(
         if not placeable:
             rejected.append(job)
             continue
+        try:
+            hours = service[job.job_id]
+        except KeyError:
+            raise ValueError(
+                f"job {job.job_id}: durations has no entry for it"
+            ) from None
         # A NaN completion never compares equal to the clock (the replay
         # would spin forever), a negative one ends before its start, and
         # an infinite one poisons utilization.
-        hours = service[job.job_id]
         if not 0.0 <= hours < math.inf:
             raise ValueError(
                 f"job {job.job_id}: duration must be finite and "

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -43,6 +44,7 @@ from typing import (
     runtime_checkable,
 )
 
+from ..core.architectures import Architecture
 from ..trace.schema import JobRecord
 from .fleet import Fleet, Placement
 
@@ -219,12 +221,25 @@ class BackfillPolicy:
             return SchedulingDecision(starts=tuple(starts))
         reservation = self._reservation_hour(context, head, trial)
         horizon = reservation - context.now + _BACKFILL_EPSILON
+        # The smallest width per architecture that failed in this pass.
+        # The trial fleet only loses GPUs, and each shape's test (largest
+        # free block, servers with a free GPU, free total) is monotone in
+        # width, so nothing that wide can fit later in the pass.
+        blocked: Dict[Architecture, int] = {
+            head.job.workload_type: head.job.num_cnodes
+        }
         # The started prefix ends right before the head.
         for pending in queue[len(starts) + 1 :]:
             if pending.remaining_hours > horizon:
                 continue
             job = pending.job
-            if trial.try_place(job.workload_type, job.num_cnodes) is not None:
+            architecture, width = job.workload_type, job.num_cnodes
+            smallest_failed = blocked.get(architecture)
+            if smallest_failed is not None and width >= smallest_failed:
+                continue
+            if trial.try_place(architecture, width) is None:
+                blocked[architecture] = width
+            else:
                 starts.append(pending.job_id)
         return SchedulingDecision(starts=tuple(starts))
 

@@ -6,6 +6,7 @@ session-scoped so the suite builds them once.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -15,6 +16,13 @@ from repro.core import (
 )
 from repro.graphs import all_case_studies, case_study_deployments
 from repro.trace import generate_trace
+
+
+def pytest_report_header(config):
+    # The scheduler's batch seeding restates numpy's SeedSequence hash,
+    # and its tests pin it against the numpy that is installed.  (The
+    # header shows without -q; those tests also name it on a failure.)
+    return f"numpy: {np.__version__}"
 
 
 @pytest.fixture(scope="session")

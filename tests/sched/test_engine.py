@@ -70,6 +70,15 @@ class TestMechanics:
                 jobs, Fleet(1), FifoPolicy(), durations={0: 1.0, 1: hours}
             )
 
+    def test_missing_duration_names_the_job(self):
+        # A durations dict that misses an admitted job raised a bare
+        # KeyError(3).  A rejected job needs no entry.
+        jobs = [make_job(3), make_job(4, Architecture.ALLREDUCE_CLUSTER, 17)]
+        with pytest.raises(ValueError, match="job 3: durations has no entry"):
+            run_schedule(jobs, Fleet(1), FifoPolicy(), durations={})
+        outcome = run_schedule(jobs, Fleet(1), FifoPolicy(), durations={3: 1.0})
+        assert [job.job_id for job in outcome.rejected] == [4]
+
     def test_outcomes_sorted_by_submission(self):
         jobs = [
             make_job(3, submit_day=0),

@@ -7,7 +7,10 @@ from repro.sched import (
     BackfillPolicy,
     FifoPolicy,
     Fleet,
+    PendingJob,
     PriorityPolicy,
+    RunningJob,
+    SchedulingContext,
     SjfPolicy,
     run_schedule,
 )
@@ -95,6 +98,33 @@ class TestBackfill:
         fifo = run_schedule(jobs, Fleet(1), FifoPolicy(), durations=durations)
         easy = run_schedule(jobs, Fleet(1), BackfillPolicy(), durations=durations)
         assert starts_of(easy)[1] == starts_of(fifo)[1]
+
+    def test_skips_widths_known_to_fail(self, monkeypatch):
+        # Six of eight GPUs run until hour 10.  The 8-GPU head and a
+        # 4-GPU candidate fail on the trial fleet, which only loses GPUs
+        # during a pass, so the 5- and 4-GPU candidates behind them are
+        # never tried; the 2-GPU one is, and starts.
+        local = Architecture.ALLREDUCE_LOCAL
+        fleet = Fleet(1)
+        busy = make_job(0, local, 6)
+        running = RunningJob(busy, fleet.try_place(local, 6), 0.0, 10.0)
+        queue = tuple(
+            PendingJob(make_job(job_id, local, width), 0.0, 1.0)
+            for job_id, width in [(1, 8), (2, 4), (3, 5), (4, 4), (5, 2)]
+        )
+        tried = []
+        try_place = Fleet.try_place
+
+        def counting_try_place(self, architecture, num_gpus):
+            tried.append(num_gpus)
+            return try_place(self, architecture, num_gpus)
+
+        monkeypatch.setattr(Fleet, "try_place", counting_try_place)
+        decision = BackfillPolicy().select(
+            SchedulingContext(0.0, fleet, queue, (running,))
+        )
+        assert decision.starts == (5,)
+        assert tried == [8, 4, 2]
 
 
 class TestPriority:
