@@ -68,7 +68,8 @@ __all__ = ["run_schedule"]
 _HOURS_PER_DAY = 24.0
 
 #: Safety bound on policy invocations per event timestamp; a correct
-#: policy converges in a handful of rounds.
+#: policy converges in a handful of rounds, and one that has not
+#: settled after this many fails the replay.
 _MAX_DECISION_ROUNDS = 10000
 
 
@@ -161,10 +162,15 @@ def run_schedule(
         ValueError: Two jobs share a job id, or an admitted job's
             duration is missing from ``durations``, NaN, infinite or
             negative.
+        RuntimeError: The policy is stuck: it has not settled after
+            ``_MAX_DECISION_ROUNDS`` decision rounds at one timestamp,
+            or it leaves placeable jobs queued on an idle cluster with
+            no event left.
     """
     if faults is None:
         faults = SchedFaults()
     obs = get_obs()
+    policy_name = getattr(policy, "name", type(policy).__name__)
     trace = sorted(jobs, key=lambda j: (j.submit_day, j.job_id))
     service = _resolve_durations(trace, durations, predictor)
 
@@ -430,6 +436,12 @@ def run_schedule(
                     applied += 1
                 if applied == 0:
                     break  # non-empty decision that changed nothing
+            else:
+                raise RuntimeError(
+                    f"scheduler stuck: policy {policy_name!r} did not settle "
+                    f"after {_MAX_DECISION_ROUNDS} decision rounds at hour "
+                    f"{now!r}"
+                )
 
             # Injected faults fire once the timestamp's scheduling settled:
             # storms evict whoever is running now; a crash kills its victim
@@ -500,7 +512,7 @@ def run_schedule(
     obs.event(
         "sched.done",
         level=DEBUG,
-        policy=getattr(policy, "name", type(policy).__name__),
+        policy=policy_name,
         jobs=len(trace),
         finished=len(finished),
         rejected=len(rejected),
@@ -508,7 +520,7 @@ def run_schedule(
         active_gpu_hours=active_gpu_hours,
     )
     return ScheduleOutcome(
-        policy=getattr(policy, "name", type(policy).__name__),
+        policy=policy_name,
         outcomes=outcomes,
         total_gpus=fleet.total_gpus,
         rejected=rejected,

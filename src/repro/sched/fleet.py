@@ -117,6 +117,8 @@ class Fleet:
         self._free: np.ndarray = np.full(
             num_servers, gpus_per_server, dtype=np.int64
         )
+        #: ``_free.sum()``, kept by ``try_place`` and ``release``.
+        self._free_total = num_servers * gpus_per_server
 
     # ---- capacity accounting -----------------------------------------
 
@@ -128,12 +130,12 @@ class Fleet:
     @property
     def free_gpus(self) -> int:
         """Currently unallocated GPUs."""
-        return int(self._free.sum())
+        return self._free_total
 
     @property
     def busy_gpus(self) -> int:
         """Currently allocated GPUs."""
-        return self.total_gpus - self.free_gpus
+        return self.total_gpus - self._free_total
 
     @property
     def free_by_server(self) -> Tuple[int, ...]:
@@ -157,15 +159,18 @@ class Fleet:
         free GPUs are spread one per server.  Zero on a fully busy
         fleet, where the notion is vacuous.
         """
-        free = self.free_gpus
+        free = self._free_total
         if free == 0:
             return 0.0
         return 1.0 - self.largest_free_block / free
 
     def clone(self) -> "Fleet":
         """An independent copy, for trial placements."""
-        copy = Fleet(self.num_servers, self.gpus_per_server)
+        copy = Fleet.__new__(Fleet)
+        copy.num_servers = self.num_servers
+        copy.gpus_per_server = self.gpus_per_server
         copy._free = self._free.copy()
+        copy._free_total = self._free_total
         return copy
 
     # ---- placement ---------------------------------------------------
@@ -230,6 +235,7 @@ class Fleet:
         free = self._free
         for server, count in zip(servers, counts):
             free[server] = free.item(server) - count
+        self._free_total -= num_gpus
         return Placement(servers, counts)
 
     def release(self, placement: Placement) -> None:
@@ -253,6 +259,7 @@ class Fleet:
                 raise ValueError("release would exceed server capacity")
         for server, count in zip(servers, counts):
             free[server] = free.item(server) + count
+        self._free_total += sum(counts)
 
     def releases_to_fit(
         self,
@@ -289,7 +296,7 @@ class Fleet:
         elif spread:
             reach = num_servers - free.count(0)
         else:
-            reach = sum(free)
+            reach = self._free_total
         for released, placement in enumerate(placements, 1):
             servers = placement.servers
             if servers and servers[-1] >= num_servers:

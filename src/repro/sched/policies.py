@@ -15,6 +15,13 @@ planned on a ``fleet.clone()``; what-if questions -- how many running
 jobs must end or be evicted before a blocked job fits -- are one
 :meth:`~repro.sched.fleet.Fleet.releases_to_fit` scan, with no clone.
 
+Every context the engine builds conserves GPUs: each server's free
+count is its capacity less the counts the running placements hold
+there.  :class:`BackfillPolicy` relies on that to reuse its last head
+reservation from a private one-entry cache while the running jobs that
+end at or after it are the same objects -- the only state a bundled
+policy keeps between rounds.
+
 Four disciplines are provided:
 
 * :class:`FifoPolicy` -- strict arrival order with head-of-line
@@ -33,7 +40,9 @@ Four disciplines are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -192,26 +201,84 @@ class SjfPolicy:
 
 @dataclass(frozen=True)
 class BackfillPolicy:
-    """FIFO with EASY backfill behind a single head reservation."""
+    """FIFO with EASY backfill behind a single head reservation.
+
+    The head's reservation is the end hour of the first running job,
+    in end order, whose release lets the head fit.  When the greedy
+    prefix started nothing, the policy keeps that answer in a private
+    one-entry cache: the head's (architecture, width), the fleet's
+    geometry and the running jobs from the reservation job to the end.
+    A later such round with the same shape and geometry, whose running
+    set still ends with exactly those objects (compared by identity),
+    reuses the hour without a scan.
+
+    That is exact only for a context that conserves GPUs, as every one
+    the engine builds does: the free counts after releasing the first
+    ``k`` running jobs are then the capacity less ``running[k:]``, so
+    whether the head fits there depends on that suffix alone, and each
+    shape's fit test (largest free block, servers with a free GPU, free
+    total) is monotone in the free counts.  A context built by hand
+    must conserve GPUs too.  The cache takes no part in equality,
+    hashing or ``repr``.
+    """
 
     name: str = "backfill"
 
+    #: ``[key, suffix]``: the head's shape and the fleet's geometry,
+    #: then the running jobs from the reservation job to the end.
+    _reserved: List[Any] = field(
+        default_factory=lambda: [None, ()],
+        init=False,
+        repr=False,
+        compare=False,
+    )
+
     def _reservation_hour(
-        self, context: SchedulingContext, head: PendingJob, trial: Fleet
+        self,
+        context: SchedulingContext,
+        head: PendingJob,
+        trial: Fleet,
+        planned: bool,
     ) -> float:
         """Earliest hour the blocked head could start, assuming the
-        currently running jobs release in predicted end order."""
+        currently running jobs release in predicted end order.
+
+        ``planned`` says whether the greedy prefix placed anything on
+        ``trial``.  Only a reservation over an unplanned trial fleet,
+        which holds exactly the running placements, is cached or
+        reused.
+        """
         job = head.job
+        running = context.running
+        key = None
+        if not planned:
+            key = (
+                job.workload_type,
+                job.num_cnodes,
+                trial.num_servers,
+                trial.gpus_per_server,
+            )
+            cached_key, suffix = self._reserved
+            tail = len(running) - len(suffix)
+            if (
+                cached_key == key
+                and tail >= 0
+                and all(map(is_, running[tail:], suffix))
+            ):
+                return suffix[0].end_hour
         released = trial.releases_to_fit(
             job.workload_type,
             job.num_cnodes,
-            (running.placement for running in context.running),
+            (entry.placement for entry in running),
         )
         if released is None:
-            # Not placeable even on an empty fleet; nothing can be
-            # reserved, so refuse to backfill past it.
+            # Nothing can be reserved: the head fits no fleet of this
+            # geometry, or the greedy prefix holds GPUs that no running
+            # release returns.  Refuse to backfill past it.
             return context.now
-        return context.running[released - 1].end_hour
+        if key is not None:
+            self._reserved[:] = [key, running[released - 1 :]]
+        return running[released - 1].end_hour
 
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """FIFO prefix, then backfill jobs that cannot delay the head."""
@@ -219,7 +286,9 @@ class BackfillPolicy:
         starts, head, trial = _greedy_starts(queue, context.fleet)
         if head is None:
             return SchedulingDecision(starts=tuple(starts))
-        reservation = self._reservation_hour(context, head, trial)
+        reservation = self._reservation_hour(
+            context, head, trial, bool(starts)
+        )
         horizon = reservation - context.now + _BACKFILL_EPSILON
         # The smallest width per architecture that failed in this pass.
         # The trial fleet only loses GPUs, and each shape's test (largest

@@ -18,11 +18,11 @@ from repro.graphs import all_case_studies, case_study_deployments
 from repro.trace import generate_trace
 
 
-def pytest_report_header(config):
+def pytest_terminal_summary(terminalreporter):
     # The scheduler's batch seeding restates numpy's SeedSequence hash,
-    # and its tests pin it against the numpy that is installed.  (The
-    # header shows without -q; those tests also name it on a failure.)
-    return f"numpy: {np.__version__}"
+    # and its tests pin it against the numpy that is installed.  The
+    # summary prints under -q, where the session header does not.
+    terminalreporter.write_line(f"numpy: {np.__version__}")
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ placements became sparse, kept here as the oracle.  Every
 and priority ran before the one-pass scan, kept here too.  After every
 step each fleet's free GPUs plus the GPUs its placements hold equal its
 capacity, server by server, which also shows that a clone shares
-nothing with its source.  A release the fleet rejects, and any
+nothing with its source, and the free total the fleet keeps equals the
+sum of its per-server free counts.  A release the fleet rejects, and any
 ``releases_to_fit`` call, must leave every free count as it was.
 """
 
@@ -233,6 +234,12 @@ class FleetMachine(RuleBasedStateMachine):
             free = np.array(fleet.free_by_server)
             assert (free + in_use == fleet.gpus_per_server).all()
             assert fleet.free_gpus + int(in_use.sum()) == fleet.total_gpus
+
+    @invariant()
+    def free_total_is_the_sum_over_servers(self):
+        for fleet in self.fleets:
+            assert fleet.free_gpus == sum(fleet.free_by_server)
+            assert fleet.busy_gpus == fleet.total_gpus - fleet.free_gpus
 
 
 FleetMachine.TestCase.settings = settings(

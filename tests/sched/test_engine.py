@@ -18,6 +18,7 @@ from repro.sched import (
     Fleet,
     PriorityPolicy,
     SchedFaults,
+    SchedulingDecision,
     SjfPolicy,
     StormSpec,
     run_schedule,
@@ -93,6 +94,26 @@ class TestMechanics:
     def test_policy_name_recorded(self):
         outcome = run_schedule([], Fleet(1), SjfPolicy())
         assert outcome.policy == "sjf"
+
+    def test_a_policy_that_never_settles_raises(self):
+        # Every round evicts the running job and starts the queue's
+        # head, so the two 8-GPU jobs swap places forever at hour 0.
+        # The replay used to stop asking after the round bound and go
+        # on, returning 10,001 segments, 9,999 of them zero-length.
+        class Thrash:
+            name = "thrash"
+
+            def select(self, context):
+                return SchedulingDecision(
+                    starts=(context.queue[0].job_id,),
+                    preemptions=tuple(r.job_id for r in context.running),
+                )
+
+        jobs = [make_job(i, Architecture.ALLREDUCE_LOCAL, 8) for i in range(2)]
+        with pytest.raises(RuntimeError, match="'thrash'.* at hour 0.0"):
+            run_schedule(
+                jobs, Fleet(1), Thrash(), durations={0: 1.0, 1: 1.0}
+            )
 
     def test_default_durations_are_lognormal_draw(self):
         jobs = [make_job(0), make_job(1)]

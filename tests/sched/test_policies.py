@@ -11,6 +11,7 @@ from repro.sched import (
     PriorityPolicy,
     RunningJob,
     SchedulingContext,
+    SchedulingDecision,
     SjfPolicy,
     run_schedule,
 )
@@ -20,6 +21,12 @@ from sched_helpers import make_job
 
 def starts_of(outcome):
     return {o.job.job_id: o.first_start_hour for o in outcome.outcomes}
+
+
+def running_on(fleet, job, end_hour):
+    """``job`` placed on ``fleet`` at hour 0, running until ``end_hour``."""
+    placement = fleet.try_place(job.workload_type, job.num_cnodes)
+    return RunningJob(job, placement, 0.0, end_hour)
 
 
 class TestFifo:
@@ -125,6 +132,65 @@ class TestBackfill:
         )
         assert decision.starts == (5,)
         assert tried == [8, 4, 2]
+
+    @staticmethod
+    def _second_decision(first, second):
+        """One policy decides ``first`` and then ``second``; its second
+        decision must be a fresh policy's."""
+        policy = BackfillPolicy()
+        policy.select(first)
+        decision = policy.select(second)
+        assert decision == BackfillPolicy().select(second)
+        return decision
+
+    def test_reuse_needs_the_same_head_shape(self):
+        # A holds all of server 0 until hour 2, B half of server 1
+        # until hour 5.  A local-8 head waits for A; a cluster-16 head
+        # over the same running jobs waits for B, so the 1-GPU, 3 h
+        # candidate fits inside its horizon.
+        local = Architecture.ALLREDUCE_LOCAL
+        fleet = Fleet(2)
+        running = (
+            running_on(fleet, make_job(0, local, 8), 2.0),
+            running_on(fleet, make_job(1, local, 4), 5.0),
+        )
+        candidate = PendingJob(make_job(9), 0.0, 3.0)
+
+        def context(head):
+            return SchedulingContext(
+                0.0, fleet, (PendingJob(head, 0.0, 1.0), candidate), running
+            )
+
+        first = context(make_job(2, local, 8))
+        second = context(make_job(3, Architecture.ALLREDUCE_CLUSTER, 16))
+        assert BackfillPolicy().select(first) == SchedulingDecision()
+        assert self._second_decision(first, second).starts == (9,)
+
+    def test_reuse_needs_every_later_running_job(self):
+        # A holds server 0 until hour 2 and B half of server 1 until
+        # hour 5, in both contexts.  After B, first a cluster job fills
+        # the rest of servers 1 and 2, so a PS-2 head waits for B (hour
+        # 5); then an 8-GPU job holds server 2 alone, server 1 keeps
+        # four free GPUs, and the head waits only for A (hour 2).  B
+        # sits at the same distance from the end of both running sets.
+        local = Architecture.ALLREDUCE_LOCAL
+        cluster = Architecture.ALLREDUCE_CLUSTER
+        packed, spread = Fleet(3), Fleet(3)
+        a = running_on(packed, make_job(0, local, 8), 2.0)
+        b = running_on(packed, make_job(1, local, 4), 5.0)
+        assert running_on(spread, a.job, 2.0) == a
+        assert running_on(spread, b.job, 5.0) == b
+        wide = running_on(packed, make_job(2, cluster, 12), 9.0)
+        solo = running_on(spread, make_job(3, local, 8), 9.0)
+        assert wide.placement.servers == (1, 2)
+        assert solo.placement.servers == (2,)
+        queue = (
+            PendingJob(make_job(4, Architecture.PS_WORKER, 2), 0.0, 1.0),
+            PendingJob(make_job(9), 0.0, 3.0),
+        )
+        first = SchedulingContext(0.0, packed, queue, (a, b, wide))
+        second = SchedulingContext(0.0, spread, queue, (a, b, solo))
+        assert self._second_decision(first, second) == SchedulingDecision()
 
 
 class TestPriority:

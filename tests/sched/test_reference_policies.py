@@ -7,7 +7,10 @@ re-queue jobs out of arrival order and end runs early, which is where
 an ordering slip would hide, so every replay here injects random
 faults.  Each bundled policy must produce the same schedule digest as
 its reference in :mod:`reference_policies`, and every context the
-engine builds must be in both orders.
+engine builds must be in both orders, conserve GPUs (server by server,
+free plus the running placements' counts is the server's capacity;
+backfill's reservation reuse relies on it) and never show a job as both
+queued and running.
 """
 
 from hypothesis import given, settings
@@ -47,7 +50,8 @@ PAIRS = [
 
 
 class OrderChecked:
-    """Delegates to a policy after checking the context's two orders."""
+    """Delegates to a policy after checking the context's two orders
+    and the engine's invariants."""
 
     def __init__(self, policy) -> None:
         self.policy = policy
@@ -58,6 +62,16 @@ class OrderChecked:
         running = [(r.end_hour, r.job_id) for r in context.running]
         assert queue == sorted(queue)
         assert running == sorted(running)
+        fleet = context.fleet
+        accounted = list(fleet.free_by_server)
+        for entry in context.running:
+            placement = entry.placement
+            for server, count in zip(placement.servers, placement.counts):
+                accounted[server] += count
+        assert accounted == [fleet.gpus_per_server] * fleet.num_servers
+        assert not {job_id for _, job_id in queue} & {
+            job_id for _, job_id in running
+        }
         return self.policy.select(context)
 
 
