@@ -16,9 +16,8 @@ machine-checks those invariants:
   (``resource-safety``);
 * a whole-project call graph (:mod:`repro.lint.callgraph`) backing the
   determinism rule's experiment reachability;
-* per-file parallel analysis plus a cross-file project phase in
-  :mod:`repro.lint.engine`, with a content-addressed incremental cache
-  (:mod:`repro.lint.cache`) so warm runs re-analyze only changed files;
+* one serial pass in :mod:`repro.lint.engine`: a per-file phase, then a
+  cross-file project phase over the per-file summaries;
 * inline ``# repro: ignore[rule-id]`` suppressions and a committed
   JSON baseline of justified, grandfathered findings (stale entries
   fail the run);
@@ -31,47 +30,18 @@ machine-checks those invariants:
 See ``docs/LINT.md`` for the architecture and the rule catalog.
 """
 
-from .baseline import Baseline, BaselineEntry, write_baseline
-from .cache import AnalysisCache, rules_signature
-from .callgraph import CallGraph, Reachability
-from .cfg import CFG, Block, WithExit, build_cfg
-from .dataflow import (
-    ForwardAnalysis,
-    HeldLocks,
-    OpenResources,
-    run_forward,
-)
+from .baseline import Baseline, write_baseline
 from .engine import LintResult, assert_clean, lint_paths, lint_source
 from .findings import Finding
-from .registry import Rule, all_rules, get_rule, register, rule_ids
-from .sarif import render_sarif, to_sarif
+from .registry import all_rules
 
 __all__ = [
-    "AnalysisCache",
     "Baseline",
-    "BaselineEntry",
-    "Block",
-    "CFG",
-    "CallGraph",
     "Finding",
-    "ForwardAnalysis",
-    "HeldLocks",
     "LintResult",
-    "OpenResources",
-    "Reachability",
-    "Rule",
-    "WithExit",
     "all_rules",
     "assert_clean",
-    "build_cfg",
-    "get_rule",
     "lint_paths",
     "lint_source",
-    "register",
-    "render_sarif",
-    "rule_ids",
-    "rules_signature",
-    "run_forward",
-    "to_sarif",
     "write_baseline",
 ]

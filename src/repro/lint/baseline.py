@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Tuple, Union
 
 from .findings import Finding
 
@@ -123,48 +123,49 @@ class Baseline:
             return True
         return False
 
-    def unused(self) -> List[BaselineEntry]:
-        """Entries that matched nothing -- stale, candidates for removal."""
-        return [e for e in self.entries if e.key() not in self._matched]
+    def unused(self, skipped: Collection[str] = ()) -> List[BaselineEntry]:
+        """Entries that matched nothing -- stale, candidates for removal.
+
+        Entries of the rules in ``skipped`` (registered rules the run
+        left out) are never stale: nothing looked for their findings.
+        """
+        return [
+            e
+            for e in self.entries
+            if e.key() not in self._matched and e.rule not in skipped
+        ]
 
 
 def write_baseline(
-    findings: Iterable[Finding], path: Union[str, Path]
+    findings: Iterable[Finding],
+    path: Union[str, Path],
+    *,
+    skipped: Collection[str] = (),
 ) -> int:
     """Write ``findings`` as a fresh baseline; returns the entry count.
 
     Duplicate keys collapse to one entry.  Existing reasons at ``path``
-    are preserved for entries that survive the regeneration.
+    are preserved for entries that survive the regeneration, and
+    existing entries of the rules in ``skipped`` (registered rules the
+    run left out) are kept as they are.
     """
     path = Path(path)
-    existing: Dict[Tuple[str, str, str], str] = {}
+    previous: List[BaselineEntry] = []
     if path.exists():
         try:
-            for entry in Baseline.load(path, strict=False).entries:
-                existing[entry.key()] = entry.reason
+            previous = Baseline.load(path, strict=False).entries
         except (ValueError, KeyError, json.JSONDecodeError):
             pass
-    entries: Dict[Tuple[str, str, str], BaselineEntry] = {}
+    reasons = {entry.key(): entry.reason for entry in previous}
+    entries: Dict[Tuple[str, str, str], BaselineEntry] = {
+        entry.key(): entry for entry in previous if entry.rule in skipped
+    }
     for finding in findings:
         key = finding.key()
         entries[key] = BaselineEntry(
             rule=finding.rule,
             path=finding.pkg_path or finding.path,
             context=finding.context,
-            reason=existing.get(key) or _PLACEHOLDER_REASON,
+            reason=reasons.get(key) or _PLACEHOLDER_REASON,
         )
-    ordered = sorted(entries.values(), key=lambda e: e.key())
-    payload = {
-        "version": 1,
-        "entries": [
-            {
-                "rule": entry.rule,
-                "path": entry.path,
-                "context": entry.context,
-                "reason": entry.reason,
-            }
-            for entry in ordered
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return len(ordered)
+    return Baseline(entries.values()).write(path)

@@ -1,7 +1,7 @@
 """The whole-project call graph assembled from per-file summaries.
 
 Rules collect ``(caller-qualname, [(callee-dotted-name, line), ...])``
-edges per file inside the parallel per-file phase; the project phase
+edges per file inside the per-file phase; the project phase
 feeds them to :class:`CallGraph`, which answers the reachability
 questions cross-file rules keep asking -- "is this function reachable
 from a registered experiment, and through which chain of calls?".
@@ -32,9 +32,6 @@ class Reachability:
         #: qual -> the root label (e.g. experiment id) that reaches it.
         self.origin: Dict[str, str] = {}
 
-    def __contains__(self, qual: str) -> bool:
-        return qual in self.parent
-
     def __iter__(self):
         return iter(self.parent)
 
@@ -58,33 +55,11 @@ class CallGraph:
     def add_function(
         self, qual: str, calls: Iterable[Sequence] = ()
     ) -> None:
-        """Register ``qual`` with its ``(callee, line)`` call sites.
-
-        Summaries survive a JSON round-trip through the analysis cache,
-        so call sites arrive as two-element lists as often as tuples;
-        both are accepted.
-        """
+        """Register ``qual`` with its ``(callee, line)`` call sites
+        (any two-element sequences)."""
         entry = self._callees.setdefault(qual, [])
         for callee, line in calls:
             entry.append((callee, line))
-
-    def __contains__(self, qual: str) -> bool:
-        return qual in self._callees
-
-    def __len__(self) -> int:
-        return len(self._callees)
-
-    def callees_of(self, qual: str) -> List[Tuple[str, int]]:
-        return list(self._callees.get(qual, ()))
-
-    def callers_of(self, qual: str) -> List[Tuple[str, int]]:
-        """Call sites targeting ``qual`` (reverse edges, computed lazily)."""
-        callers: List[Tuple[str, int]] = []
-        for caller, calls in self._callees.items():
-            for callee, line in calls:
-                if callee == qual:
-                    callers.append((caller, line))
-        return callers
 
     def reach(self, roots: Iterable[Tuple[str, str]]) -> Reachability:
         """Breadth-first reachability from ``(label, qual)`` roots.

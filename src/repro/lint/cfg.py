@@ -44,15 +44,10 @@ __all__ = ["Block", "CFG", "WithExit", "build_cfg", "walk_element"]
 class WithExit:
     """Synthetic element marking the end of one ``with`` body."""
 
-    __slots__ = ("node", "uid")
+    __slots__ = ("node",)
 
-    def __init__(self, node: Union[ast.With, ast.AsyncWith], uid: int) -> None:
+    def __init__(self, node: Union[ast.With, ast.AsyncWith]) -> None:
         self.node = node
-        self.uid = uid
-
-    @property
-    def lineno(self) -> int:
-        return self.node.lineno
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WithExit(line={self.node.lineno})"
@@ -159,7 +154,6 @@ class _Builder:
         self.finallies: List[List[ast.stmt]] = []
         #: Handler-entry block ids of enclosing ``try`` bodies.
         self.handlers: List[List[int]] = []
-        self._with_uids = itertools.count()
 
     # ---- plumbing --------------------------------------------------
 
@@ -302,7 +296,7 @@ class _Builder:
         end = self._emit_body(stmt.body, block)
         if end is None:
             return None
-        end.elements.append(WithExit(stmt, next(self._with_uids)))
+        end.elements.append(WithExit(stmt))
         return end
 
     def _emit_try(self, stmt: ast.Try, block: Block) -> Optional[Block]:

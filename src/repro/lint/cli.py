@@ -7,15 +7,15 @@ Usage::
     repro-lint src/ --format sarif        # SARIF 2.1.0 to stdout
     repro-lint src/ --sarif lint.sarif    # ... or to a file, alongside
     repro-lint src/ --rules no-print,determinism
-    repro-lint src/ --jobs 8              # parallel per-file phase
-    repro-lint src/ --cache               # incremental (.lint-cache/)
     repro-lint src/ --write-baseline      # grandfather current findings
     repro-lint src/ --prune-baseline      # drop stale baseline entries
     repro-lint --list-rules               # catalog with one-liners
 
 Exit codes: ``0`` clean (or fully baselined/suppressed), ``1`` findings
 *or stale baseline entries* (a fixed finding must take its exemption
-with it), ``2`` usage errors.
+with it), ``2`` usage errors.  With ``--rules``, the baseline entries of
+the rules left out are neither stale nor pruned, and
+``--write-baseline`` keeps them.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from .baseline import Baseline, write_baseline
-from .cache import AnalysisCache
 from .engine import lint_paths
 from .output import render_human, render_jsonl
-from .registry import all_rules
+from .registry import all_rules, instantiate
 from .sarif import render_sarif
 
 __all__ = ["main", "build_parser"]
@@ -74,30 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the per-file phase (default: 1)",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
         help=(
             "baseline file of grandfathered findings "
             f"(default: ./{DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=".lint-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "incremental mode: reuse per-file results for unchanged "
-            "files from DIR (default: .lint-cache)"
         ),
     )
     parser.add_argument(
@@ -140,15 +121,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     rules = None
     if args.rules is not None:
         rules = [part.strip() for part in args.rules.split(",") if part.strip()]
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+        try:
+            instantiate(rules)
+        except KeyError as exc:
+            parser.error(str(exc))
 
     baseline_path = _resolve_baseline(args.baseline)
-    cache = AnalysisCache(Path(args.cache)) if args.cache else None
     if args.write_baseline:
         target = baseline_path or Path(args.baseline or DEFAULT_BASELINE)
-        result = lint_paths(args.paths, rules=rules, jobs=args.jobs, cache=cache)
-        count = write_baseline(result.findings, target)
+        result = lint_paths(args.paths, rules=rules)
+        count = write_baseline(
+            result.findings, target, skipped=result.skipped_rules
+        )
         print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} to {target}")
         return 0
 
@@ -161,16 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.prune_baseline:
         parser.error("--prune-baseline requires a baseline file")
 
-    try:
-        result = lint_paths(
-            args.paths,
-            rules=rules,
-            jobs=args.jobs,
-            baseline=baseline,
-            cache=cache,
-        )
-    except KeyError as exc:
-        parser.error(str(exc))
+    result = lint_paths(args.paths, rules=rules, baseline=baseline)
 
     if args.prune_baseline and result.unused_baseline:
         stale_keys = {entry.key() for entry in result.unused_baseline}

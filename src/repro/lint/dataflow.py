@@ -189,8 +189,8 @@ def assigned_names(element: Element) -> List[Tuple[str, int]]:
 
 
 class HeldLocks(ForwardAnalysis):
-    """Facts: ``(dotted-path, with-uid)`` -- the ``with <path>:`` whose
-    body encloses this point.
+    """Facts: ``(dotted-path, id(with-statement))`` -- the ``with <path>:``
+    whose body encloses this point.
 
     Only attribute-path context expressions count (``with self._lock:``,
     ``with shard.lock:``); a call result (``with open(p) as f:``) is a
@@ -200,7 +200,7 @@ class HeldLocks(ForwardAnalysis):
     """
 
     def held(self, state: FrozenSet) -> FrozenSet[str]:
-        return frozenset(path for path, _uid in state)
+        return frozenset(path for path, _owner in state)
 
     def transfer(self, state: FrozenSet, element: Element) -> FrozenSet:
         if isinstance(element, (ast.With, ast.AsyncWith)):

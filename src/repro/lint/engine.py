@@ -1,18 +1,17 @@
 """The analysis driver: files in, filtered findings out.
 
-Execution is two-phase:
+Execution is two-phase, in one process:
 
-1. **Per-file** (parallelizable with ``jobs > 1``): parse, run the
-   single dispatch pass (:func:`repro.lint.visitor.run_pass`), apply
-   inline suppressions, and collect each project rule's picklable
-   summary.  Files are independent, so this phase forks a process pool
-   exactly like the experiment suite does.
-2. **Project** (parent process): rules with ``check_project`` consume
-   the gathered summaries and yield cross-file findings -- the
+1. **Per-file** (:func:`_lint_file`): parse, run the single dispatch
+   pass (:func:`repro.lint.visitor.run_pass`), apply inline
+   suppressions, and collect each project rule's summary.
+2. **Project** (:func:`_check_project`): rules with ``check_project``
+   consume the gathered summaries and yield cross-file findings -- the
    determinism call graph lives here.
 
-Baseline filtering applies last, to per-file and project findings
-alike.  The engine reports through :mod:`repro.obs` (one
+:func:`lint_paths` and :func:`lint_source` run exactly these two
+functions.  Baseline filtering applies last, to per-file and project
+findings alike.  The engine reports through :mod:`repro.obs` (one
 ``lint.finding`` event per finding, counters for the totals), so a
 ``--log-json`` run captures lint traffic in the same event stream as
 everything else.
@@ -21,17 +20,15 @@ everything else.
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..obs import DEBUG, get_obs
-from .baseline import Baseline
-from .cache import AnalysisCache
+from .baseline import Baseline, BaselineEntry
 from .context import FileContext
 from .findings import Finding, finding_sort_key
-from .registry import Rule, instantiate, iter_findings
+from .registry import Rule, all_rules, instantiate, iter_findings
 from .visitor import run_pass
 
 __all__ = ["LintResult", "lint_paths", "lint_source", "assert_clean"]
@@ -46,29 +43,36 @@ class LintResult:
     suppressed: int = 0
     files: int = 0
     rule_ids: List[str] = field(default_factory=list)
-    unused_baseline: List[Any] = field(default_factory=list)
-    #: Files whose per-file phase actually ran this invocation.
-    analyzed_files: List[str] = field(default_factory=list)
-    #: Files served from the incremental analysis cache.
-    cached_files: List[str] = field(default_factory=list)
+    #: Baseline entries of the rules that ran which matched nothing.
+    unused_baseline: List[BaselineEntry] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
+    @property
+    def skipped_rules(self) -> Set[str]:
+        """Registered rules this run left out (``--rules``)."""
+        return all_rules().keys() - set(self.rule_ids)
 
-#: ``(findings, suppressed_count, summaries)`` from one worker.
-_FileOutcome = Tuple[List[Finding], int, Dict[str, Any]]
 
+def _lint_file(
+    path: Path,
+    rules: Sequence[Rule],
+    summaries: Dict[str, List[Any]],
+    *,
+    source: Optional[str] = None,
+    module: Optional[str] = None,
+) -> Tuple[List[Finding], int]:
+    """Per-file phase for one file: ``(unsuppressed findings, suppressed count)``.
 
-def _analyze_one(
-    path_text: str, rule_ids: Sequence[str]
-) -> _FileOutcome:
-    """Per-file phase for one path.  Module-level so pools can pickle it."""
-    path = Path(path_text)
-    rules = instantiate(rule_ids)
+    Reads ``path`` unless ``source`` is given, and appends each rule's
+    summary to ``summaries[rule.id]``.  A file that cannot be read or
+    parsed yields one ``parse-error`` finding.
+    """
     try:
-        source = path.read_text(encoding="utf-8")
+        if source is None:
+            source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
     except (SyntaxError, ValueError, UnicodeDecodeError, OSError) as exc:
         finding = Finding(
@@ -78,22 +82,33 @@ def _analyze_one(
             col=getattr(exc, "offset", None) or 0,
             message=f"file does not parse: {exc}",
         )
-        return ([finding], 0, {})
-    ctx = FileContext(path, source, tree)
-    raw = run_pass(ctx, rules)
+        return [finding], 0
+    ctx = FileContext(path, source, tree, module=module)
     findings: List[Finding] = []
     suppressed = 0
-    for finding in raw:
+    for finding in run_pass(ctx, rules):
         if ctx.suppressed(finding.rule, finding.line):
             suppressed += 1
         else:
             findings.append(finding)
-    summaries: Dict[str, Any] = {}
     for rule in rules:
         summary = rule.summarize(ctx)
         if summary is not None:
-            summaries[rule.id] = summary
-    return (findings, suppressed, summaries)
+            summaries.setdefault(rule.id, []).append(summary)
+    return findings, suppressed
+
+
+def _check_project(
+    rules: Sequence[Rule], summaries: Dict[str, List[Any]]
+) -> List[Finding]:
+    """Project phase: every ``check_project`` hook over its summaries."""
+    findings: List[Finding] = []
+    for rule in rules:
+        if type(rule).check_project is not Rule.check_project:
+            findings.extend(
+                iter_findings(rule.check_project(summaries.get(rule.id, [])))
+            )
+    return findings
 
 
 def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
@@ -113,21 +128,16 @@ def lint_paths(
     paths: Iterable[Union[str, Path]],
     *,
     rules: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     baseline: Optional[Baseline] = None,
-    cache: Optional[AnalysisCache] = None,
 ) -> LintResult:
     """Run the engine over files and directories.
 
     Args:
         paths: Files and/or directories (recursed for ``*.py``).
         rules: Rule ids to run; defaults to every registered rule.
-        jobs: Worker processes for the per-file phase; ``1`` runs
-            in-process.
-        baseline: Grandfathered findings to subtract.
-        cache: Incremental analysis cache; per-file outcomes for
-            unchanged files are served from it, only misses run
-            (the project phase always reruns over all summaries).
+        baseline: Grandfathered findings to subtract.  Entries of
+            registered rules that did not run are never reported as
+            unused: nothing looked for their findings.
 
     Returns:
         A :class:`LintResult`; ``result.ok`` is the pass/fail verdict.
@@ -136,85 +146,26 @@ def lint_paths(
     rule_ids = [rule.id for rule in rule_instances]
     files = iter_python_files(paths)
 
-    # Consult the cache in the parent: workers stay pure analyzers and
-    # the cache directory sees exactly one writer per entry per run.
-    outcome_by_file: Dict[Path, _FileOutcome] = {}
-    cache_keys: Dict[Path, str] = {}
-    cached_files: List[str] = []
-    if cache is not None:
-        for path in files:
-            try:
-                source = path.read_bytes()
-            except OSError:
-                continue  # the analyzer will report it as a parse error
-            key = cache.key(source, rule_ids)
-            cache_keys[path] = key
-            hit = cache.get(key)
-            if hit is not None:
-                outcome_by_file[path] = hit
-                cached_files.append(str(path))
-    to_analyze = [path for path in files if path not in outcome_by_file]
-
     obs = get_obs()
-    with obs.trace(
-        "lint.files",
-        files=len(files),
-        jobs=jobs,
-        cached=len(cached_files),
-    ):
-        if jobs > 1 and len(to_analyze) > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(to_analyze))
-            ) as pool:
-                fresh = list(
-                    pool.map(
-                        _analyze_one,
-                        [str(path) for path in to_analyze],
-                        [rule_ids] * len(to_analyze),
-                        chunksize=8,
-                    )
-                )
-        else:
-            fresh = [_analyze_one(str(path), rule_ids) for path in to_analyze]
-    for path, outcome in zip(to_analyze, fresh):
-        outcome_by_file[path] = outcome
-        if cache is not None and path in cache_keys:
-            cache.put(cache_keys[path], outcome)
-    obs.metrics.counter("lint.cache.hits").inc(len(cached_files))
-    obs.metrics.counter("lint.cache.misses").inc(len(to_analyze))
-
     all_findings: List[Finding] = []
     suppressed = 0
     summaries: Dict[str, List[Any]] = {}
-    for path in files:
-        findings, file_suppressed, file_summaries = outcome_by_file[path]
-        all_findings.extend(findings)
-        suppressed += file_suppressed
-        for rule_id, summary in file_summaries.items():
-            summaries.setdefault(rule_id, []).append(summary)
-
+    with obs.trace("lint.files", files=len(files)):
+        for path in files:
+            findings, file_suppressed = _lint_file(path, rule_instances, summaries)
+            all_findings.extend(findings)
+            suppressed += file_suppressed
     with obs.trace("lint.project"):
-        for rule in rule_instances:
-            if type(rule).check_project is Rule.check_project:
-                continue
-            all_findings.extend(
-                iter_findings(rule.check_project(summaries.get(rule.id, [])))
-            )
+        all_findings.extend(_check_project(rule_instances, summaries))
 
-    result = LintResult(
-        suppressed=suppressed,
-        files=len(files),
-        rule_ids=rule_ids,
-        analyzed_files=[str(path) for path in to_analyze],
-        cached_files=cached_files,
-    )
+    result = LintResult(suppressed=suppressed, files=len(files), rule_ids=rule_ids)
     for finding in sorted(all_findings, key=finding_sort_key):
         if baseline is not None and baseline.match(finding):
             result.baselined.append(finding)
         else:
             result.findings.append(finding)
     if baseline is not None:
-        result.unused_baseline = baseline.unused()
+        result.unused_baseline = baseline.unused(skipped=result.skipped_rules)
 
     obs.metrics.counter("lint.findings").inc(len(result.findings))
     obs.metrics.counter("lint.baselined").inc(len(result.baselined))
@@ -247,20 +198,11 @@ def lint_source(
     name (so layering fixtures can claim to be ``repro.core.x``).
     """
     rule_instances = instantiate(rules)
-    tree = ast.parse(source, filename=filename)
-    ctx = FileContext(Path(filename), source, tree, module=module)
-    raw = run_pass(ctx, rule_instances)
-    findings = [
-        finding
-        for finding in raw
-        if not ctx.suppressed(finding.rule, finding.line)
-    ]
-    for rule in rule_instances:
-        if type(rule).check_project is Rule.check_project:
-            continue
-        summary = rule.summarize(ctx)
-        summaries = [summary] if summary is not None else []
-        findings.extend(iter_findings(rule.check_project(summaries)))
+    summaries: Dict[str, List[Any]] = {}
+    findings, _suppressed = _lint_file(
+        Path(filename), rule_instances, summaries, source=source, module=module
+    )
+    findings.extend(_check_project(rule_instances, summaries))
     return sorted(findings, key=finding_sort_key)
 
 
@@ -269,10 +211,9 @@ def assert_clean(
     *,
     rules: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
-    jobs: int = 1,
 ) -> LintResult:
     """The pytest bridge: raise ``AssertionError`` listing any findings."""
-    result = lint_paths(paths, rules=rules, jobs=jobs, baseline=baseline)
+    result = lint_paths(paths, rules=rules, baseline=baseline)
     if not result.ok:
         rendered = "\n".join(f.render() for f in result.findings)
         raise AssertionError(

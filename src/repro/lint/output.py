@@ -30,8 +30,6 @@ def summary_event(result: LintResult) -> Dict[str, Any]:
         "baselined": len(result.baselined),
         "suppressed": result.suppressed,
         "unused_baseline": len(result.unused_baseline),
-        "analyzed": len(result.analyzed_files),
-        "cached": len(result.cached_files),
     }
 
 
@@ -53,11 +51,6 @@ def render_human(result: LintResult) -> str:
         f"({len(result.baselined)} baselined, {result.suppressed} suppressed; "
         f"rules: {', '.join(result.rule_ids)})"
     )
-    if result.cached_files:
-        summary += (
-            f"\nincremental: {len(result.analyzed_files)} analyzed, "
-            f"{len(result.cached_files)} served from cache"
-        )
     if result.unused_baseline:
         stale = ", ".join(
             f"{entry.rule}:{entry.path}" for entry in result.unused_baseline

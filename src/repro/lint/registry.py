@@ -10,10 +10,9 @@ A rule is a class deriving from :class:`Rule` and decorated with
 * ``finish_file(ctx)`` -- called after the walk; yields findings that
   need whole-file context.
 * ``summarize(ctx)`` / ``check_project(summaries)`` -- the project
-  phase.  ``summarize`` returns a *picklable* per-file summary (it runs
-  in worker processes under ``--jobs``); ``check_project`` runs once in
-  the parent over all summaries and yields cross-file findings
-  (call-graph reachability, for example).
+  phase.  ``summarize`` returns a per-file summary after the walk;
+  ``check_project`` runs once over all summaries and yields cross-file
+  findings (call-graph reachability, for example).
 
 Rules must be stateless across files: per-file scratch belongs in
 ``ctx.state[rule_id]``, never on ``self``.
@@ -27,7 +26,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 from .context import FileContext
 from .findings import Finding
 
-__all__ = ["Rule", "register", "all_rules", "rule_ids", "get_rule"]
+__all__ = ["Rule", "register", "all_rules"]
 
 
 class Rule:
@@ -65,7 +64,7 @@ class Rule:
 
 
 #: id -> rule class.  Populated at import time by :func:`register`;
-#: read-only afterwards, so fork-pooled workers inherit a complete map.
+#: read-only afterwards.
 _RULES: Dict[str, Type[Rule]] = {}
 
 
@@ -86,19 +85,6 @@ def all_rules() -> Dict[str, Type[Rule]]:
     from . import rules  # noqa: F401  -- registers the built-in rules
 
     return dict(_RULES)
-
-
-def rule_ids() -> List[str]:
-    return sorted(all_rules())
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    try:
-        return all_rules()[rule_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown rule {rule_id!r}; known: {', '.join(rule_ids())}"
-        ) from None
 
 
 def instantiate(

@@ -6,7 +6,8 @@ only under ``with self._snapshot_lock:``.  That argument is invisible to
 a single-pass matcher -- whether a ``self.attr`` access is guarded
 depends on which ``with`` bodies *flow* into it -- so this rule runs the
 held-locks dataflow (:class:`repro.lint.dataflow.HeldLocks`) over each
-method's CFG and cross-references accesses across the whole class:
+method's CFG, in every class that holds a ``with`` at any depth, and
+cross-references accesses across the whole class:
 
 1. collect every attribute access ``R.attr`` (receiver ``R`` a dotted
    path: ``self``, ``shard``, ``self._fleet``) with the set of locks
@@ -55,13 +56,6 @@ class _Access(NamedTuple):
     snippet: str
 
 
-def _is_lock_constructor(ctx: FileContext, value: ast.expr) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    parts = FileContext.dotted(value.func)
-    return parts is not None and parts[-1] in _LOCK_TYPES
-
-
 def _methods_of(cls: ast.ClassDef) -> List[ast.FunctionDef]:
     return [
         node
@@ -88,11 +82,21 @@ class LockDisciplineRule(Rule):
         "benign."
     )
 
+    def visit_With(self, ctx: FileContext, node: ast.With) -> Iterable[Finding]:
+        # ``HeldLocks`` acquires only at ``with`` headers: a class with no
+        # ``with`` inside it holds no lock anywhere, so it cannot fire.
+        classes = ctx.state.setdefault(self.id, {})
+        for scope in ctx.scope:
+            if isinstance(scope, ast.ClassDef):
+                classes[scope] = None
+        return ()
+
+    visit_AsyncWith = visit_With
+
     def finish_file(self, ctx: FileContext) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                findings.extend(self._check_class(ctx, node))
+        for cls in ctx.state.get(self.id, ()):
+            findings.extend(self._check_class(ctx, cls))
         return findings
 
     # ---- per-class analysis ---------------------------------------

@@ -8,8 +8,9 @@ window leaves a torn write behind.  Same shape for plain handles: an
 must reach ``close()`` (or context-manager exit) however the function
 leaves.  Single-pass matchers cannot see "on every path"; this rule
 runs the open-resources dataflow (:class:`repro.lint.dataflow.OpenResources`)
-over each function's CFG and flags any resource still live in the exit
-block's in-state -- i.e. leaked on at least one path.
+over the CFG of each function that holds a tracked birth, at any depth,
+and flags any resource still live in the exit block's in-state -- i.e.
+leaked on at least one path.
 
 Tracked births (all must be bound to a plain local to be tracked):
 
@@ -87,11 +88,26 @@ class ResourceSafetyRule(Rule):
         "treats escapes as hand-offs."
     )
 
+    def visit_Assign(self, ctx: FileContext, node: ast.Assign) -> Iterable[Finding]:
+        # ``OpenResources`` creates a fact only at ``name = <call>`` with
+        # the call classified, so only the functions enclosing such an
+        # assignment can leak; the others get no CFG.
+        if (
+            len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and self._classify(ctx, node.value) is not None
+        ):
+            births = ctx.state.setdefault(self.id, {})
+            for scope in ctx.scope:
+                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    births[scope] = None
+        return ()
+
     def finish_file(self, ctx: FileContext) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                findings.extend(self._check_function(ctx, node))
+        for func in ctx.state.get(self.id, ()):
+            findings.extend(self._check_function(ctx, func))
         return findings
 
     def _classify(

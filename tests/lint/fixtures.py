@@ -197,6 +197,24 @@ RULE_FIXTURES: Dict[str, Dict[str, List[Fixture]]] = {
                 "        self.value = None\n",
                 None,
             ),
+            # The only acquisition sits under an ``if``.
+            (
+                "import threading\n"
+                "\n"
+                "class Gate:\n"
+                "    def __init__(self):\n"
+                "        self._lock = threading.Lock()\n"
+                "        self._hits = 0\n"
+                "\n"
+                "    def hit(self, guarded):\n"
+                "        if guarded:\n"
+                "            with self._lock:\n"
+                "                self._hits += 1\n"
+                "\n"
+                "    def hits(self):\n"
+                "        return self._hits\n",
+                None,
+            ),
         ],
         "negative": [
             # Every non-constructor access holds the lock.
@@ -269,6 +287,19 @@ RULE_FIXTURES: Dict[str, Dict[str, List[Fixture]]] = {
                 "    tmp.write_bytes(payload)\n"
                 "    if payload:\n"
                 "        os.replace(tmp, path)\n",
+                None,
+            ),
+            # Born inside an ``if``, leaked by the return nested in it.
+            (
+                "def first_line(path, wanted):\n"
+                "    if wanted:\n"
+                "        fh = open(path)\n"
+                "        line = fh.readline()\n"
+                "        if not line:\n"
+                "            return None\n"
+                "        fh.close()\n"
+                "        return line\n"
+                "    return ''\n",
                 None,
             ),
         ],

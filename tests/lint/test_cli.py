@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.lint import rule_ids
+from repro.lint import all_rules
 from repro.lint.cli import main
 
 
@@ -22,7 +22,7 @@ def dirty_tree(tmp_path, monkeypatch):
 def test_list_rules_names_every_rule(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in rule_ids():
+    for rule_id in all_rules():
         assert rule_id in out
 
 
@@ -44,9 +44,11 @@ def test_json_format_streams_obs_events(dirty_tree, capsys):
 
 def test_rules_flag_restricts_and_validates(dirty_tree, capsys):
     assert main([str(dirty_tree), "--rules", "units-hygiene"]) == 0
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(dirty_tree), "--rules", "bogus"])
-    assert excinfo.value.code == 2
+    for extra in ([], ["--write-baseline"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(dirty_tree), "--rules", "bogus", *extra])
+        assert excinfo.value.code == 2
+    assert not (dirty_tree / "lint-baseline.json").exists()
 
 
 def test_write_baseline_then_clean_run(dirty_tree, capsys):
@@ -69,12 +71,6 @@ def test_corrupt_baseline_is_a_usage_error(dirty_tree):
     bad.write_text("{not json")
     with pytest.raises(SystemExit) as excinfo:
         main([str(dirty_tree), "--baseline", str(bad)])
-    assert excinfo.value.code == 2
-
-
-def test_jobs_must_be_positive(dirty_tree):
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(dirty_tree), "--jobs", "0"])
     assert excinfo.value.code == 2
 
 
@@ -117,12 +113,47 @@ def test_baseline_entries_without_reasons_are_rejected(dirty_tree, capsys):
     assert excinfo.value.code == 2
 
 
-def test_cache_flag_serves_warm_runs_incrementally(dirty_tree, capsys):
-    assert main([str(dirty_tree), "--cache"]) == 1
-    assert (dirty_tree / ".lint-cache").is_dir()
-    assert main([str(dirty_tree), "--cache"]) == 1
+@pytest.fixture()
+def two_rule_tree(dirty_tree):
+    """The dirty tree plus an api-hygiene finding, both baselined."""
+    (dirty_tree / "defaults.py").write_text("def f(items=[]):\n    return items\n")
+    assert main([str(dirty_tree), "--write-baseline"]) == 0
+    return dirty_tree
+
+
+def _baseline_rules(tree):
+    payload = json.loads((tree / "lint-baseline.json").read_text())
+    return sorted(entry["rule"] for entry in payload["entries"])
+
+
+def test_restricted_run_leaves_other_rules_entries_alone(two_rule_tree, capsys):
+    capsys.readouterr()
+    assert main([str(two_rule_tree), "--rules", "no-print"]) == 0
+    captured = capsys.readouterr()
+    assert "stale" not in captured.out + captured.err
+    assert "1 baselined" in captured.out.splitlines()[-1]
+
+
+def test_restricted_prune_keeps_other_rules_entries(two_rule_tree, capsys):
+    (two_rule_tree / "mod.py").write_text("VALUE = 1\n")
+    assert main([str(two_rule_tree), "--rules", "no-print", "--prune-baseline"]) == 0
+    assert "pruned 1 stale entry" in capsys.readouterr().out
+    assert _baseline_rules(two_rule_tree) == ["api-hygiene"]
+
+
+def test_restricted_write_baseline_keeps_other_rules_entries(two_rule_tree):
+    (two_rule_tree / "mod.py").write_text("VALUE = 1\n")
+    assert main([str(two_rule_tree), "--rules", "no-print", "--write-baseline"]) == 0
+    assert _baseline_rules(two_rule_tree) == ["api-hygiene"]
+    assert main([str(two_rule_tree)]) == 0
+
+
+def test_help_offers_no_jobs_or_cache_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    assert "0 analyzed, 1 served from cache" in out
+    assert "--jobs" not in out and "--cache" not in out
 
 
 def test_sarif_file_is_written_even_when_findings_fail_the_run(dirty_tree):

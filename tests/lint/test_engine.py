@@ -1,5 +1,5 @@
-"""Engine-level tests: the seeded-violations tree from the issue's
-acceptance criteria, parallel equivalence, and the pytest bridge."""
+"""Engine-level tests: the seeded-violations tree, path-dependent
+findings, baselines, and the pytest bridge."""
 
 from __future__ import annotations
 
@@ -88,12 +88,28 @@ def test_seeded_violations_are_each_caught_with_location(tmp_path):
     }
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    _seed_tree(tmp_path)
-    serial = lint_paths([tmp_path], jobs=1)
-    parallel = lint_paths([tmp_path], jobs=2)
-    assert serial.findings == parallel.findings
-    assert serial.suppressed == parallel.suppressed
+def test_identical_files_at_two_package_paths_get_their_own_findings(tmp_path):
+    """A file's findings depend on its path (through its module name),
+    not only on its bytes."""
+    pkg = tmp_path / "repro"
+    for sub in ("", "core", "trace", "serve"):
+        (pkg / sub).mkdir(parents=True, exist_ok=True)
+        (pkg / sub / "__init__.py").write_text("")
+    for sub in ("core", "trace", "serve"):
+        (pkg / sub / "x.py").write_text("from ..serve import thing\n")
+    result = lint_paths([tmp_path], rules=["import-layering"])
+    assert [(f.path, f.message) for f in result.findings] == [
+        (
+            str(pkg / "core" / "x.py"),
+            "edge repro.core.x -> repro.serve points up the DAG "
+            "(core is layer 0, serve is layer 6)",
+        ),
+        (
+            str(pkg / "trace" / "x.py"),
+            "edge repro.trace.x -> repro.serve points up the DAG "
+            "(trace is layer 1, serve is layer 6)",
+        ),
+    ]
 
 
 def test_baseline_roundtrip_grandfathers_everything(tmp_path):
