@@ -35,6 +35,19 @@ from .registry import experiment_ids, run_experiment
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of every count option: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by ``all``, ``report`` and ``trace``."""
     group = parser.add_mutually_exclusive_group()
@@ -63,7 +76,7 @@ def _add_suite_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-j",
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="worker processes (default: CPU count; 1 = in-process)",
     )
@@ -77,14 +90,6 @@ def _add_suite_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="result-cache directory (default: $PAI_REPRO_CACHE_DIR "
         "or ~/.cache/pai-repro)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-run each failed experiment up to N extra times "
-        "(default: 0; the suite is deterministic, so opt in only "
-        "for flaky externals)",
     )
 
 
@@ -126,7 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="trace.jsonl", help="output path"
     )
     trace_parser.add_argument(
-        "-n", "--num-jobs", type=int, default=20000, help="job count"
+        "-n",
+        "--num-jobs",
+        type=_positive_int,
+        default=20000,
+        help="job count",
     )
     trace_parser.add_argument(
         "--seed", type=int, default=20190501, help="generator seed"
@@ -155,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert_parser.add_argument("output", help="converted trace path")
     convert_parser.add_argument(
         "--shard-rows",
-        type=int,
+        type=_positive_int,
         default=None,
         help="rows per columnar shard (JSONL->columnar only)",
     )
@@ -183,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     advise_parser.add_argument(
         "--embedding", default="0B", help="embedding weights at rest"
     )
-    advise_parser.add_argument("--cnodes", type=int, default=8)
-    advise_parser.add_argument("--batch", type=int, default=64)
+    advise_parser.add_argument("--cnodes", type=_positive_int, default=8)
+    advise_parser.add_argument("--batch", type=_positive_int, default=64)
     advise_parser.add_argument(
         "--no-nvlink", action="store_true", help="cluster lacks NVLink"
     )
@@ -199,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="bind port (0 = ephemeral)"
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=4, help="population shard count"
+        "--shards",
+        type=_positive_int,
+        default=4,
+        help="population shard count",
     )
     source = serve_parser.add_mutually_exclusive_group()
     source.add_argument(
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "-n",
         "--num-jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="stream a generated synthetic trace of this many jobs",
     )
@@ -221,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=20190501, help="generator seed for -n"
     )
     serve_parser.add_argument(
-        "--batch-size", type=int, default=500, help="replay batch size"
+        "--batch-size",
+        type=_positive_int,
+        default=500,
+        help="replay batch size",
     )
     serve_parser.add_argument(
         "--seconds-per-day",
@@ -249,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults_parser.add_argument(
         "-n",
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=25,
         help="scenario count (kinds cycle round-robin; >= 5 covers all)",
     )
@@ -488,9 +503,7 @@ def _report_failures(outcomes) -> int:
 def _command_all(args: argparse.Namespace) -> int:
     from ..runtime import run_suite
 
-    outcomes = run_suite(
-        jobs=args.jobs, cache=_suite_cache(args), retries=args.retries
-    )
+    outcomes = run_suite(jobs=args.jobs, cache=_suite_cache(args))
     for outcome in outcomes:
         if outcome.ok:
             print(outcome.result.render())
@@ -504,9 +517,7 @@ def _command_report(args: argparse.Namespace) -> int:
 
     from pathlib import Path
 
-    outcomes = run_suite(
-        jobs=args.jobs, cache=_suite_cache(args), retries=args.retries
-    )
+    outcomes = run_suite(jobs=args.jobs, cache=_suite_cache(args))
     path = Path(args.output)
     path.write_text(render_outcomes(outcomes), encoding="utf-8")
     print(f"wrote {path}")

@@ -1,27 +1,24 @@
-"""Full-report generation: every experiment, one markdown document.
+"""Full-report rendering: every experiment, one markdown document.
 
-``write_report`` regenerates the complete experiment suite through the
-:mod:`repro.runtime` execution layer (parallel workers, result cache,
-per-experiment error isolation) and writes a self-contained markdown
-file -- the artifact a reproduction reviewer reads.  Used by
-``pai-repro report``.
+``pai-repro report`` runs the suite through :func:`repro.runtime.run_suite`
+(parallel workers, result cache, per-experiment error isolation) and
+writes :func:`render_outcomes` of its outcomes as a self-contained
+markdown file -- the artifact a reproduction reviewer reads.
 
-A failing experiment no longer aborts the run: its traceback lands in a
-"Failed experiments" section and every other table still renders.
+A failing experiment does not abort the report: its traceback lands in
+a "Failed experiments" section and every other table still renders.
 """
 
 from __future__ import annotations
 
 import io
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .result import ExperimentResult, format_value
 
 __all__ = [
     "render_markdown",
     "render_outcomes",
-    "write_report",
 ]
 
 
@@ -89,23 +86,3 @@ def render_outcomes(outcomes: Sequence) -> str:
     results = [o.result for o in outcomes if o.ok]
     failures = [(o.experiment_id, o.error) for o in outcomes if not o.ok]
     return render_markdown(results, failures)
-
-
-def write_report(
-    path: Union[str, Path],
-    *,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> Path:
-    """Run the full suite and write the markdown report; returns the path.
-
-    Experiment failures are recorded in the report rather than raised;
-    callers needing an exit code should use
-    :func:`repro.runtime.run_suite` directly (as the CLI does).
-    """
-    from ..runtime import run_suite
-
-    path = Path(path)
-    outcomes = run_suite(jobs=jobs, cache=cache)
-    path.write_text(render_outcomes(outcomes), encoding="utf-8")
-    return path

@@ -4,10 +4,17 @@ This package is the primary contribution: a lightweight model that
 decomposes a training step into input data I/O, computation and
 weight/gradient traffic, and supports architecture projection, hardware
 sweeps and assumption-sensitivity analysis on top of that decomposition.
+
+One job is evaluated by :func:`estimate_breakdown` and
+:func:`projection_speedups`; a whole population by the columnar
+:class:`FeatureArrays` path (:func:`batch_breakdowns`,
+:func:`batch_projection_speedups`, :func:`batch_step_times`), which is
+what the figures, the scheduler and the bottleneck census
+(:func:`bottleneck_census`) run on.
 """
 
 from .architectures import Architecture
-from .classify import Bottleneck, ClassifiedJob, bottleneck_census, classify
+from .classify import Bottleneck, bottleneck_census
 from .crossover import (
     CrossoverResult,
     crossover_distribution,
@@ -86,7 +93,6 @@ __all__ = [
     "batch_breakdowns",
     "batch_projection_speedups",
     "batch_step_times",
-    "ClassifiedJob",
     "CrossoverResult",
     "EfficiencyModel",
     "EfficiencyScenario",
@@ -111,7 +117,6 @@ __all__ = [
     "TimeBreakdown",
     "WorkloadFeatures",
     "bottleneck_census",
-    "classify",
     "crossover_distribution",
     "compare_overlap_assumptions",
     "eq3_weight_bound_speedup",

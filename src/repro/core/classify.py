@@ -7,34 +7,26 @@ least :data:`DOMINANCE_THRESHOLD` of the step time; otherwise it is
 *balanced*.  The census over a population is the cluster-health view a
 platform team tracks release over release.
 
-:func:`classify` labels one job through the per-job model;
 :func:`label_codes` labels a whole :class:`PopulationBreakdown` at once
 and is the one labelling behind the census experiment and
-``repro.serve``.  Both take the first maximal share in
+``repro.serve``.  It takes the first maximal share in
 :data:`~repro.core.population.COMPONENT_KEYS` order as the dominant
-component, so they agree job for job.
+component.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
-from .features import WorkloadFeatures
-from .hardware import HardwareConfig
 from .population import COMPONENT_KEYS, PopulationBreakdown
-from .timemodel import PAPER_MODEL_OPTIONS, ModelOptions, estimate_breakdown
 
 __all__ = [
     "Bottleneck",
     "CENSUS_LABELS",
     "DOMINANCE_THRESHOLD",
-    "ClassifiedJob",
-    "classify",
     "label_codes",
     "label_totals",
     "bottleneck_census",
@@ -71,54 +63,12 @@ CENSUS_LABELS: Tuple[Bottleneck, ...] = tuple(
 ) + (Bottleneck.BALANCED,)
 
 
-@dataclass(frozen=True)
-class ClassifiedJob:
-    """A job with its dominant component and label."""
-
-    features: WorkloadFeatures
-    label: Bottleneck
-    dominant_component: str
-    dominant_share: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.dominant_share <= 1.0:
-            raise ValueError("dominant_share must be in [0, 1]")
-
-
-def classify(
-    features: WorkloadFeatures,
-    hardware: HardwareConfig,
-    efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-    options: ModelOptions = PAPER_MODEL_OPTIONS,
-    threshold: float = DOMINANCE_THRESHOLD,
-) -> ClassifiedJob:
-    """Label one job by its dominant execution-time component."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
-    fractions = estimate_breakdown(
-        features, hardware, efficiency, options
-    ).fractions()
-    dominant = max(fractions, key=fractions.get)
-    share = fractions[dominant]
-    label = (
-        _COMPONENT_TO_LABEL[dominant] if share >= threshold else Bottleneck.BALANCED
-    )
-    return ClassifiedJob(
-        features=features,
-        label=label,
-        dominant_component=dominant,
-        dominant_share=share,
-    )
-
-
 def label_codes(breakdown: PopulationBreakdown) -> np.ndarray:
     """Every job's label at once, as an index into :data:`CENSUS_LABELS`.
 
-    The columnar :func:`classify`: argmax over the component shares
-    stacked in ``COMPONENT_KEYS`` order picks the first maximal
-    component, as ``max`` over the per-job ``fractions()`` dict does,
-    and a dominant share under :data:`DOMINANCE_THRESHOLD` makes the
-    job balanced.
+    Argmax over the component shares stacked in ``COMPONENT_KEYS``
+    order picks the first maximal component, and a dominant share under
+    :data:`DOMINANCE_THRESHOLD` makes the job balanced.
     """
     fractions = breakdown.fractions()
     stacked = np.stack([fractions[key] for key in COMPONENT_KEYS])

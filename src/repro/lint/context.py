@@ -13,6 +13,7 @@ currency of the determinism call-graph and the layering rule.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Optional
 
@@ -20,6 +21,10 @@ from .findings import MAX_CONTEXT, Finding
 from .suppressions import is_suppressed, parse_suppressions
 
 __all__ = ["FileContext", "module_name_of", "pkg_path_of"]
+
+#: The fields that hold a node's child statements (or the except
+#: handlers and match cases that hold them), in ``_fields`` order.
+_STATEMENT_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
 
 #: Value-node shapes treated as mutable module-level state.
 _MUTABLE_CALLS = frozenset(
@@ -117,15 +122,7 @@ class FileContext:
         ignore comment on any decorator line covers the definition.
         """
         if self._line_aliases is None:
-            aliases: Dict[int, List[int]] = {}
-            for node in ast.walk(self.tree):
-                if isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ) and node.decorator_list:
-                    aliases[node.lineno] = [
-                        decorator.lineno for decorator in node.decorator_list
-                    ]
-            self._line_aliases = aliases
+            self._scan_statements()
         return self._line_aliases
 
     def suppressed(self, rule_id: str, line: int) -> bool:
@@ -147,24 +144,46 @@ class FileContext:
         -> ``{"GB": "repro.core.units.GB"}``.
         """
         if self._imports is None:
-            mapping: Dict[str, str] = {}
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        local = alias.asname or alias.name.split(".")[0]
-                        target = alias.name if alias.asname else local
-                        mapping[local] = target
-                elif isinstance(node, ast.ImportFrom):
-                    base = self.resolve_import_base(node)
-                    if base is None:
-                        continue
-                    for alias in node.names:
-                        if alias.name == "*":
-                            continue
-                        local = alias.asname or alias.name
-                        mapping[local] = f"{base}.{alias.name}" if base else alias.name
-            self._imports = mapping
+            self._scan_statements()
         return self._imports
+
+    def _scan_statements(self) -> None:
+        """Fill :attr:`imports` and :attr:`line_aliases` in one walk.
+
+        Imports and decorated definitions are statements, so a
+        breadth-first walk over statement bodies alone finds them all.
+        It meets them in the order ``ast.walk`` does, so a name imported
+        twice maps to the same (last) target.
+        """
+        mapping: Dict[str, str] = {}
+        aliases: Dict[int, List[int]] = {}
+        todo = deque([self.tree])
+        while todo:
+            node = todo.popleft()
+            for name in _STATEMENT_FIELDS:
+                todo.extend(getattr(node, name, ()))
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    target = alias.name if alias.asname else local
+                    mapping[local] = target
+            elif isinstance(node, ast.ImportFrom):
+                base = self.resolve_import_base(node)
+                if base is None:
+                    continue
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    local = alias.asname or alias.name
+                    mapping[local] = f"{base}.{alias.name}" if base else alias.name
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and node.decorator_list:
+                aliases[node.lineno] = [
+                    decorator.lineno for decorator in node.decorator_list
+                ]
+        self._imports = mapping
+        self._line_aliases = aliases
 
     def resolve_import_base(self, node: ast.ImportFrom) -> Optional[str]:
         """Absolute dotted package a ``from ... import`` pulls from."""

@@ -147,12 +147,7 @@ class ResultCache:
         obs.metrics.counter("cache.corrupt").inc()
         obs.event("cache.corrupt", level=WARNING, key=key, reason=reason)
 
-    def store(
-        self,
-        key: str,
-        result: ExperimentResult,
-        duration_s: Optional[float] = None,
-    ) -> Path:
+    def store(self, key: str, result: ExperimentResult) -> Path:
         """Write one entry atomically; returns the entry path."""
         result = normalize_result(result)
         payload: Dict[str, Any] = {
@@ -163,8 +158,6 @@ class ResultCache:
             "rows": result.rows,
             "notes": result.notes,
         }
-        if duration_s is not None:
-            payload["duration_s"] = float(duration_s)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
         handle = tempfile.NamedTemporaryFile(

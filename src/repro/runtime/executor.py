@@ -69,7 +69,6 @@ class ExperimentOutcome:
     error: Optional[str]
     duration_s: float
     cached: bool = False
-    retries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -188,7 +187,6 @@ def _run_pool(
     )
     obs.metrics.gauge("pool.workers").set(workers)
     resolved: Dict[str, _RawOutcome] = {}
-    unresolved: List[str] = []
     try:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=context
@@ -207,7 +205,6 @@ def _run_pool(
                     try:
                         resolved[experiment_id] = future.result()
                     except BaseException as exc:
-                        unresolved.append(experiment_id)
                         obs.event(
                             "pool.future_broken",
                             level=DEBUG,
@@ -236,7 +233,6 @@ def run_suite(
     *,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    retries: int = 0,
 ) -> List[ExperimentOutcome]:
     """Run experiments with caching, parallelism and error isolation.
 
@@ -247,13 +243,6 @@ def run_suite(
             higher values fork a process pool.
         cache: Optional on-disk result cache; hits skip execution
             entirely, and fresh successes are stored back.
-        retries: Re-run each *failed* experiment up to this many extra
-            times before accepting the failure.  Off by default: the
-            suite is deterministic, so a failure normally reproduces --
-            opt in when experiments touch flaky externals (sockets,
-            subprocesses).  Each attempt emits a ``runtime.retry`` obs
-            event, and the attempts consumed are recorded on the
-            outcome's ``retries`` field.
 
     Returns:
         One :class:`ExperimentOutcome` per requested id, in request
@@ -265,8 +254,6 @@ def run_suite(
     from ..analysis.context import default_trace
     from ..analysis.registry import EXPERIMENTS
 
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     obs = get_obs()
     if experiment_ids is None:
         experiment_ids = suite_experiment_ids()
@@ -315,36 +302,12 @@ def run_suite(
         else:
             raw = [_run_one(experiment_id) for experiment_id in pending]
 
-        attempts: Dict[str, int] = {}
-        for attempt in range(1, retries + 1):
-            failed = [entry[0] for entry in raw if entry[2] is not None]
-            if not failed:
-                break
-            for experiment_id in failed:
-                attempts[experiment_id] = attempt
-                obs.event(
-                    "runtime.retry",
-                    level=WARNING,
-                    experiment=experiment_id,
-                    attempt=attempt,
-                )
-                obs.metrics.counter("runtime.retries").inc()
-            if context is not None:
-                reruns = _run_pool(
-                    failed, min(jobs, len(failed)), context
-                )
-            else:
-                reruns = [_run_one(experiment_id) for experiment_id in failed]
-            rerun_by_id = {entry[0]: entry for entry in reruns}
-            raw = [rerun_by_id.get(entry[0], entry) for entry in raw]
-
     for experiment_id, result, error, wall_s, cpu_s in raw:
         outcome = ExperimentOutcome(
             experiment_id=experiment_id,
             result=result,
             error=error,
             duration_s=wall_s,
-            retries=attempts.get(experiment_id, 0),
         )
         outcomes[experiment_id] = outcome
         obs.metrics.counter(
@@ -360,7 +323,7 @@ def run_suite(
             cached=False,
         )
         if cache is not None and outcome.ok:
-            cache.store(keys[experiment_id], result, duration_s=wall_s)
+            cache.store(keys[experiment_id], result)
             obs.metrics.counter("cache.store").inc()
 
     return [outcomes[experiment_id] for experiment_id in experiment_ids]

@@ -19,8 +19,9 @@ history rolls up into :class:`~repro.sched.outcomes.JobOutcome`.
 The engine keeps the queue in (arrival hour, job id) order and the
 running set in (end hour, job id) order, inserting and removing by
 ``bisect`` as jobs arrive, start, end, are preempted and crash, and
-hands both to the policy in that order: no policy re-sorts either one
-per decision round.
+hands both lists themselves to the policy, uncopied, in that order: no
+policy re-sorts either one per decision round, and a round costs what
+the policy reads rather than the queue's depth.
 
 Durations are resolved for the whole trace before the replay starts;
 model-predicted ones come from one vectorized evaluation
@@ -393,10 +394,7 @@ def run_schedule(
                 if not queue:
                     break
                 context = SchedulingContext(
-                    now=now,
-                    fleet=fleet,
-                    queue=tuple(queue),
-                    running=tuple(running),
+                    now=now, fleet=fleet, queue=queue, running=running
                 )
                 decision: SchedulingDecision = policy.select(context)
                 if decision.is_empty:

@@ -1,6 +1,6 @@
 """Pluggable scheduling policies.
 
-A :class:`Policy` looks at an immutable :class:`SchedulingContext` --
+A :class:`Policy` looks at a read-only :class:`SchedulingContext` --
 the pending queue, the running set, the fleet state and the predicted
 duration of every job -- and returns a :class:`SchedulingDecision`:
 which queued jobs to start now (in order) and which running jobs to
@@ -49,6 +49,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -108,6 +109,12 @@ class RunningJob:
 class SchedulingContext:
     """Everything a policy may look at when deciding.
 
+    ``queue`` and ``running`` are the engine's own sequences, not
+    copies: they are read-only, and valid only during the ``select``
+    call that receives them, since the engine changes them as soon as
+    it applies the decision.  A policy that needs either later keeps a
+    copy (a slice is one).
+
     Attributes:
         now: The decision hour.
         fleet: The live fleet; policies must not mutate it.
@@ -118,8 +125,8 @@ class SchedulingContext:
 
     now: float
     fleet: Fleet
-    queue: Tuple[PendingJob, ...]
-    running: Tuple[RunningJob, ...]
+    queue: Sequence[PendingJob]
+    running: Sequence[RunningJob]
 
 
 @dataclass(frozen=True)

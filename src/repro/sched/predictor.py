@@ -7,7 +7,8 @@ estimate per job.  Two sources are provided:
   cluster study reports, deterministic per ``(seed, job_id)``.  This is
   :func:`~repro.sched.engine.run_schedule`'s default.
 * :class:`ModelRuntimePredictor` -- couples the analytical performance
-  model (:func:`repro.core.timemodel.estimate_step_time`) with a
+  model, evaluated over a whole batch of jobs
+  (:func:`repro.core.population.batch_step_times`), with a
   deterministic per-job step *count*: duration = predicted step time
   (a function of the job's workload features and the cluster hardware)
   times the number of training steps.  Two jobs with the same step
@@ -32,10 +33,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
-from ..core.features import WorkloadFeatures
 from ..core.hardware import HardwareConfig, pai_default_hardware
 from ..core.population import FeatureArrays, batch_step_times
-from ..core.timemodel import PAPER_MODEL_OPTIONS, ModelOptions, estimate_step_time
+from ..core.timemodel import PAPER_MODEL_OPTIONS, ModelOptions
 from ..trace.schema import JobRecord
 
 __all__ = ["ModelRuntimePredictor", "sample_durations"]
@@ -278,57 +278,26 @@ class ModelRuntimePredictor:
         self.median_steps = median_steps
         self.sigma = sigma
         self.seed = seed
-        # A float, so a clamped duration is a float on both paths.
+        # A float, so a clamped duration is a float.
         self.max_hours = None if max_hours is None else float(max_hours)
-        self._step_time_cache: Dict[WorkloadFeatures, float] = {}
-
-    def step_time_seconds(self, features: WorkloadFeatures) -> float:
-        """Predicted per-step time of one job, in seconds."""
-        cached = self._step_time_cache.get(features)
-        if cached is None:
-            cached = estimate_step_time(
-                features, self.hardware, self.efficiency, self.options
-            )
-            self._step_time_cache[features] = cached
-        return cached
-
-    def num_steps(self, job_id: int) -> float:
-        """The job's training-step budget (deterministic per job id)."""
-        rng = np.random.default_rng((self.seed, job_id))
-        return float(rng.lognormal(mean=math.log(self.median_steps), sigma=self.sigma))
-
-    def duration_hours(self, job: JobRecord) -> float:
-        """Predicted wall-clock duration of one job, in hours.
-
-        Clamped to ``max_hours`` when set: production clusters bound
-        job lifetimes (checkpoints plus kill policies), and the
-        log-normal tail would otherwise let one straggler dominate the
-        fleet makespan.
-        """
-        seconds = self.step_time_seconds(job.features) * self.num_steps(job.job_id)
-        hours = seconds / _SECONDS_PER_HOUR
-        if self.max_hours is not None:
-            hours = min(hours, self.max_hours)
-        return hours
 
     def durations(self, jobs: Iterable[JobRecord]) -> Dict[int, float]:
         """Predicted durations for a whole trace, keyed by job id."""
         return self.batch_duration_hours(list(jobs))
 
     def batch_duration_hours(self, jobs: Sequence[JobRecord]) -> Dict[int, float]:
-        """Predicted durations for one batch, via the vectorized model.
+        """Predicted wall-clock durations of a batch, in hours, by job id.
 
-        Step times come from :func:`repro.core.population.batch_step_times`
-        over the batch's feature columns -- one array-program evaluation
-        instead of one :func:`~repro.core.timemodel.estimate_step_time`
-        call per job -- and the step budgets from one seeding pass over
-        the batch's job ids, each equal to :meth:`num_steps`.  Unit
-        conversion and the ``max_hours`` clamp are the same IEEE
-        operations as in :meth:`duration_hours`, done as array
-        arithmetic, and the vectorized model itself is pinned
-        bit-identical to the scalar one, so this returns the same floats
-        as the per-job path, which stays the single-job API and the
-        reference the tests compare against.
+        Each is the job's step time, from
+        :func:`repro.core.population.batch_step_times` over the batch's
+        feature columns, times its step budget,
+        ``default_rng((seed, job_id)).lognormal(log(median_steps),
+        sigma)`` drawn for every job id in one seeding pass.
+
+        Clamped to ``max_hours`` when set: production clusters bound
+        job lifetimes (checkpoints plus kill policies), and the
+        log-normal tail would otherwise let one straggler dominate the
+        fleet makespan.
         """
         jobs = list(jobs)
         if not jobs:

@@ -1,4 +1,9 @@
-"""Discrete-event testbed simulator (the measured side of Sec. IV)."""
+"""Testbed simulator (the measured side of Sec. IV).
+
+One training step plays through FIFO reservations on the simulated
+devices and bandwidth-shared channels (:mod:`repro.sim.resources`),
+each booked as a :class:`TimelineRecord`.
+"""
 
 from .collectives import (
     CollectiveCost,
@@ -8,7 +13,7 @@ from .collectives import (
     reduce_scatter_time,
     ring_allreduce_time,
 )
-from .events import Event, EventQueue, TimelineRecord
+from .events import TimelineRecord
 from .executor import SimulationOptions, TestbedSimulator, simulate_step
 from .injection import LINK_KINDS, StepFaults
 from .measurement import StepMeasurement, medium_of_resource
@@ -35,8 +40,6 @@ __all__ = [
     "Channel",
     "CollectiveCost",
     "Device",
-    "Event",
-    "EventQueue",
     "JitterModel",
     "LINK_KINDS",
     "PearlPartition",

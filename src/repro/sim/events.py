@@ -1,72 +1,16 @@
-"""A minimal discrete-event core for the testbed simulator.
+"""The activity record shared across the testbed simulator.
 
-The training-step simulator schedules kernel executions and transfers
-as timed events; this module provides the event queue and the record
-types shared across the simulator.
+The training-step simulator (:mod:`repro.sim.executor`) books every
+kernel execution and transfer on a device or channel as a
+:class:`TimelineRecord`; the measurement and profiling layers read
+them back.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
 
-__all__ = ["Event", "EventQueue", "TimelineRecord"]
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback; ordering is (time, sequence number)."""
-
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-
-
-class EventQueue:
-    """A time-ordered event queue with deterministic tie-breaking."""
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._counter = itertools.count()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        """Schedule ``action`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        heapq.heappush(
-            self._heap, Event(self._now + delay, next(self._counter), action)
-        )
-
-    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
-        """Schedule ``action`` at an absolute time."""
-        if time < self._now:
-            raise ValueError("cannot schedule in the past")
-        heapq.heappush(self._heap, Event(time, next(self._counter), action))
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Execute events until the queue drains (or ``until`` passes).
-
-        Returns the final simulation time.
-        """
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
-                self._now = until
-                return self._now
-            event = heapq.heappop(self._heap)
-            self._now = event.time
-            event.action()
-        return self._now
-
-    def __len__(self) -> int:
-        return len(self._heap)
+__all__ = ["TimelineRecord"]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,11 @@
-"""Synthetic PAI cluster trace: schema, generator, calibration, stats."""
+"""Synthetic PAI cluster trace: schema, generator, calibration, stats.
+
+A trace is stored as JSONL (:mod:`.serialization`) or as a sharded
+columnar store (:mod:`.columnar`), whose shards are memory-mapped (read
+eagerly when a shard cannot be mapped) and decode losslessly back to
+records.  :mod:`.statistics` holds the empirical CDFs the figures and
+the service report.
+"""
 
 from .calibration import CALIBRATION_TARGETS, CalibrationTarget, evaluate_targets
 from .columnar import (
@@ -35,14 +42,7 @@ from .serialization import (
     load_trace,
     save_trace,
 )
-from .statistics import (
-    EmpiricalCDF,
-    StreamingCDF,
-    fraction_above,
-    fraction_below,
-    weighted_fraction,
-    weighted_mean,
-)
+from .statistics import EmpiricalCDF, StreamingCDF
 
 __all__ = [
     "CALIBRATION_TARGETS",
@@ -67,8 +67,6 @@ __all__ = [
     "features_of_type",
     "iter_day_groups",
     "filter_jobs",
-    "fraction_above",
-    "fraction_below",
     "generate_trace",
     "group_profiles",
     "is_columnar_store",
@@ -81,7 +79,5 @@ __all__ = [
     "resource_concentration",
     "save_trace",
     "split_by",
-    "weighted_fraction",
-    "weighted_mean",
     "write_columnar",
 ]

@@ -51,7 +51,6 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from ..core.architectures import Architecture
-from ..core.features import WorkloadFeatures
 from ..core.population import FeatureArrays
 from ..obs import get_obs
 from .schema import JobRecord, JobView
@@ -199,16 +198,15 @@ def _eager_members(path: Path) -> Dict[str, np.ndarray]:
         return {name: data[name] for name in data.files}
 
 
-def _load_shard(path: Path, mmap: bool) -> Dict[str, np.ndarray]:
-    if mmap:
-        try:
-            return _mapped_members(path)
-        except _MmapUnavailable as reason:
-            get_obs().event(
-                "trace.columnar.mmap_fallback",
-                path=str(path),
-                reason=str(reason),
-            )
+def _load_shard(path: Path) -> Dict[str, np.ndarray]:
+    try:
+        return _mapped_members(path)
+    except _MmapUnavailable as reason:
+        get_obs().event(
+            "trace.columnar.mmap_fallback",
+            path=str(path),
+            reason=str(reason),
+        )
     return _eager_members(path)
 
 
@@ -368,12 +366,10 @@ class ColumnarTrace:
         path: Path,
         manifest: dict,
         shards: Sequence[ShardInfo],
-        mmap: bool,
     ) -> None:
         self._path = path
         self._manifest = manifest
         self._shards = tuple(shards)
-        self._mmap = mmap
         self._columns: Dict[str, np.ndarray] = {}
         self.user_groups: Tuple[str, ...] = tuple(manifest["user_groups"])
         self.architectures: Tuple[Architecture, ...] = tuple(
@@ -385,7 +381,6 @@ class ColumnarTrace:
     def open(
         cls,
         path: Union[str, Path],
-        mmap: bool = True,
         verify: bool = False,
     ) -> "ColumnarTrace":
         """Open a store directory; optionally re-hash shards first.
@@ -428,7 +423,7 @@ class ColumnarTrace:
             )
             for entry in manifest["shards"]
         )
-        store = cls(directory, manifest, shards, mmap)
+        store = cls(directory, manifest, shards)
         if verify:
             store.verify()
         return store
@@ -483,6 +478,19 @@ class ColumnarTrace:
 
     # ---- column access -------------------------------------------------
 
+    def _read_shard(self, shard: ShardInfo) -> Dict[str, np.ndarray]:
+        """One shard's columns, each checked against the manifest's
+        row count."""
+        path = self._path / shard.file
+        columns = _load_shard(path)
+        for name, column in columns.items():
+            if column.shape[0] != shard.rows:
+                raise ValueError(
+                    f"{path}: column {name!r} has "
+                    f"{column.shape[0]} rows, manifest says {shard.rows}"
+                )
+        return columns
+
     def column(self, name: str) -> np.ndarray:
         """One column over the whole store (cached after first touch)."""
         if name not in _ALL_COLUMNS:
@@ -490,16 +498,7 @@ class ColumnarTrace:
         cached = self._columns.get(name)
         if cached is not None:
             return cached
-        parts = [
-            _load_shard(self._path / shard.file, self._mmap)[name]
-            for shard in self._shards
-        ]
-        for shard, part in zip(self._shards, parts):
-            if part.shape[0] != shard.rows:
-                raise ValueError(
-                    f"{self._path / shard.file}: column {name!r} has "
-                    f"{part.shape[0]} rows, manifest says {shard.rows}"
-                )
+        parts = [self._read_shard(shard)[name] for shard in self._shards]
         if not parts:
             column = np.empty(0, dtype=np.int64)
         elif len(parts) == 1:
@@ -553,10 +552,41 @@ class ColumnarTrace:
         about two orders of magnitude cheaper per job, which is what
         makes million-job scheduling replays practical.
         """
-        arrays = self.feature_arrays()
-        job_ids = self.column("job_id")
-        submit_days = self.column("submit_day")
-        group_codes = self.column("user_group")
+        yield from self._rows(
+            self.feature_arrays(),
+            self.columns(("job_id", "submit_day", "user_group")),
+        )
+
+    def iter_records(self) -> Iterator[JobRecord]:
+        """Decode the store back into validated job records, in order.
+
+        The lossless inverse of :func:`write_columnar`: every field --
+        including the dictionary-encoded architecture and user-group
+        labels -- round-trips exactly.  Each shard is decoded through
+        :meth:`FeatureArrays.from_columnar` and its row views, one shard
+        in memory at a time.
+        """
+        for shard in self._shards:
+            columns = self._read_shard(shard)
+            arrays = FeatureArrays.from_columnar(
+                columns, architectures=self.architectures
+            )
+            for row in self._rows(arrays, columns):
+                yield JobRecord(
+                    job_id=row.job_id,
+                    features=row.features.materialize(),
+                    submit_day=row.submit_day,
+                    user_group=row.user_group,
+                )
+
+    def _rows(
+        self, arrays: FeatureArrays, columns: Dict[str, np.ndarray]
+    ) -> Iterator[JobView]:
+        """A :class:`JobView` per row of ``arrays``, with the scheduling
+        metadata from the same rows of ``columns``."""
+        job_ids = columns["job_id"]
+        submit_days = columns["submit_day"]
+        group_codes = columns["user_group"]
         groups = self.user_groups
         for i, view in enumerate(arrays.iter_views()):
             yield JobView(
@@ -565,53 +595,6 @@ class ColumnarTrace:
                 submit_day=int(submit_days[i]),
                 user_group=groups[int(group_codes[i])],
             )
-
-    def iter_records(self) -> Iterator[JobRecord]:
-        """Decode the store back into validated job records, in order.
-
-        The lossless inverse of :func:`write_columnar`: every field --
-        including the dictionary-encoded architecture and user-group
-        labels -- round-trips exactly, shard by shard so memory use is
-        bounded by one shard.
-        """
-        for shard in self._shards:
-            columns = _load_shard(self._path / shard.file, self._mmap)
-            names = columns[NAME_COLUMN]
-            for i in range(shard.rows):
-                features = WorkloadFeatures(
-                    # Drop the 0x01 sentinel (see COLUMNAR_VERSION).
-                    name=bytes(names[i])[:-1].decode("utf-8"),
-                    architecture=self.architectures[
-                        int(columns["architecture"][i])
-                    ],
-                    num_cnodes=int(columns["num_cnodes"][i]),
-                    batch_size=int(columns["batch_size"][i]),
-                    flop_count=float(columns["flop_count"][i]),
-                    memory_access_bytes=float(
-                        columns["memory_access_bytes"][i]
-                    ),
-                    input_bytes=float(columns["input_bytes"][i]),
-                    weight_traffic_bytes=float(
-                        columns["weight_traffic_bytes"][i]
-                    ),
-                    dense_weight_bytes=float(
-                        columns["dense_weight_bytes"][i]
-                    ),
-                    embedding_weight_bytes=float(
-                        columns["embedding_weight_bytes"][i]
-                    ),
-                    embedding_traffic_bytes=float(
-                        columns["embedding_traffic_bytes"][i]
-                    ),
-                )
-                yield JobRecord(
-                    job_id=int(columns["job_id"][i]),
-                    features=features,
-                    submit_day=int(columns["submit_day"][i]),
-                    user_group=self.user_groups[
-                        int(columns["user_group"][i])
-                    ],
-                )
 
 
 def jsonl_to_columnar(

@@ -1,4 +1,4 @@
-"""Small statistics toolkit: empirical CDFs and weighted aggregates.
+"""Small statistics toolkit: empirical CDFs, batch and streaming.
 
 Every distribution figure in the paper (Figs. 6, 8, 9, 10, 15, 16) is an
 empirical CDF over the job population, sometimes cNode-weighted.  This
@@ -15,25 +15,18 @@ Two construction paths exist:
   distinct observations stays within the sketch capacity the combined
   result is *exactly* the batch CDF; beyond that, compaction bounds the
   quantile-rank error by ~1/capacity.
-
-:meth:`EmpiricalCDF.merge` combines already-built CDFs (weighted by
-their originating sample mass) into the CDF of the union population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "EmpiricalCDF",
     "StreamingCDF",
-    "fraction_below",
-    "fraction_above",
-    "weighted_mean",
-    "weighted_fraction",
 ]
 
 
@@ -89,22 +82,21 @@ class EmpiricalCDF:
         return self.cumulative[index - 1]
 
     #: Absolute slack when matching a quantile rank against the
-    #: cumulative grid.  A merged CDF re-accumulates point masses that
-    #: were recovered by differencing (:meth:`point_masses`), so a grid
-    #: entry that is exactly 0.5 in the batch construction can land a
-    #: few ulps below it after a merge -- and ``quantile`` is a step
-    #: function, so one ulp would otherwise flip the answer by a whole
-    #: point mass.  The slack is far below any real rank resolution
-    #: (it would take >1e9 samples to place two points this close).
+    #: cumulative grid.  A weighted cumulative sum rounds, so a grid
+    #: entry that is exactly 0.5 in one construction can land a few
+    #: ulps below it in another that adds the same masses differently
+    #: -- and ``quantile`` is a step function, so one ulp would
+    #: otherwise flip the answer by a whole point mass.  The slack is
+    #: far below any real rank resolution (it would take >1e9 samples
+    #: to place two points this close).
     _RANK_SLACK = 1e-9
 
     def quantile(self, q: float) -> float:
         """Smallest value with cumulative probability >= q.
 
         ``q`` is matched with a tiny absolute slack
-        (:data:`_RANK_SLACK`) so that CDFs rebuilt from recovered point
-        masses (:meth:`merge`) agree with batch construction instead of
-        flipping one point mass on floating-point rounding.
+        (:data:`_RANK_SLACK`) so that a cumulative grid a few ulps off
+        does not flip the answer by one point mass.
         """
         if not 0 <= q <= 1:
             raise ValueError("q must be in [0, 1]")
@@ -128,52 +120,6 @@ class EmpiricalCDF:
             return list(zip(self.values, self.cumulative))
         indices = np.linspace(0, count - 1, points).astype(int)
         return [(self.values[i], self.cumulative[i]) for i in indices]
-
-    def point_masses(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The (values, normalized weights) pairs behind this CDF.
-
-        Recovered by differencing the cumulative series; the weights sum
-        to 1.  This is the inverse of :meth:`from_samples` up to sample
-        order and floating-point rounding.
-        """
-        cumulative = np.asarray(self.cumulative, dtype=float)
-        weights = np.diff(cumulative, prepend=0.0)
-        return np.asarray(self.values, dtype=float), weights
-
-    @staticmethod
-    def merge(
-        cdfs: Sequence["EmpiricalCDF"],
-        total_weights: Optional[Sequence[float]] = None,
-    ) -> "EmpiricalCDF":
-        """The CDF of the union of the populations behind ``cdfs``.
-
-        ``total_weights`` gives the sample mass (e.g. job count or
-        cNode total) each member CDF summarizes; every member is
-        normalized, so without it they combine as equals.  Merging the
-        per-shard CDFs of a partitioned population with their shard
-        masses reproduces the whole-population CDF exactly (up to
-        floating-point rounding and the pinned final 1.0).
-        """
-        members = list(cdfs)
-        if not members:
-            raise ValueError("cannot merge zero CDFs")
-        if total_weights is None:
-            mass = np.ones(len(members), dtype=float)
-        else:
-            mass = np.asarray(total_weights, dtype=float).ravel()
-            if mass.shape != (len(members),):
-                raise ValueError("total_weights must match cdfs in length")
-            if np.any(mass <= 0):
-                raise ValueError("total_weights must be positive")
-        values: List[np.ndarray] = []
-        weights: List[np.ndarray] = []
-        for cdf, cdf_mass in zip(members, mass):
-            member_values, member_weights = cdf.point_masses()
-            values.append(member_values)
-            weights.append(member_weights * cdf_mass)
-        return EmpiricalCDF.from_samples(
-            np.concatenate(values), np.concatenate(weights)
-        )
 
 
 class StreamingCDF:
@@ -305,43 +251,3 @@ class StreamingCDF:
     def quantile(self, q: float) -> float:
         """Smallest sketched value with cumulative probability >= q."""
         return self.to_cdf().quantile(q)
-
-
-def fraction_below(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of samples strictly below ``threshold``."""
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    return sum(1 for s in samples if s < threshold) / len(samples)
-
-
-def fraction_above(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of samples strictly above ``threshold``."""
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    return sum(1 for s in samples if s > threshold) / len(samples)
-
-
-def weighted_mean(samples: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean."""
-    if len(samples) != len(weights):
-        raise ValueError("samples and weights must match in length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    return float(sum(s * w for s, w in zip(samples, weights)) / total)
-
-
-def weighted_fraction(
-    samples: Sequence[float],
-    weights: Sequence[float],
-    predicate,
-) -> float:
-    """Weighted fraction of samples satisfying ``predicate``."""
-    if len(samples) != len(weights):
-        raise ValueError("samples and weights must match in length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    return float(
-        sum(w for s, w in zip(samples, weights) if predicate(s)) / total
-    )

@@ -22,6 +22,40 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    ADVISE = [
+        "advise", "--flops", "1T", "--memory", "1GB", "--input", "1MB",
+        "--traffic", "1MB", "--weights", "1MB",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "-n", "0"],
+            ["convert", "in.jsonl", "out", "--shard-rows", "0"],
+            ["convert", "in.jsonl", "out", "--shard-rows", "-5"],
+            ["all", "--jobs", "0"],
+            ["report", "-j", "-1"],
+            ["serve", "--shards", "0"],
+            ["serve", "-n", "0"],
+            ["serve", "--batch-size", "0"],
+            ["faults", "-n", "0"],
+            ["faults", "--scenarios", "two"],
+            ADVISE + ["--cnodes", "0"],
+            ADVISE + ["--batch", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_options_reject_non_positive_values(self, argv, capsys):
+        # They used to run (``convert --shard-rows 0`` wrote default-size
+        # shards, ``all --jobs 0`` ran in-process) or die with a
+        # ValueError traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pai-repro ")
+        assert "expected a positive integer" in err
+
 
 class TestMain:
     def test_list_prints_every_experiment(self, capsys):

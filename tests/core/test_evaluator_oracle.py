@@ -2,11 +2,12 @@
 
 The census experiment, ``repro.serve`` and Figs. 15 and 16 evaluate the
 model columns-first (``batch_breakdowns``, ``batch_projection_speedups``,
-``label_codes``).  Here the single-job APIs -- ``classify``,
-``estimate_breakdown`` and ``projection_speedups`` -- are applied job by
-job over the default 20k-job trace, and every per-job value must match
-**exactly**, not to a tolerance: the figures are byte-identical
-contracts, so one flipped label or one moved bit is a regression.
+``label_codes``).  Here the single-job APIs -- ``estimate_breakdown``,
+``projection_speedups`` and the per-job ``classify`` oracle of
+:mod:`classify_oracle` -- are applied job by job over the default
+20k-job trace, and every per-job value must match **exactly**, not to
+a tolerance: the figures are byte-identical contracts, so one flipped
+label or one moved bit is a regression.
 """
 
 import dataclasses
@@ -20,7 +21,6 @@ from repro.core.classify import (
     CENSUS_LABELS,
     Bottleneck,
     bottleneck_census,
-    classify,
     label_codes,
 )
 from repro.core.efficiency import PAPER_DEFAULT_EFFICIENCY
@@ -40,6 +40,8 @@ from repro.core.timemodel import (
     estimate_breakdown,
 )
 from repro.trace import features_of_type
+
+from classify_oracle import classify
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.architectures import Architecture
+from repro.core.classify import CENSUS_LABELS, Bottleneck, label_codes
 from repro.core.features import WorkloadFeatures
 from repro.core.hardware import pai_default_hardware
+from repro.core.population import batch_breakdowns
 from repro.core.recommend import recommend_architecture
 from repro.core.timemodel import estimate_breakdown
 from repro.optim.overlap import OverlapSchedule, overlapped_step_time
@@ -111,27 +113,35 @@ class TestRecommendProperties:
 
 
 class TestClassifyProperties:
+    """The census labelling of a one-job population against that job's
+    component shares."""
+
+    @staticmethod
+    def labelled(job):
+        breakdown = batch_breakdowns([job.features], HARDWARE)
+        fractions = {
+            key: float(column[0]) for key, column in breakdown.fractions().items()
+        }
+        return CENSUS_LABELS[int(label_codes(breakdown)[0])], fractions
+
     @given(job=jobs())
     def test_label_matches_dominant_component(self, job):
-        from repro.core.classify import Bottleneck, classify
-
-        labeled = classify(job.features, HARDWARE)
-        if labeled.label is not Bottleneck.BALANCED:
+        label, fractions = self.labelled(job)
+        dominant = max(fractions, key=fractions.get)
+        if label is not Bottleneck.BALANCED:
             expected = {
                 "weight": Bottleneck.COMMUNICATION,
                 "compute_bound": Bottleneck.COMPUTE,
                 "memory_bound": Bottleneck.MEMORY,
                 "data_io": Bottleneck.INPUT_IO,
-            }[labeled.dominant_component]
-            assert labeled.label is expected
-            assert labeled.dominant_share >= 0.5
+            }[dominant]
+            assert label is expected
+            assert fractions[dominant] >= 0.5
         else:
-            assert labeled.dominant_share < 0.5
+            assert fractions[dominant] < 0.5
 
     @given(job=jobs())
     def test_dominant_share_is_the_max_fraction(self, job):
-        from repro.core.classify import classify
-
-        labeled = classify(job.features, HARDWARE)
-        fractions = estimate_breakdown(job.features, HARDWARE).fractions()
-        assert labeled.dominant_share == pytest.approx(max(fractions.values()))
+        _, fractions = self.labelled(job)
+        per_job = estimate_breakdown(job.features, HARDWARE).fractions()
+        assert max(fractions.values()) == pytest.approx(max(per_job.values()))

@@ -3,12 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.trace.statistics import (
-    EmpiricalCDF,
-    StreamingCDF,
-    fraction_above,
-    fraction_below,
-)
+from repro.trace.statistics import EmpiricalCDF, StreamingCDF
 
 samples = st.lists(
     st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
@@ -69,22 +64,6 @@ class TestMergedVsBatch:
     """Splitting a population and merging equals one-shot construction."""
 
     @given(data=samples, split=st.integers(min_value=0, max_value=200))
-    def test_cdf_merge_equals_batch(self, data, split):
-        split = min(split, len(data))
-        parts = [part for part in (data[:split], data[split:]) if part]
-        merged = EmpiricalCDF.merge(
-            [EmpiricalCDF.from_samples(part) for part in parts],
-            total_weights=[len(part) for part in parts],
-        )
-        batch = EmpiricalCDF.from_samples(data)
-        assert abs(merged.cumulative[-1] - 1.0) < 1e-12
-        for q in (0.01, 0.25, 0.5, 0.75, 0.9, 0.99):
-            got, want = merged.quantile(q), batch.quantile(q)
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (
-                q, got, want,
-            )
-
-    @given(data=samples, split=st.integers(min_value=0, max_value=200))
     def test_streaming_merge_equals_batch_under_capacity(self, data, split):
         split = min(split, len(data))
         left, right = StreamingCDF(capacity=256), StreamingCDF(capacity=256)
@@ -125,12 +104,3 @@ class TestMergedVsBatch:
         sketch.update_many(data)
         assert sketch.quantile(0.0) == min(data)
         assert sketch.quantile(1.0) == max(data)
-
-
-class TestFractions:
-    @given(data=samples, threshold=st.floats(allow_nan=False, min_value=-2e9, max_value=2e9))
-    def test_partition(self, data, threshold):
-        below = fraction_below(data, threshold)
-        above = fraction_above(data, threshold)
-        at = sum(1 for s in data if s == threshold) / len(data)
-        assert abs(below + above + at - 1.0) < 1e-9

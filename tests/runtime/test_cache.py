@@ -58,7 +58,7 @@ class TestNormalization:
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.store(KEY, sample_result(), duration_s=0.5)
+        cache.store(KEY, sample_result())
         loaded = cache.load(KEY)
         assert loaded == sample_result()
 

@@ -18,6 +18,7 @@ from repro.sched.predictor import (
 from repro.trace.columnar import ColumnarTrace, write_columnar
 from repro.trace.generator import TraceConfig, generate_trace
 
+from scalar_predictor import duration_hours, num_steps, step_time_seconds
 from sched_helpers import make_job
 
 NON_FINITE = [math.nan, math.inf]
@@ -75,22 +76,28 @@ class TestPrediction:
     def test_deterministic_per_job_id(self):
         predictor = ModelRuntimePredictor()
         job = make_job(42)
-        assert predictor.duration_hours(job) == predictor.duration_hours(job)
+        assert predictor.durations([job]) == predictor.durations([job])
         again = ModelRuntimePredictor()
-        assert predictor.duration_hours(job) == again.duration_hours(job)
+        assert predictor.durations([job]) == again.durations([job])
 
     def test_seed_changes_step_budget(self):
         job = make_job(42)
-        first = ModelRuntimePredictor(seed=1).num_steps(job.job_id)
-        second = ModelRuntimePredictor(seed=2).num_steps(job.job_id)
+        first = ModelRuntimePredictor(seed=1, max_hours=None).durations([job])
+        second = ModelRuntimePredictor(seed=2, max_hours=None).durations([job])
         assert first != second
 
     def test_step_budget_is_architecture_independent(self):
         # The same job id keeps its training work across deployments;
         # only the step *time* changes.  This is what makes the what-if
         # comparison apples-to-apples.
-        predictor = ModelRuntimePredictor()
-        assert predictor.num_steps(7) == predictor.num_steps(7)
+        predictor = ModelRuntimePredictor(max_hours=None)
+        for job in (
+            make_job(7, Architecture.PS_WORKER, 16, weight_traffic=4e9),
+            make_job(7, Architecture.ALLREDUCE_LOCAL, 8, weight_traffic=4e7),
+        ):
+            seconds = predictor.durations([job])[7] * 3600.0
+            budget = seconds / step_time_seconds(predictor, job.features)
+            assert budget == pytest.approx(num_steps(predictor, 7), rel=1e-12)
 
     def test_faster_architecture_predicts_shorter_job(self):
         predictor = ModelRuntimePredictor(max_hours=None)
@@ -100,20 +107,19 @@ class TestPrediction:
         light_sync = make_job(
             0, Architecture.ALLREDUCE_LOCAL, 8, weight_traffic=4e7
         )
-        assert predictor.duration_hours(light_sync) < predictor.duration_hours(
-            heavy_sync
-        )
+        assert predictor.durations([light_sync])[0] < predictor.durations(
+            [heavy_sync]
+        )[0]
 
     def test_clamp(self):
         job = make_job(0, Architecture.PS_WORKER, 16, weight_traffic=1e12)
         clamped = ModelRuntimePredictor(max_hours=1.0)
-        assert clamped.duration_hours(job) == 1.0
-        # An integer cap still clamps to a float, on both paths.
+        assert clamped.durations([job])[0] == 1.0
+        # An integer cap still clamps to a float.
         int_capped = ModelRuntimePredictor(max_hours=1)
-        assert type(int_capped.duration_hours(job)) is float
         assert type(int_capped.durations([job])[0]) is float
         unclamped = ModelRuntimePredictor(max_hours=None)
-        assert unclamped.duration_hours(job) > 1.0
+        assert unclamped.durations([job])[0] > 1.0
 
     def test_durations_keyed_by_job_id(self):
         predictor = ModelRuntimePredictor()
@@ -124,7 +130,7 @@ class TestPrediction:
 
 
 class TestBatchDurations:
-    """The vectorized whole-trace path against the scalar oracle."""
+    """The vectorized whole-trace path against the per-job oracle."""
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -133,7 +139,7 @@ class TestBatchDurations:
     def test_batch_matches_scalar_exactly(self, trace):
         predictor = ModelRuntimePredictor()
         assert predictor.durations(trace) == {
-            job.job_id: predictor.duration_hours(job) for job in trace
+            job.job_id: duration_hours(predictor, job) for job in trace
         }
 
     def test_columnar_views_match_scalar_exactly(self, trace, tmp_path):
@@ -141,7 +147,7 @@ class TestBatchDurations:
         views = ColumnarTrace.open(tmp_path / "trace").iter_views()
         predictor = ModelRuntimePredictor()
         assert predictor.durations(views) == {
-            job.job_id: predictor.duration_hours(job) for job in trace
+            job.job_id: duration_hours(predictor, job) for job in trace
         }
 
     def test_empty_batch(self):
@@ -203,7 +209,7 @@ class TestSeedStates:
             float(value).hex() for value in expected
         ], NUMPY
         assert [budget.hex() for budget in budgets] == [
-            predictor.num_steps(job_id).hex() for job_id in job_ids
+            num_steps(predictor, job_id).hex() for job_id in job_ids
         ]
 
 

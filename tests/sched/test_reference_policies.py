@@ -10,8 +10,11 @@ its reference in :mod:`reference_policies`, and every context the
 engine builds must be in both orders, conserve GPUs (server by server,
 free plus the running placements' counts is the server's capacity;
 backfill's reservation reuse relies on it) and never show a job as both
-queued and running.
+queued and running.  Every finished job's segments must add up to its
+service hours.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,21 +139,33 @@ def replays(draw):
     return jobs, durations, num_servers, faults
 
 
+def assert_work_conserved(outcome):
+    """Every finished job's segments add up to its service hours:
+    preemptions and crashes split a run but neither lose nor add
+    work."""
+    for job in outcome.outcomes:
+        executed = sum(segment.duration_hours for segment in job.segments)
+        assert math.isclose(executed, job.service_hours, rel_tol=1e-9), (
+            job.job.job_id,
+            executed,
+            job.service_hours,
+        )
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=replays())
 def test_bundled_policies_match_their_references(case):
     jobs, durations, num_servers, faults = case
     for policy, reference in PAIRS:
-        digests = [
-            schedule_digest(
-                run_schedule(
-                    jobs,
-                    Fleet(num_servers),
-                    chosen,
-                    durations=durations,
-                    faults=faults,
-                )
+        digests = []
+        for chosen in (OrderChecked(policy), reference):
+            outcome = run_schedule(
+                jobs,
+                Fleet(num_servers),
+                chosen,
+                durations=durations,
+                faults=faults,
             )
-            for chosen in (OrderChecked(policy), reference)
-        ]
+            assert_work_conserved(outcome)
+            digests.append(schedule_digest(outcome))
         assert digests[0] == digests[1], policy

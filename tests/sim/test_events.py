@@ -1,75 +1,8 @@
-"""The discrete-event core."""
+"""The simulator's activity record."""
 
 import pytest
 
-from repro.sim.events import EventQueue, TimelineRecord
-
-
-class TestEventQueue:
-    def test_runs_in_time_order(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(2.0, lambda: order.append("b"))
-        queue.schedule(1.0, lambda: order.append("a"))
-        queue.schedule(3.0, lambda: order.append("c"))
-        queue.run()
-        assert order == ["a", "b", "c"]
-
-    def test_ties_break_by_insertion(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(1.0, lambda: order.append("first"))
-        queue.schedule(1.0, lambda: order.append("second"))
-        queue.run()
-        assert order == ["first", "second"]
-
-    def test_now_advances(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(5.0, lambda: seen.append(queue.now))
-        final = queue.run()
-        assert seen == [5.0]
-        assert final == 5.0
-
-    def test_events_can_schedule_events(self):
-        queue = EventQueue()
-        order = []
-
-        def chain():
-            order.append(queue.now)
-            if queue.now < 3.0:
-                queue.schedule(1.0, chain)
-
-        queue.schedule(1.0, chain)
-        queue.run()
-        assert order == [1.0, 2.0, 3.0]
-
-    def test_run_until(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0, lambda: fired.append(1))
-        queue.schedule(10.0, lambda: fired.append(10))
-        queue.run(until=5.0)
-        assert fired == [1]
-        assert len(queue) == 1
-
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule(-1.0, lambda: None)
-
-    def test_rejects_scheduling_in_the_past(self):
-        queue = EventQueue()
-        queue.schedule(2.0, lambda: None)
-        queue.run()
-        with pytest.raises(ValueError):
-            queue.schedule_at(1.0, lambda: None)
-
-    def test_schedule_at_absolute(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule_at(4.0, lambda: seen.append(queue.now))
-        queue.run()
-        assert seen == [4.0]
+from repro.sim.events import TimelineRecord
 
 
 class TestTimelineRecord:

@@ -95,11 +95,33 @@ class TestRoundTrip:
         assert columnar_to_jsonl(columnar, back) == len(small_trace)
         assert back.read_bytes() == jsonl.read_bytes()
 
-    def test_mmap_and_eager_loads_agree(self, store):
-        mapped = ColumnarTrace.open(store, mmap=True)
-        eager = ColumnarTrace.open(store, mmap=False)
-        for name in ("flop_count", "num_cnodes", "architecture"):
-            assert np.array_equal(mapped.column(name), eager.column(name))
+    def test_compressed_shard_falls_back_to_an_eager_load(
+        self, store, tmp_path
+    ):
+        import shutil
+
+        from repro.obs import MemorySink, get_obs, reset_obs
+
+        copy = tmp_path / "compressed.columnar"
+        shutil.copytree(store, copy)
+        shard = sorted(copy.glob("shard-*.npz"))[1]
+        with np.load(shard) as data:
+            members = {name: data[name] for name in data.files}
+        np.savez_compressed(shard, **members)
+        mapped = ColumnarTrace.open(store)
+        reset_obs()
+        sink = get_obs().add_sink(MemorySink())
+        try:
+            flops = ColumnarTrace.open(copy).column("flop_count")
+        finally:
+            reset_obs()
+        fallbacks = sink.of_kind("trace.columnar.mmap_fallback")
+        assert [event["path"] for event in fallbacks] == [str(shard)]
+        assert np.array_equal(flops, mapped.column("flop_count"))
+        eager = ColumnarTrace.open(copy)
+        for name in ("job_id", "architecture", "num_cnodes", "name"):
+            assert np.array_equal(eager.column(name), mapped.column(name))
+        assert list(eager.iter_records()) == list(mapped.iter_records())
 
     def test_single_shard_column_is_memory_mapped(
         self, tmp_path, small_trace

@@ -1,15 +1,8 @@
-"""Empirical CDFs and weighted aggregates."""
+"""Empirical CDFs, batch and streaming."""
 
 import pytest
 
-from repro.trace.statistics import (
-    EmpiricalCDF,
-    StreamingCDF,
-    fraction_above,
-    fraction_below,
-    weighted_fraction,
-    weighted_mean,
-)
+from repro.trace.statistics import EmpiricalCDF, StreamingCDF
 
 
 class TestEmpiricalCDF:
@@ -189,35 +182,3 @@ class TestStreamingCDF:
     def test_capacity_floor(self):
         with pytest.raises(ValueError):
             StreamingCDF(capacity=4)
-
-
-class TestFractions:
-    def test_below_and_above(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert fraction_below(samples, 3.0) == pytest.approx(0.5)
-        assert fraction_above(samples, 3.0) == pytest.approx(0.25)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fraction_below([], 1.0)
-        with pytest.raises(ValueError):
-            fraction_above([], 1.0)
-
-
-class TestWeighted:
-    def test_weighted_mean(self):
-        assert weighted_mean([1.0, 3.0], [3.0, 1.0]) == pytest.approx(1.5)
-
-    def test_weighted_fraction(self):
-        result = weighted_fraction(
-            [1.0, 2.0, 3.0], [1.0, 1.0, 8.0], lambda s: s > 1.5
-        )
-        assert result == pytest.approx(0.9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
