@@ -15,7 +15,6 @@ Run with::
 from dataclasses import replace
 
 from repro.analysis.context import default_trace
-from repro.core import pai_default_hardware
 from repro.sched import (
     BackfillPolicy,
     FifoPolicy,
@@ -29,7 +28,6 @@ from repro.sched import (
 
 
 def main() -> None:
-    hardware = pai_default_hardware()
     # A 600-job slice with arrivals compressed 4x: enough contention
     # that the policy choice matters.
     jobs = [
@@ -39,8 +37,7 @@ def main() -> None:
 
     # Runtimes are model predictions: analytical step time x a per-job
     # step budget, deterministic per job id.
-    predictor = ModelRuntimePredictor(hardware=hardware)
-    durations = predictor.durations(jobs)
+    durations = ModelRuntimePredictor().durations(jobs)
 
     print("policy     mean wait   p90 wait   utilization   preemptions")
     for policy in (
@@ -74,9 +71,7 @@ def main() -> None:
 
     # The Sec. III-C projection, fleet-wide: would re-deploying the
     # PS/Worker jobs as AllReduce-Local shrink queueing delay?
-    report = run_projection_what_if(
-        jobs, num_servers=16, hardware=hardware, predictor=predictor
-    )
+    report = run_projection_what_if(jobs, num_servers=16)
     print(
         f"\nwhat-if: projected {report.projected_jobs} of "
         f"{report.considered_jobs} PS/Worker jobs to AllReduce-Local"

@@ -48,6 +48,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _trace_path(text: str) -> str:
+    """Argparse type of ``serve --trace``: a file or a columnar store."""
+    from ..trace.columnar import is_columnar_store
+
+    if not (os.path.isfile(text) or is_columnar_store(text)):
+        raise argparse.ArgumentTypeError(
+            f"not a trace file or a columnar store: {text!r}"
+        )
+    return text
+
+
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by ``all``, ``report`` and ``trace``."""
     group = parser.add_mutually_exclusive_group()
@@ -216,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = serve_parser.add_mutually_exclusive_group()
     source.add_argument(
         "--trace",
+        type=_trace_path,
         default=None,
         metavar="PATH",
         help="stream this trace in -- a JSONL file or a columnar store "
@@ -385,7 +397,7 @@ def _command_advise(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    """Run the resident service until SIGTERM/SIGINT, then drain."""
+    """Serve until SIGTERM/SIGINT or a failed replay (exit 1); drain."""
     import signal
 
     from ..serve import ShardedState, TraceReplayer, TraceService
@@ -429,6 +441,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         service.wait_for_shutdown()
     finally:
         service.stop()
+    if service.replay_error is not None:
+        return 1
     print(
         f"served {state.job_count} jobs "
         f"(generation {state.generation}); shut down cleanly"

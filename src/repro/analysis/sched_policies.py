@@ -26,7 +26,7 @@ from ..sched import (
     SjfPolicy,
     run_schedule,
 )
-from .context import default_hardware, default_trace
+from .context import default_trace
 from .result import ExperimentResult
 
 __all__ = ["run", "run_policies"]
@@ -52,8 +52,7 @@ def run_policies(jobs: tuple = None) -> List[Tuple[str, ScheduleOutcome]]:
     if jobs is None:
         jobs = default_trace(TRACE_JOBS)
     trace = _stressed_trace(jobs)
-    predictor = ModelRuntimePredictor(hardware=default_hardware())
-    durations = predictor.durations(trace)
+    durations = ModelRuntimePredictor().durations(trace)
     results = []
     for policy in (FifoPolicy(), SjfPolicy(), BackfillPolicy(), PriorityPolicy()):
         outcome = run_schedule(

@@ -12,9 +12,9 @@ attributable to the architecture shift alone.
 
 from __future__ import annotations
 
-from .context import default_hardware, default_trace
+from .context import default_trace
 from .result import ExperimentResult
-from ..sched import ModelRuntimePredictor, WhatIfReport, run_projection_what_if
+from ..sched import WhatIfReport, run_projection_what_if
 from .sched_policies import NUM_SERVERS, TRACE_JOBS, _stressed_trace
 
 __all__ = ["run", "run_what_if"]
@@ -24,13 +24,7 @@ def run_what_if(jobs: tuple = None) -> WhatIfReport:
     """The projection what-if on the stressed trace slice."""
     if jobs is None:
         jobs = default_trace(TRACE_JOBS)
-    hardware = default_hardware()
-    return run_projection_what_if(
-        _stressed_trace(jobs),
-        num_servers=NUM_SERVERS,
-        hardware=hardware,
-        predictor=ModelRuntimePredictor(hardware=hardware),
-    )
+    return run_projection_what_if(_stressed_trace(jobs), num_servers=NUM_SERVERS)
 
 
 def run(jobs: tuple = None) -> ExperimentResult:

@@ -10,7 +10,7 @@ estimate per job.  Two sources are provided:
   model, evaluated over a whole batch of jobs
   (:func:`repro.core.population.batch_step_times`), with a
   deterministic per-job step *count*: duration = predicted step time
-  (a function of the job's workload features and the cluster hardware)
+  (a function of the job's workload features on the Table I hardware)
   times the number of training steps.  Two jobs with the same step
   budget but different architectures then get different predicted
   runtimes -- which is what makes shortest-job-first and what-if
@@ -32,10 +32,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
-from ..core.hardware import HardwareConfig, pai_default_hardware
+from ..core.hardware import pai_default_hardware
 from ..core.population import FeatureArrays, batch_step_times
-from ..core.timemodel import PAPER_MODEL_OPTIONS, ModelOptions
 from ..trace.schema import JobRecord
 
 __all__ = ["ModelRuntimePredictor", "sample_durations"]
@@ -243,8 +241,9 @@ def sample_durations(
 class ModelRuntimePredictor:
     """Predict job durations as step time x sampled step count.
 
-    The per-step time comes from the paper's analytical model under the
-    given hardware/efficiency assumptions; the step count is drawn
+    The per-step time comes from the paper's analytical model under its
+    own configuration (Table I hardware, the uniform 70% efficiency of
+    Sec. II-B, the default model options); the step count is drawn
     log-normal per ``(seed, job_id)`` so that re-deploying the *same*
     job under a different architecture (a what-if projection) keeps its
     training-step budget while changing its speed.
@@ -257,9 +256,6 @@ class ModelRuntimePredictor:
 
     def __init__(
         self,
-        hardware: Optional[HardwareConfig] = None,
-        efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-        options: ModelOptions = PAPER_MODEL_OPTIONS,
         median_steps: float = 20000.0,
         sigma: float = 1.1,
         seed: int = 7,
@@ -272,9 +268,6 @@ class ModelRuntimePredictor:
         if max_hours is not None and not 0 < max_hours < math.inf:
             raise ValueError("max_hours must be positive and finite")
         seed = _check_seed(seed)
-        self.hardware = hardware if hardware is not None else pai_default_hardware()
-        self.efficiency = efficiency
-        self.options = options
         self.median_steps = median_steps
         self.sigma = sigma
         self.seed = seed
@@ -303,9 +296,7 @@ class ModelRuntimePredictor:
         if not jobs:
             return {}
         arrays = FeatureArrays.from_workloads([job.features for job in jobs])
-        step_times = batch_step_times(
-            arrays, self.hardware, self.efficiency, self.options
-        )
+        step_times = batch_step_times(arrays, pai_default_hardware())
         job_ids = [job.job_id for job in jobs]
         budgets = _lognormals(
             self.seed, job_ids, math.log(self.median_steps), self.sigma

@@ -10,8 +10,8 @@ coupling is:
    throughput improves is rewritten via
    :func:`repro.core.projection.project_to_allreduce_local`;
 2. both the original and the projected trace are scheduled onto
-   identical fleets under the same policy, with durations from the
-   same :class:`~repro.sched.predictor.ModelRuntimePredictor` -- the
+   identical fleets under the same policy, with durations from one
+   default :class:`~repro.sched.predictor.ModelRuntimePredictor` -- the
    per-job step *budget* is deterministic per job id, so a projected
    job keeps its training work but runs each step at the projected
    speed on fewer GPUs;
@@ -27,7 +27,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..core.architectures import Architecture
-from ..core.hardware import HardwareConfig, pai_default_hardware
+from ..core.hardware import pai_default_hardware
 from ..core.population import FeatureArrays, batch_projection_speedups
 from ..core.projection import project_to_allreduce_local
 from ..trace.schema import JobRecord
@@ -73,23 +73,19 @@ class WhatIfReport:
         return base - projected
 
 
-def project_trace(
-    jobs: Iterable[JobRecord],
-    hardware: Optional[HardwareConfig] = None,
-) -> Tuple[List[JobRecord], int, int]:
+def project_trace(jobs: Iterable[JobRecord]) -> Tuple[List[JobRecord], int, int]:
     """Rewrite every profitably projectable PS/Worker job.
 
     A job is rewritten when its model fits one GPU's memory *and* the
-    analytical model predicts a throughput win (Fig. 9's criteria).
-    The speedups come from one batch evaluation over the PS/Worker jobs
-    whose model fits.
+    analytical model predicts a throughput win (Fig. 9's criteria),
+    both under the Table I hardware.  The speedups come from one batch
+    evaluation over the PS/Worker jobs whose model fits.
 
     Returns:
         The rewritten trace, the number of PS/Worker jobs considered,
         and the number actually projected.
     """
-    if hardware is None:
-        hardware = pai_default_hardware()
+    hardware = pai_default_hardware()
     rewritten = list(jobs)
     ps_rows = [
         index
@@ -122,18 +118,13 @@ def run_projection_what_if(
     num_servers: int,
     gpus_per_server: int = 8,
     policy: Optional[Policy] = None,
-    hardware: Optional[HardwareConfig] = None,
-    predictor: Optional[ModelRuntimePredictor] = None,
 ) -> WhatIfReport:
     """Schedule a trace before and after the AllReduce projection."""
-    if hardware is None:
-        hardware = pai_default_hardware()
     if policy is None:
         policy = FifoPolicy()
-    if predictor is None:
-        predictor = ModelRuntimePredictor(hardware=hardware)
+    predictor = ModelRuntimePredictor()
     trace = list(jobs)
-    rewritten, considered, projected = project_trace(trace, hardware)
+    rewritten, considered, projected = project_trace(trace)
     baseline = run_schedule(
         trace,
         Fleet(num_servers, gpus_per_server),

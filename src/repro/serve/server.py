@@ -19,12 +19,13 @@ Endpoints (all JSON):
 
 Query responses are content-addressed into the existing
 :class:`repro.runtime.cache.ResultCache` keyed by (endpoint, params,
-per-shard content-digest vector, model-config fingerprint), so a hot
-query at an unchanged generation is served without re-merging or
-re-rendering.  The digests identify the ingested data itself -- two
-service runs over different traces can never alias, even at identical
-batch counts -- and each store evicts the entry it supersedes so a
-long-lived service keeps at most one live entry per (endpoint, params).
+per-shard content-digest vector, and the fingerprint of the one model
+configuration, hashed at import), so a hot query at an unchanged
+generation is served without re-merging or re-rendering.  The digests
+identify the ingested data itself -- two service runs over different
+traces can never alias, even at identical batch counts -- and each store
+evicts the entry it supersedes so a long-lived service keeps at most one
+live entry per (endpoint, params).
 
 Shutdown is graceful: ``shutdown()`` stops accepting new connections,
 then joins every in-flight handler thread before returning (the HTTP/1.0
@@ -41,20 +42,32 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..analysis.result import ExperimentResult
-from ..obs import WARNING, get_obs
+from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY
+from ..core.hardware import pai_default_hardware
+from ..core.timemodel import PAPER_MODEL_OPTIONS
+from ..obs import ERROR, WARNING, get_obs
 from ..runtime.cache import ResultCache
 from ..runtime.fingerprint import fingerprint
 from ..trace.schema import JobRecord
 from ..trace.serialization import job_from_dict, job_to_dict
 from .replay import TraceReplayer
 from .state import DuplicateJobError, ShardedState, StatsSnapshot
-from .stats import AGGREGATION_LEVELS, CDF_METRICS
+from .stats import AGGREGATION_LEVELS, CDF_METRICS, DEFAULT_SKETCH_CAPACITY
 
 __all__ = ["MAX_INGEST_BYTES", "QueryError", "TraceService", "serialize_jobs"]
 
 #: Request body cap for ``POST /ingest`` (guards the resident process
 #: against one unbounded request, not a real security boundary).
 MAX_INGEST_BYTES = 64 * 1024 * 1024
+
+#: The model configuration every shard evaluates under, hashed once: the
+#: last part of every query-cache key.
+_MODEL_CONFIG_FINGERPRINT = fingerprint(
+    pai_default_hardware(),
+    PAPER_DEFAULT_EFFICIENCY,
+    PAPER_MODEL_OPTIONS,
+    {"sketch_capacity": DEFAULT_SKETCH_CAPACITY},
+)
 
 
 class QueryError(Exception):
@@ -171,6 +184,8 @@ class TraceService:
         self._replayer: Optional[TraceReplayer] = None
         self._replay_thread: Optional[threading.Thread] = None
         self._replay_done = threading.Event()
+        #: What ended the last replay early, if it raised.
+        self.replay_error: Optional[Exception] = None
         self._started_at: Optional[float] = None
         self._shutdown_requested = threading.Event()
 
@@ -220,12 +235,15 @@ class TraceService:
         A job whose id the population already holds -- posted by a
         client before the replay reached it, or repeated in the trace
         -- is skipped with a ``serve.replay.repeated_ids`` warning, and
-        the replay goes on to the end of the trace.
+        the replay goes on to the end of the trace.  A replay that
+        raises (a malformed trace line) sets :attr:`replay_error`, emits
+        a ``serve.replay.failed`` error and requests shutdown.
         """
         if self._replay_thread is not None:
             raise RuntimeError("a replay is already running")
         self._replayer = replayer
         self._replay_done.clear()
+        self.replay_error = None
 
         def _sink(jobs: Sequence[JobRecord]) -> None:
             _, skipped = self.state.ingest_new(jobs)
@@ -240,6 +258,15 @@ class TraceService:
         def _run() -> None:
             try:
                 replayer.replay(_sink)
+            except Exception as error:
+                self.replay_error = error
+                get_obs().event(
+                    "serve.replay.failed",
+                    level=ERROR,
+                    jobs=self.state.job_count,
+                    exception=repr(error),
+                )
+                self.request_shutdown()
             finally:
                 self._replay_done.set()
 
@@ -250,8 +277,10 @@ class TraceService:
 
     @property
     def ingest_complete(self) -> bool:
-        """True when no replay is running (finished, stopped, or none)."""
-        return self._replay_thread is None or self._replay_done.is_set()
+        """True when the replay, if any, has ended without failing."""
+        return self.replay_error is None and (
+            self._replay_thread is None or self._replay_done.is_set()
+        )
 
     def wait_for_ingest(self, timeout: Optional[float] = None) -> bool:
         """Block until the running replay finishes; True on completion."""
@@ -380,7 +409,7 @@ class TraceService:
                 "versions": list(snapshot.versions),
                 "digests": list(snapshot.digests),
             },
-            snapshot.stats.config_fingerprint,
+            _MODEL_CONFIG_FINGERPRINT,
         )
         hit = self.cache.load(key)
         if hit is not None:

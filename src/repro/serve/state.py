@@ -46,13 +46,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
-from ..core.hardware import HardwareConfig
-from ..core.timemodel import PAPER_MODEL_OPTIONS, ModelOptions
 from ..obs import get_obs
 from ..trace.schema import JobRecord
 from ..trace.serialization import job_to_dict
-from .stats import DEFAULT_SKETCH_CAPACITY, ShardStats
+from .stats import ShardStats
 
 __all__ = ["DuplicateJobError", "ShardedState", "StatsSnapshot"]
 
@@ -116,28 +113,11 @@ class _Shard:
 class ShardedState:
     """N population shards with lock-free-for-readers merged snapshots."""
 
-    def __init__(
-        self,
-        num_shards: int = 4,
-        hardware: Optional[HardwareConfig] = None,
-        efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-        options: ModelOptions = PAPER_MODEL_OPTIONS,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-    ) -> None:
+    def __init__(self, num_shards: int = 4) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.num_shards = int(num_shards)
-        self._shards = [
-            _Shard(
-                ShardStats(
-                    hardware=hardware,
-                    efficiency=efficiency,
-                    options=options,
-                    sketch_capacity=sketch_capacity,
-                )
-            )
-            for _ in range(self.num_shards)
-        ]
+        self._shards = [_Shard(ShardStats()) for _ in range(self.num_shards)]
         self._snapshot_lock = threading.Lock()
         self._merge_lock = threading.Lock()
         self._cached_snapshot: Optional[StatsSnapshot] = None

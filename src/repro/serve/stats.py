@@ -17,6 +17,10 @@ whole-population numbers.  Averages and counts merge exactly (modulo
 float summation order); CDFs merge exactly while the population fits
 the sketch capacity and with ~1/capacity rank error beyond it.
 
+Shards and :func:`batch_reference` evaluate the model under the paper's
+one configuration (Table I hardware, the default efficiency and model
+options, :data:`DEFAULT_SKETCH_CAPACITY` sketches), so any two merge.
+
 :func:`batch_reference` computes the identical payload through the
 one-shot batch path (``core.population`` +
 ``EmpiricalCDF.from_samples``), which is what the equivalence tests and
@@ -27,7 +31,7 @@ the census experiment uses too.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,16 +41,14 @@ from ..core.classify import (
     label_codes,
     label_totals,
 )
-from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
-from ..core.hardware import HardwareConfig, pai_default_hardware
+from ..core.hardware import pai_default_hardware
 from ..core.population import (
     COMPONENT_KEYS,
     HARDWARE_KEYS,
     FeatureArrays,
     batch_breakdowns,
 )
-from ..core.timemodel import PAPER_MODEL_OPTIONS, ModelOptions
-from ..runtime.fingerprint import fingerprint
+from ..core.timemodel import PAPER_MODEL_OPTIONS
 from ..trace.schema import JobRecord
 from ..trace.statistics import EmpiricalCDF, StreamingCDF
 
@@ -80,17 +82,7 @@ def _zero_levels(keys: Iterable[str]) -> Dict[str, Dict[str, float]]:
 class ShardStats:
     """Online, mergeable statistics over a stream of job records."""
 
-    def __init__(
-        self,
-        hardware: Optional[HardwareConfig] = None,
-        efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-        options: ModelOptions = PAPER_MODEL_OPTIONS,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-    ) -> None:
-        self.hardware = hardware if hardware is not None else pai_default_hardware()
-        self.efficiency = efficiency
-        self.options = options
-        self.sketch_capacity = int(sketch_capacity)
+    def __init__(self) -> None:
         self.job_count = 0
         self.cnode_total = 0.0
         self.arch_jobs: Dict[str, int] = {}
@@ -99,22 +91,10 @@ class ShardStats:
         self.hardware_sums = _zero_levels(HARDWARE_KEYS)
         self.census_sums = _zero_levels(str(label) for label in Bottleneck)
         self.sketches: Dict[Tuple[str, str], StreamingCDF] = {
-            (metric, level): StreamingCDF(capacity=self.sketch_capacity)
+            (metric, level): StreamingCDF(capacity=DEFAULT_SKETCH_CAPACITY)
             for metric in CDF_METRICS
             for level in AGGREGATION_LEVELS
         }
-
-    # ---- identity --------------------------------------------------
-
-    @property
-    def config_fingerprint(self) -> str:
-        """Digest of the model configuration; merge compatibility key."""
-        return fingerprint(
-            self.hardware,
-            self.efficiency,
-            self.options,
-            {"sketch_capacity": self.sketch_capacity},
-        )
 
     # ---- ingestion -------------------------------------------------
 
@@ -130,9 +110,7 @@ class ShardStats:
         if not batch:
             return 0
         arrays = FeatureArrays.from_workloads(job.features for job in batch)
-        breakdown = batch_breakdowns(
-            arrays, self.hardware, self.efficiency, self.options
-        )
+        breakdown = batch_breakdowns(arrays, pai_default_hardware())
         cnodes = arrays.num_cnodes.astype(float)
         level_weights = {"job": np.ones(len(batch)), "cnode": cnodes}
 
@@ -150,7 +128,7 @@ class ShardStats:
 
         fractions = breakdown.fractions()
         shares = breakdown.hardware_shares()
-        step_times = breakdown.total_for(self.options.overlap)
+        step_times = breakdown.total_for(PAPER_MODEL_OPTIONS.overlap)
         metric_samples = dict(fractions)
         metric_samples["step_time"] = step_times
         metric_samples["num_cnodes"] = cnodes
@@ -180,11 +158,6 @@ class ShardStats:
 
     def update_from(self, other: "ShardStats") -> None:
         """Fold another shard's statistics into this one, in place."""
-        if other.config_fingerprint != self.config_fingerprint:
-            raise ValueError(
-                "cannot merge shard statistics computed under different "
-                "model configurations"
-            )
         self.job_count += other.job_count
         self.cnode_total += other.cnode_total
         for label, count in other.arch_jobs.items():
@@ -206,12 +179,7 @@ class ShardStats:
 
     def copy(self) -> "ShardStats":
         """A deep, independent snapshot of this shard's statistics."""
-        duplicate = ShardStats(
-            hardware=self.hardware,
-            efficiency=self.efficiency,
-            options=self.options,
-            sketch_capacity=self.sketch_capacity,
-        )
+        duplicate = ShardStats()
         duplicate.job_count = self.job_count
         duplicate.cnode_total = self.cnode_total
         duplicate.arch_jobs = dict(self.arch_jobs)
@@ -319,12 +287,7 @@ class ShardStats:
         return payload
 
 
-def batch_reference(
-    jobs: Sequence[JobRecord],
-    hardware: Optional[HardwareConfig] = None,
-    efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-    options: ModelOptions = PAPER_MODEL_OPTIONS,
-) -> Dict[str, object]:
+def batch_reference(jobs: Sequence[JobRecord]) -> Dict[str, object]:
     """The one-shot batch-path aggregates over a materialized trace.
 
     Computed with exactly the primitives the ``report`` experiments use:
@@ -336,17 +299,15 @@ def batch_reference(
     records = list(jobs)
     if not records:
         raise ValueError("population is empty")
-    if hardware is None:
-        hardware = pai_default_hardware()
     arrays = FeatureArrays.from_workloads(job.features for job in records)
-    breakdown = batch_breakdowns(arrays, hardware, efficiency, options)
+    breakdown = batch_breakdowns(arrays, pai_default_hardware())
     cnodes = arrays.num_cnodes.astype(float)
     arch_jobs: Dict[str, int] = {}
     for architecture in arrays.architectures_present():
         arch_jobs[str(architecture)] = int(arrays.mask_of(architecture).sum())
 
     fractions = breakdown.fractions()
-    step_times = breakdown.total_for(options.overlap)
+    step_times = breakdown.total_for(PAPER_MODEL_OPTIONS.overlap)
     metric_samples: Dict[str, np.ndarray] = dict(fractions)
     metric_samples["step_time"] = step_times
     metric_samples["num_cnodes"] = cnodes

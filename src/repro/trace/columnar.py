@@ -219,6 +219,45 @@ class ShardInfo:
     sha256: str
 
 
+def _manifest_shards(manifest: dict, path: Path) -> Tuple[ShardInfo, ...]:
+    """The shard table of a decoded manifest whose keys have the shape
+    :func:`write_columnar` writes; ``ValueError`` naming ``path`` if not.
+    """
+    try:
+        jobs, labels, groups, entries = (
+            manifest[key]
+            for key in ("jobs", "architectures", "user_groups", "shards")
+        )
+    except KeyError as missing:
+        raise ValueError(f"{path}: no {missing} key") from None
+    for key, values in (("architectures", labels), ("user_groups", groups)):
+        if not isinstance(values, list) or not all(
+            isinstance(value, str) for value in values
+        ):
+            raise ValueError(f"{path}: {key!r} is not a list of strings")
+    known = {label.lower() for label in _ARCH_LABELS}
+    for label in labels:
+        if label.lower() not in known:
+            raise ValueError(f"{path}: unknown architecture label {label!r}")
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("file"), str)
+        and type(entry.get("rows")) is int
+        and entry["rows"] >= 0
+        and isinstance(entry.get("sha256"), str)
+        for entry in entries
+    ):
+        raise ValueError(f"{path}: 'shards' is not a list of shard entries")
+    shards = tuple(
+        ShardInfo(entry["file"], entry["rows"], entry["sha256"])
+        for entry in entries
+    )
+    rows = sum(shard.rows for shard in shards)
+    if type(jobs) is not int or jobs != rows:
+        raise ValueError(f"{path}: 'jobs' is {jobs!r}, the shards hold {rows}")
+    return shards
+
+
 class _ShardWriter:
     """Accumulates records column-wise and flushes fixed-size shards."""
 
@@ -371,6 +410,7 @@ class ColumnarTrace:
         self._manifest = manifest
         self._shards = tuple(shards)
         self._columns: Dict[str, np.ndarray] = {}
+        self._shard_members: Optional[List[Dict[str, np.ndarray]]] = None
         self.user_groups: Tuple[str, ...] = tuple(manifest["user_groups"])
         self.architectures: Tuple[Architecture, ...] = tuple(
             Architecture.from_label(label)
@@ -385,9 +425,11 @@ class ColumnarTrace:
     ) -> "ColumnarTrace":
         """Open a store directory; optionally re-hash shards first.
 
-        ``verify=True`` recomputes every shard's SHA-256 and raises
-        ``ValueError`` on any mismatch with the manifest, catching
-        silent corruption before it becomes wrong statistics.
+        A manifest of another shape than :func:`write_columnar` writes
+        raises ``ValueError`` naming it.  ``verify=True`` also
+        recomputes every shard's SHA-256 and raises ``ValueError`` on
+        any mismatch with the manifest, catching silent corruption
+        before it becomes wrong statistics.
         """
         directory = Path(path)
         manifest_path = directory / MANIFEST_NAME
@@ -396,6 +438,8 @@ class ColumnarTrace:
                 f"not a columnar store (no {MANIFEST_NAME}): {directory}"
             )
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{manifest_path}: not a JSON object")
         if manifest.get("format") != COLUMNAR_FORMAT:
             raise ValueError(
                 f"{manifest_path}: unrecognized format marker "
@@ -415,14 +459,7 @@ class ColumnarTrace:
                 f"{manifest.get('schema_version')!r} "
                 f"(expected {SCHEMA_VERSION})"
             )
-        shards = tuple(
-            ShardInfo(
-                file=entry["file"],
-                rows=int(entry["rows"]),
-                sha256=entry["sha256"],
-            )
-            for entry in manifest["shards"]
-        )
+        shards = _manifest_shards(manifest, manifest_path)
         store = cls(directory, manifest, shards)
         if verify:
             store.verify()
@@ -492,13 +529,17 @@ class ColumnarTrace:
         return columns
 
     def column(self, name: str) -> np.ndarray:
-        """One column over the whole store (cached after first touch)."""
+        """One column over the whole store (cached after first touch).
+        Each shard is read once; a column takes its members out of the
+        reads, so no shard mapping outlives its column."""
         if name not in _ALL_COLUMNS:
             raise KeyError(f"unknown column: {name!r}")
         cached = self._columns.get(name)
         if cached is not None:
             return cached
-        parts = [self._read_shard(shard)[name] for shard in self._shards]
+        if self._shard_members is None:
+            self._shard_members = [self._read_shard(shard) for shard in self._shards]
+        parts = [members.pop(name) for members in self._shard_members]
         if not parts:
             column = np.empty(0, dtype=np.int64)
         elif len(parts) == 1:

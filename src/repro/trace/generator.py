@@ -29,9 +29,9 @@ from typing import List
 import numpy as np
 
 from ..core.architectures import Architecture
-from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
+from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY
 from ..core.features import WorkloadFeatures
-from ..core.hardware import HardwareConfig, pai_default_hardware
+from ..core.hardware import pai_default_hardware
 from .distributions import (
     beta_with_mean,
     clipped_lognormal_int,
@@ -42,6 +42,8 @@ from .distributions import (
 from .schema import JobRecord
 
 __all__ = ["TraceConfig", "ClusterTraceGenerator", "generate_trace"]
+
+_HARDWARE = pai_default_hardware()
 
 
 @dataclass(frozen=True)
@@ -141,15 +143,8 @@ class TraceConfig:
 class ClusterTraceGenerator:
     """Generates :class:`JobRecord` populations per :class:`TraceConfig`."""
 
-    def __init__(
-        self,
-        config: TraceConfig = TraceConfig(),
-        hardware: HardwareConfig = None,
-        efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-    ) -> None:
+    def __init__(self, config: TraceConfig = TraceConfig()) -> None:
         self.config = config
-        self.hardware = hardware if hardware is not None else pai_default_hardware()
-        self.efficiency = efficiency
 
     # ---- time-domain helpers ---------------------------------------
 
@@ -157,8 +152,8 @@ class ClusterTraceGenerator:
         """T_w of a traffic volume on the architecture's media."""
         seconds = 0.0
         for medium in features_arch.weight_media:
-            bandwidth = self.hardware.bandwidth_of(medium)
-            seconds += traffic / (bandwidth * self.efficiency.for_medium(medium))
+            bandwidth = _HARDWARE.bandwidth_of(medium)
+            seconds += traffic / (bandwidth * PAPER_DEFAULT_EFFICIENCY.for_medium(medium))
         return seconds
 
     def _derive_compute(self, rng: np.random.Generator, compute_time: float) -> tuple:
@@ -166,16 +161,17 @@ class ClusterTraceGenerator:
         beta = beta_with_mean(
             rng, self.config.beta_mean, self.config.beta_concentration
         )
-        gpu = self.hardware.gpu
-        flops = compute_time * (1.0 - beta) * gpu.peak_flops * self.efficiency.compute
-        access = compute_time * beta * gpu.memory_bandwidth * self.efficiency.memory
+        gpu = _HARDWARE.gpu
+        efficiency = PAPER_DEFAULT_EFFICIENCY
+        flops = compute_time * (1.0 - beta) * gpu.peak_flops * efficiency.compute
+        access = compute_time * beta * gpu.memory_bandwidth * efficiency.memory
         return flops, access
 
     def _derive_input(
         self, data_time: float, contention: int
     ) -> float:
         """Input bytes whose transfer takes ``data_time`` under contention."""
-        pcie = self.hardware.pcie.bandwidth * self.efficiency.pcie
+        pcie = _HARDWARE.pcie.bandwidth * PAPER_DEFAULT_EFFICIENCY.pcie
         return data_time * pcie / max(contention, 1)
 
     # ---- per-type samplers -----------------------------------------

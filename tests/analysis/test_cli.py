@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.cli import build_parser, main
+from repro.trace.columnar import write_columnar
 
 
 class TestParser:
@@ -55,6 +56,23 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: pai-repro ")
         assert "expected a positive integer" in err
+
+    def test_serve_trace_must_be_a_trace(self, tmp_path, capsys):
+        # A missing path used to start the service, whose replay thread
+        # then died and left it answering for an empty population.
+        (tmp_path / "trace.jsonl").write_text("", encoding="utf-8")
+        write_columnar([], tmp_path / "store")
+        parser = build_parser()
+        for path in ("trace.jsonl", "store"):
+            args = parser.parse_args(["serve", "--trace", str(tmp_path / path)])
+            assert args.trace == str(tmp_path / path)
+        for path in (tmp_path / "missing.jsonl", tmp_path):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(["serve", "--trace", str(path)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: pai-repro ")
+            assert "not a trace file or a columnar store" in err
 
 
 class TestMain:

@@ -96,7 +96,7 @@ class TestPrediction:
             make_job(7, Architecture.ALLREDUCE_LOCAL, 8, weight_traffic=4e7),
         ):
             seconds = predictor.durations([job])[7] * 3600.0
-            budget = seconds / step_time_seconds(predictor, job.features)
+            budget = seconds / step_time_seconds(job.features)
             assert budget == pytest.approx(num_steps(predictor, 7), rel=1e-12)
 
     def test_faster_architecture_predicts_shorter_job(self):

@@ -10,11 +10,7 @@ from repro.core.projection import (
     project_to_allreduce_local,
     projection_speedups,
 )
-from repro.sched import (
-    ModelRuntimePredictor,
-    project_trace,
-    run_projection_what_if,
-)
+from repro.sched import project_trace, run_projection_what_if
 
 from sched_helpers import make_job
 
@@ -78,7 +74,7 @@ class TestProjectTrace:
                     job, features=project_to_allreduce_local(job.features)
                 )
             expected.append(job)
-        rewritten, _, projected = project_trace(trace, hardware)
+        rewritten, _, projected = project_trace(trace)
         assert rewritten == expected
         assert projected == sum(
             1 for before, after in zip(trace, expected) if before is not after
@@ -92,11 +88,7 @@ class TestProjectTrace:
 class TestWhatIf:
     def test_report_structure_and_gains(self):
         trace = ps_heavy_trace()
-        report = run_projection_what_if(
-            trace,
-            num_servers=12,
-            predictor=ModelRuntimePredictor(),
-        )
+        report = run_projection_what_if(trace, num_servers=12)
         assert report.considered_jobs == 4
         assert report.projected_jobs == 4
         assert len(report.baseline.outcomes) == len(trace)
@@ -106,10 +98,7 @@ class TestWhatIf:
         assert report.queueing_delay_reduction >= 0.0
 
     def test_zero_baseline_delay_guard(self):
-        report = run_projection_what_if(
-            [make_job(0)], num_servers=4,
-            predictor=ModelRuntimePredictor(),
-        )
+        report = run_projection_what_if([make_job(0)], num_servers=4)
         assert report.queueing_delay_reduction == 0.0
         assert report.completion_time_reduction == pytest.approx(
             1.0

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -207,3 +208,64 @@ class TestGracefulShutdown:
             if process.poll() is None:
                 process.kill()
                 process.communicate()
+
+    def test_a_failed_replay_stops_the_service(self, small_trace, tmp_path):
+        """A trace line that does not parse ends ``serve --trace`` with
+        exit 1 instead of a service answering for a partial population."""
+        from repro.trace import save_trace
+
+        path = tmp_path / "trace.jsonl"
+        save_trace(small_trace[:30], path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(10, '{"job_id": \n')
+        path.write_text("".join(lines), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.analysis.cli",
+                "serve",
+                "--trace",
+                str(path),
+                "--batch-size",
+                "5",
+                "--no-cache",
+                "-q",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 1, (stdout, stderr)
+        assert "serve.replay.failed" in stderr
+        assert "shut down cleanly" not in stdout
+
+    def test_a_failed_replay_is_not_complete(self, small_trace):
+        def jobs():
+            for day, job in enumerate(small_trace[:10]):
+                yield replace(job, submit_day=day)
+            raise ValueError("torn trace")
+
+        service = TraceService(state=ShardedState(num_shards=2))
+        service.start()
+        try:
+            service.start_replay(TraceReplayer(jobs(), batch_size=5))
+            assert service.wait_for_shutdown(timeout=30)
+            assert service.wait_for_ingest(timeout=30)
+            assert isinstance(service.replay_error, ValueError)
+            health = ServeClient(service.url).healthz()
+            # The tenth job's day never closed, so it never landed.
+            assert health["jobs"] == 9
+            assert health["ingest_complete"] is False
+        finally:
+            service.stop()

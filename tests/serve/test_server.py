@@ -215,6 +215,31 @@ class TestQueryCache:
         assert first["jobs"] == 100
         assert second["jobs"] == 150
 
+    def test_cache_keys_are_stable_across_releases(
+        self, small_trace, tmp_path
+    ):
+        # The entry names are the keys an earlier release wrote for the
+        # same population and queries, so a cache directory it left
+        # behind is still hit.
+        from urllib.request import urlopen
+
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace[:50])
+        service = TraceService(state=state, cache=ResultCache(tmp_path))
+        service.start()
+        try:
+            ServeClient(service.url).stats()
+            with urlopen(
+                f"{service.url}/cdf/step_time?points=20", timeout=10
+            ) as response:
+                assert response.status == 200
+        finally:
+            service.stop()
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == [
+            "32b1f71a9a8c3ff1d31facd953bccd42d574a01cdc62e79dd477e93da8d79f10.json",
+            "63fcc8b0df264e3542ae7b854ece374ac9461ef4cbd22422ae6322a0103c6310.json",
+        ]
+
     def test_superseded_entries_are_evicted(self, small_trace, tmp_path):
         state = ShardedState(num_shards=2)
         state.ingest(small_trace[:50])

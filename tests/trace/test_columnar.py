@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,87 @@ class TestStoreLayout:
         assert ColumnarTrace.open(store).digest() != (
             ColumnarTrace.open(shuffled).digest()
         )
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+
+    return edit
+
+
+def _set(key, value):
+    def edit(manifest):
+        manifest[key] = value
+        return manifest
+
+    return edit
+
+
+def _unknown_architecture(manifest):
+    manifest["architectures"][0] = "Parameter-Server"
+    return manifest
+
+
+class TestManifestShape:
+    @pytest.fixture(scope="class")
+    def three_shards(self, tmp_path_factory, small_trace):
+        path = tmp_path_factory.mktemp("manifest") / "fifty.columnar"
+        write_columnar(small_trace[:50], path, shard_rows=17)
+        return path
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _drop("shards"),
+            _drop("user_groups"),
+            _drop("jobs"),
+            _set("shards", 5),
+            lambda manifest: list(manifest),
+            _unknown_architecture,
+            _set("jobs", 49),
+        ],
+        ids=[
+            "no-shards",
+            "no-user_groups",
+            "no-jobs",
+            "shards-is-a-number",
+            "a-list",
+            "unknown-architecture",
+            "jobs-short-of-the-rows",
+        ],
+    )
+    def test_open_rejects_a_misshapen_manifest(
+        self, three_shards, tmp_path, edit
+    ):
+        # Each used to open with a bare KeyError, TypeError or
+        # AttributeError, or (49 jobs) open and report the wrong length.
+        import shutil
+
+        copy = tmp_path / "edited.columnar"
+        shutil.copytree(three_shards, copy)
+        manifest_path = copy / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert len(manifest["shards"]) == 3
+        manifest_path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(manifest_path))):
+            ColumnarTrace.open(copy)
+
+    def test_columns_read_each_shard_once(self, three_shards, monkeypatch):
+        import repro.trace.columnar as columnar
+
+        mapped = []
+        original = columnar._mapped_members
+
+        def counting(path):
+            mapped.append(path.name)
+            return original(path)
+
+        monkeypatch.setattr(columnar, "_mapped_members", counting)
+        store = ColumnarTrace.open(three_shards)
+        assert len(list(store.iter_views())) == 50
+        assert sorted(mapped) == [shard.file for shard in store.shards]
 
 
 class TestRoundTrip:
