@@ -49,10 +49,21 @@ def _positive_int(text: str) -> int:
 
 
 def _trace_path(text: str) -> str:
-    """Argparse type of ``serve --trace``: a file or a columnar store."""
-    from ..trace.columnar import is_columnar_store
+    """Argparse type of ``serve --trace``: a file or a columnar store.
 
-    if not (os.path.isfile(text) or is_columnar_store(text)):
+    A store is opened here, so a broken one is a usage error before
+    the service binds its port.
+    """
+    from ..trace.columnar import ColumnarTrace, is_columnar_store
+
+    if is_columnar_store(text):
+        try:
+            ColumnarTrace.open(text)
+        except (OSError, ValueError) as error:
+            raise argparse.ArgumentTypeError(
+                f"not a trace file or a columnar store: {error}"
+            ) from None
+    elif not os.path.isfile(text):
         raise argparse.ArgumentTypeError(
             f"not a trace file or a columnar store: {text!r}"
         )

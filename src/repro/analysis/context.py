@@ -8,8 +8,13 @@ are cached so running the full experiment suite generates them once.
 The trace cache is keyed on the **full generator configuration** (the
 :class:`repro.trace.generator.TraceConfig` dataclass), not just the job
 count: any calibration, seed or marginal-distribution change produces a
-different key, so a stale trace can never be served.  Tests that mutate
-the environment can reset everything through :func:`clear_caches`.
+different key, so a stale trace can never be served.  The caches of an
+external trace (:data:`TRACE_PATH_ENV_VAR`) -- its records, its opened
+columnar store and its feature columns -- key on the content digest
+that :func:`trace_source_identity` reports, probed fresh on every call:
+a rewrite is seen at once, and a result-cache fingerprint describes
+the very data served.  Tests that mutate the environment can reset
+everything through :func:`clear_caches`.
 """
 
 from __future__ import annotations
@@ -18,13 +23,12 @@ import functools
 import hashlib
 import os
 from collections import OrderedDict
-from pathlib import Path
 from typing import Optional, Tuple
 
 from ..core.architectures import Architecture
 from ..core.hardware import HardwareConfig, pai_default_hardware, testbed_v100_hardware
 from ..core.population import FeatureArrays
-from ..trace.columnar import MANIFEST_NAME, ColumnarTrace, is_columnar_store
+from ..trace.columnar import ColumnarTrace, is_columnar_store
 from ..trace.generator import TraceConfig, generate_trace
 from ..trace.schema import features_of_type
 from ..trace.serialization import load_trace
@@ -71,51 +75,6 @@ def external_trace_path() -> Optional[str]:
     return os.environ.get(TRACE_PATH_ENV_VAR) or None
 
 
-def _manifest_digest(path: str) -> str:
-    """Content hash of a columnar store's manifest (its commit point).
-
-    The manifest carries every shard's SHA-256, so hashing its bytes
-    identifies the store *contents*; it is a few KB, so re-reading it
-    on every cache probe is what makes in-process rewrites visible.
-    """
-    payload = (Path(path) / MANIFEST_NAME).read_bytes()
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _external_trace_token(path: str) -> tuple:
-    """Content-identity token of the trace at ``path``, probed fresh.
-
-    JSONL traces are identified by ``(size, mtime_ns)``; columnar
-    stores by their manifest digest (re-checked on every call).  The
-    caches below key on ``(path, token)``, so rewriting the file at
-    :data:`TRACE_PATH_ENV_VAR` mid-process invalidates them instead of
-    serving the old records under the new fingerprint.
-    """
-    if is_columnar_store(path):
-        return ("columnar", _manifest_digest(path))
-    stat = os.stat(path)
-    return ("jsonl", stat.st_size, stat.st_mtime_ns)
-
-
-@functools.lru_cache(maxsize=2)
-def _columnar_store_for(path: str, manifest_digest: str) -> ColumnarTrace:
-    del manifest_digest  # cache key only: re-open when contents change
-    return ColumnarTrace.open(path)
-
-
-def _external_columnar_store(path: str) -> ColumnarTrace:
-    """The columnar store at ``path``, re-opened when its content changes."""
-    return _columnar_store_for(path, _manifest_digest(path))
-
-
-@functools.lru_cache(maxsize=2)
-def _cached_external_trace(path: str, token: tuple) -> tuple:
-    del token  # cache key only: content identity of the trace
-    if is_columnar_store(path):
-        return tuple(_external_columnar_store(path).iter_records())
-    return tuple(load_trace(path))
-
-
 @functools.lru_cache(maxsize=4)
 def _jsonl_digest(path: str, size: int, mtime_ns: int) -> str:
     digest = hashlib.sha256()
@@ -125,30 +84,48 @@ def _jsonl_digest(path: str, size: int, mtime_ns: int) -> str:
     return digest.hexdigest()
 
 
+def _source_digest(path: str) -> str:
+    """Content digest of the trace at ``path``, probed fresh each call.
+
+    A columnar store's is :meth:`ColumnarTrace.digest`, read through
+    :meth:`ColumnarTrace.open`; a JSONL file's is the SHA-256 of its
+    bytes, re-hashed whenever its size or mtime changes.
+    """
+    if is_columnar_store(path):
+        return ColumnarTrace.open(path).digest()
+    stat = os.stat(path)
+    return _jsonl_digest(path, stat.st_size, stat.st_mtime_ns)
+
+
 def trace_source_identity() -> Optional[dict]:
     """Content identity of the external trace override, or ``None``.
 
     Result-cache fingerprints include this, so pointing
     :data:`TRACE_PATH_ENV_VAR` at a different trace (or rewriting the
-    same path) can never serve a stale cached result.  Columnar stores
-    identify by their manifest digest; JSONL traces hash their bytes
-    (re-hashed whenever size or mtime changes).  The record and column
-    caches key on the same identity, so a fingerprint can never pair a
-    fresh digest with stale cached data.
+    same path) can never serve a stale cached result.  The record,
+    store and column caches below key on the same digest, so a
+    fingerprint and the data it describes come from one value.
     """
     path = external_trace_path()
     if path is None:
         return None
-    if is_columnar_store(path):
-        return {
-            "format": "columnar",
-            "digest": _external_columnar_store(path).digest(),
-        }
-    stat = os.stat(path)
     return {
-        "format": "jsonl",
-        "digest": _jsonl_digest(path, stat.st_size, stat.st_mtime_ns),
+        "format": "columnar" if is_columnar_store(path) else "jsonl",
+        "digest": _source_digest(path),
     }
+
+
+@functools.lru_cache(maxsize=2)
+def _external_store(path: str, digest: str) -> ColumnarTrace:
+    del digest  # cache key only: re-open when the contents change
+    return ColumnarTrace.open(path)
+
+
+@functools.lru_cache(maxsize=2)
+def _cached_external_trace(path: str, digest: str) -> tuple:
+    if is_columnar_store(path):
+        return tuple(_external_store(path, digest).iter_records())
+    return tuple(load_trace(path))
 
 
 def default_trace_config(num_jobs: Optional[int] = None) -> TraceConfig:
@@ -186,7 +163,7 @@ def default_trace(
     if num_jobs is None and config is None:
         path = external_trace_path()
         if path is not None:
-            return _cached_external_trace(path, _external_trace_token(path))
+            return _cached_external_trace(path, _source_digest(path))
     if config is None:
         config = default_trace_config(num_jobs)
     elif num_jobs is not None and config.num_jobs != num_jobs:
@@ -207,13 +184,20 @@ def testbed_hardware() -> HardwareConfig:
     return testbed_v100_hardware()
 
 
-#: Columnar-extraction memo: (trace identity, architecture) -> arrays.
-#: Keyed on object identity with the trace kept alive in the value, so a
-#: recycled ``id`` can never alias a different trace.
+#: Extraction memo for record tuples: (id(jobs), architecture) ->
+#: (jobs, arrays).  The tuple is kept alive in the value, so a recycled
+#: ``id`` can never alias a different trace.
 _FEATURE_ARRAYS: "OrderedDict[Tuple[int, Optional[Architecture]], Tuple[tuple, FeatureArrays]]" = (
     OrderedDict()
 )
 _FEATURE_ARRAYS_MAX = 16
+
+
+@functools.lru_cache(maxsize=_FEATURE_ARRAYS_MAX)
+def _external_feature_arrays(
+    path: str, digest: str, architecture: Optional[Architecture]
+) -> FeatureArrays:
+    return _external_store(path, digest).feature_arrays(architecture)
 
 
 def trace_feature_arrays(
@@ -235,17 +219,9 @@ def trace_feature_arrays(
     if jobs is None:
         path = external_trace_path()
         if path is not None and is_columnar_store(path):
-            store = _external_columnar_store(path)
-            skey = (id(store), architecture)
-            hit = _FEATURE_ARRAYS.get(skey)
-            if hit is not None and hit[0] is store:
-                _FEATURE_ARRAYS.move_to_end(skey)  # repro: ignore[fork-safety] per-process memo
-                return hit[1]
-            arrays = store.feature_arrays(architecture)
-            _FEATURE_ARRAYS[skey] = (store, arrays)  # repro: ignore[fork-safety] per-process memo
-            while len(_FEATURE_ARRAYS) > _FEATURE_ARRAYS_MAX:
-                _FEATURE_ARRAYS.popitem(last=False)  # repro: ignore[fork-safety] per-process memo
-            return arrays
+            return _external_feature_arrays(
+                path, _source_digest(path), architecture
+            )
         jobs = default_trace()
     key = (id(jobs), architecture)
     hit = _FEATURE_ARRAYS.get(key)
@@ -267,6 +243,7 @@ def clear_caches() -> None:
     """Drop every cached trace and feature extraction (test hook)."""
     _cached_trace.cache_clear()
     _cached_external_trace.cache_clear()
-    _columnar_store_for.cache_clear()
+    _external_store.cache_clear()
+    _external_feature_arrays.cache_clear()
     _jsonl_digest.cache_clear()
     _FEATURE_ARRAYS.clear()  # repro: ignore[fork-safety] test hook

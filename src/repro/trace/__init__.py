@@ -3,8 +3,10 @@
 A trace is stored as JSONL (:mod:`.serialization`) or as a sharded
 columnar store (:mod:`.columnar`), whose shards are memory-mapped (read
 eagerly when a shard cannot be mapped) and decode losslessly back to
-records.  :mod:`.statistics` holds the empirical CDFs the figures and
-the service report.
+records.  The path decides the format: a directory is a columnar store,
+anything else a JSONL file, and :meth:`ColumnarTrace.open` is the one
+reader of a store's manifest.  :mod:`.statistics` holds the empirical
+CDFs the figures and the service report.
 """
 
 from .calibration import CALIBRATION_TARGETS, CalibrationTarget, evaluate_targets
@@ -14,15 +16,6 @@ from .columnar import (
     is_columnar_store,
     jsonl_to_columnar,
     write_columnar,
-)
-from .filters import (
-    by_cnode_band,
-    by_day_window,
-    by_tenant,
-    by_type,
-    by_weight_band,
-    filter_jobs,
-    split_by,
 )
 from .generator import ClusterTraceGenerator, TraceConfig, generate_trace
 from .groups import GroupProfile, group_profiles, resource_concentration
@@ -58,15 +51,9 @@ __all__ = [
     "StreamingCDF",
     "TraceConfig",
     "append_trace",
-    "by_cnode_band",
-    "by_day_window",
-    "by_tenant",
-    "by_type",
-    "by_weight_band",
     "evaluate_targets",
     "features_of_type",
     "iter_day_groups",
-    "filter_jobs",
     "generate_trace",
     "group_profiles",
     "is_columnar_store",
@@ -78,6 +65,5 @@ __all__ = [
     "load_trace",
     "resource_concentration",
     "save_trace",
-    "split_by",
     "write_columnar",
 ]

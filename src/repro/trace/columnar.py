@@ -16,6 +16,11 @@ Layout::
         shard-00001.npz
         ...
 
+The format is a property of the path: a directory is a store, anything
+else a JSONL file (:func:`is_columnar_store` reads no file).
+:meth:`ColumnarTrace.open` is the one reader of ``manifest.json``, and
+every error it raises names the manifest.
+
 Numeric columns load via ``np.memmap`` straight out of the shard files
 (``np.savez`` stores members uncompressed, so each ``.npy`` member sits
 at a fixed offset inside the zip); the OS pages data in on demand, so
@@ -71,7 +76,7 @@ __all__ = [
     "is_columnar_store",
 ]
 
-#: Manifest ``format`` marker; also what :func:`is_columnar_store` sniffs.
+#: Manifest ``format`` marker, checked by :meth:`ColumnarTrace.open`.
 COLUMNAR_FORMAT = "pai-repro-columnar"
 
 #: Version of the columnar layout itself (manifest keys, encodings).
@@ -378,15 +383,13 @@ def write_columnar(
 
 
 def is_columnar_store(path: Union[str, Path]) -> bool:
-    """Whether ``path`` is a committed columnar store directory."""
-    manifest = Path(path) / MANIFEST_NAME
-    if not manifest.is_file():
-        return False
-    try:
-        payload = json.loads(manifest.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return False
-    return isinstance(payload, dict) and payload.get("format") == COLUMNAR_FORMAT
+    """Whether ``path`` names a columnar store rather than a JSONL file.
+
+    The format is a property of the path, decided without reading a
+    file: a directory is a store.  Whether the store is intact is for
+    :meth:`ColumnarTrace.open` to say.
+    """
+    return Path(path).is_dir()
 
 
 class ColumnarTrace:
@@ -425,8 +428,10 @@ class ColumnarTrace:
     ) -> "ColumnarTrace":
         """Open a store directory; optionally re-hash shards first.
 
-        A manifest of another shape than :func:`write_columnar` writes
-        raises ``ValueError`` naming it.  ``verify=True`` also
+        This is the one reader of ``manifest.json``, and every error it
+        raises names it: ``FileNotFoundError`` when there is none, and
+        ``ValueError`` for a manifest that is not JSON or has another
+        shape than :func:`write_columnar` writes.  ``verify=True`` also
         recomputes every shard's SHA-256 and raises ``ValueError`` on
         any mismatch with the manifest, catching silent corruption
         before it becomes wrong statistics.
@@ -435,9 +440,13 @@ class ColumnarTrace:
         manifest_path = directory / MANIFEST_NAME
         if not manifest_path.is_file():
             raise FileNotFoundError(
-                f"not a columnar store (no {MANIFEST_NAME}): {directory}"
+                f"{manifest_path}: no such file, so {directory} is not "
+                "a columnar store"
             )
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as error:
+            raise ValueError(f"{manifest_path}: not JSON ({error})") from None
         if not isinstance(manifest, dict):
             raise ValueError(f"{manifest_path}: not a JSON object")
         if manifest.get("format") != COLUMNAR_FORMAT:
@@ -517,9 +526,13 @@ class ColumnarTrace:
 
     def _read_shard(self, shard: ShardInfo) -> Dict[str, np.ndarray]:
         """One shard's columns, each checked against the manifest's
-        row count."""
+        row count; ``ValueError`` naming the shard if it is not a
+        readable ``.npz``."""
         path = self._path / shard.file
-        columns = _load_shard(path)
+        try:
+            columns = _load_shard(path)
+        except (zipfile.BadZipFile, ValueError) as error:
+            raise ValueError(f"{path}: unreadable shard ({error})") from None
         for name, column in columns.items():
             if column.shape[0] != shard.rows:
                 raise ValueError(

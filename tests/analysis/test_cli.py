@@ -1,5 +1,7 @@
 """The pai-repro command-line interface."""
 
+import json
+
 import pytest
 
 from repro.analysis.cli import build_parser, main
@@ -57,7 +59,7 @@ class TestParser:
         assert err.startswith("usage: pai-repro ")
         assert "expected a positive integer" in err
 
-    def test_serve_trace_must_be_a_trace(self, tmp_path, capsys):
+    def test_serve_trace_must_be_a_trace(self, small_trace, tmp_path, capsys):
         # A missing path used to start the service, whose replay thread
         # then died and left it answering for an empty population.
         (tmp_path / "trace.jsonl").write_text("", encoding="utf-8")
@@ -73,6 +75,23 @@ class TestParser:
             err = capsys.readouterr().err
             assert err.startswith("usage: pai-repro ")
             assert "not a trace file or a columnar store" in err
+        # A store whose manifest fails open's checks used to pass here
+        # and end the command in a traceback after the port was bound.
+        for name, edit in (
+            ("short", lambda manifest: json.dumps({**manifest, "jobs": 19})),
+            ("garbled", lambda manifest: "not json"),
+        ):
+            store = tmp_path / name
+            write_columnar(small_trace[:20], store)
+            manifest = store / "manifest.json"
+            text = edit(json.loads(manifest.read_text(encoding="utf-8")))
+            manifest.write_text(text, encoding="utf-8")
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(["serve", "--trace", str(store)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: pai-repro ")
+            assert str(manifest) in err
 
 
 class TestMain:

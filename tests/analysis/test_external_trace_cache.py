@@ -5,18 +5,19 @@ process that re-generated the trace at :data:`PAI_REPRO_TRACE_PATH`
 kept serving the old records -- while
 :func:`~repro.analysis.context.trace_source_identity` (re-probed every
 call) reported the new digest.  A result-cache fingerprint could then
-pair a fresh digest with stale data.  The caches now key on content
-identity -- ``(size, mtime_ns)`` for JSONL, the manifest digest for
-columnar stores -- probed fresh on every lookup, with **no**
-``clear_caches()`` call required in between.
+pair a fresh digest with stale data.  The caches now key on the
+digest ``trace_source_identity()`` reports, probed fresh on every
+lookup, with **no** ``clear_caches()`` call required in between.
 """
 
+import hashlib
 import os
+import re
 
 import pytest
 
 from repro.analysis import context
-from repro.trace.columnar import write_columnar
+from repro.trace.columnar import MANIFEST_NAME, ColumnarTrace, write_columnar
 from repro.trace.generator import TraceConfig, generate_trace
 from repro.trace.serialization import save_trace
 
@@ -110,3 +111,61 @@ class TestColumnarRewrite:
         after = context.trace_source_identity()
         assert before["format"] == after["format"] == "columnar"
         assert before["digest"] != after["digest"]
+
+
+class TestIdentityPins:
+    """The identity keeps the values that result-cache entries computed
+    under an external trace were keyed on, so they stay hits."""
+
+    def test_columnar_store(self, tmp_path, monkeypatch):
+        store = tmp_path / "trace.columnar"
+        write_columnar(_distinct_traces()[0], store)
+        monkeypatch.setenv(context.TRACE_PATH_ENV_VAR, str(store))
+
+        assert context.trace_source_identity() == {
+            "format": "columnar",
+            "digest": ColumnarTrace.open(store).digest(),
+        }
+
+    def test_jsonl_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.jsonl"
+        save_trace(_distinct_traces()[0], path)
+        monkeypatch.setenv(context.TRACE_PATH_ENV_VAR, str(path))
+
+        assert context.trace_source_identity() == {
+            "format": "jsonl",
+            "digest": hashlib.sha256(path.read_bytes()).hexdigest(),
+        }
+
+
+class TestBrokenStore:
+    """A directory is a columnar store however broken it is: every
+    entry point raises ``ColumnarTrace.open``'s error naming the
+    manifest.  Both cases used to be read as a JSONL file and die with
+    ``IsADirectoryError``."""
+
+    @pytest.mark.parametrize(
+        "manifest_text, error",
+        [("not json", ValueError), (None, FileNotFoundError)],
+        ids=["manifest-not-json", "empty-directory"],
+    )
+    def test_every_entry_point_names_the_manifest(
+        self, tmp_path, monkeypatch, manifest_text, error
+    ):
+        store = tmp_path / "trace.columnar"
+        if manifest_text is None:
+            store.mkdir()
+        else:
+            write_columnar(_distinct_traces()[0], store)
+            (store / MANIFEST_NAME).write_text(manifest_text, encoding="utf-8")
+        monkeypatch.setenv(context.TRACE_PATH_ENV_VAR, str(store))
+
+        for entry_point in (
+            context.default_trace,
+            context.trace_feature_arrays,
+            context.trace_source_identity,
+        ):
+            with pytest.raises(
+                error, match=re.escape(str(store / MANIFEST_NAME))
+            ):
+                entry_point()

@@ -34,8 +34,17 @@ def store(tmp_path_factory, small_trace):
 
 class TestStoreLayout:
     def test_is_columnar_store(self, store, tmp_path):
+        # The path decides the format: a directory is a store path even
+        # without a manifest, and open() is what finds it broken.
         assert is_columnar_store(store)
-        assert not is_columnar_store(tmp_path)
+        assert not is_columnar_store(store / MANIFEST_NAME)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert is_columnar_store(empty)
+        with pytest.raises(
+            FileNotFoundError, match=re.escape(str(empty / MANIFEST_NAME))
+        ):
+            ColumnarTrace.open(empty)
 
     def test_manifest_contents(self, store, small_trace):
         manifest = json.loads(
@@ -65,6 +74,31 @@ class TestStoreLayout:
     def test_open_rejects_non_store(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ColumnarTrace.open(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw[: len(raw) // 2],
+            lambda raw: raw[:-10],
+            lambda raw: b"",
+            lambda raw: b"\x5a" * len(raw),
+        ],
+        ids=["halved", "cut-by-ten-bytes", "emptied", "garbage"],
+    )
+    def test_unreadable_shard_is_named(self, store, tmp_path, edit):
+        # Each used to raise zipfile.BadZipFile, naming no file.
+        import shutil
+
+        broken = tmp_path / "broken.columnar"
+        shutil.copytree(store, broken)
+        shard = sorted(broken.glob("shard-*.npz"))[1]
+        shard.write_bytes(edit(shard.read_bytes()))
+        for read in (
+            lambda opened: opened.feature_arrays(),
+            lambda opened: list(opened.iter_records()),
+        ):
+            with pytest.raises(ValueError, match=re.escape(str(shard))):
+                read(ColumnarTrace.open(broken))
 
     def test_digest_identifies_contents(self, store, tmp_path, small_trace):
         other = tmp_path / "copy.columnar"
@@ -117,6 +151,7 @@ class TestManifestShape:
             lambda manifest: list(manifest),
             _unknown_architecture,
             _set("jobs", 49),
+            lambda manifest: b"not json",
         ],
         ids=[
             "no-shards",
@@ -126,13 +161,16 @@ class TestManifestShape:
             "a-list",
             "unknown-architecture",
             "jobs-short-of-the-rows",
+            "not-json",
         ],
     )
     def test_open_rejects_a_misshapen_manifest(
         self, three_shards, tmp_path, edit
     ):
-        # Each used to open with a bare KeyError, TypeError or
-        # AttributeError, or (49 jobs) open and report the wrong length.
+        # Each used to open with a bare KeyError, TypeError,
+        # AttributeError or JSONDecodeError, or (49 jobs) open and
+        # report the wrong length.  An edit returning bytes is written
+        # as they are.
         import shutil
 
         copy = tmp_path / "edited.columnar"
@@ -140,7 +178,10 @@ class TestManifestShape:
         manifest_path = copy / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert len(manifest["shards"]) == 3
-        manifest_path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+        edited = edit(manifest)
+        if not isinstance(edited, bytes):
+            edited = json.dumps(edited).encode("utf-8")
+        manifest_path.write_bytes(edited)
         with pytest.raises(ValueError, match=re.escape(str(manifest_path))):
             ColumnarTrace.open(copy)
 
