@@ -49,10 +49,12 @@ def _positive_int(text: str) -> int:
 
 
 def _trace_path(text: str) -> str:
-    """Argparse type of ``serve --trace``: a file or a columnar store.
+    """Argparse type of a trace input: a file or a columnar store.
 
-    A store is opened here, so a broken one is a usage error before
-    the service binds its port.
+    Checks ``serve --trace`` and, from :func:`_check_trace_input`,
+    ``convert``'s input and ``PAI_REPRO_TRACE_PATH``.  A store is opened
+    here, so a broken one is a usage error before any work starts (for
+    ``serve``, before the service binds its port).
     """
     from ..trace.columnar import ColumnarTrace, is_columnar_store
 
@@ -570,8 +572,33 @@ def _run_observed(args: argparse.Namespace, command) -> int:
         obs.close()
 
 
+def _check_trace_input(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Exit 2 with a usage message if the command's trace is no trace.
+
+    ``convert``'s input is checked here rather than by its argparse
+    type, which would run before ``--shard-rows`` is checked.
+    """
+    if args.command == "convert":
+        label, path = "argument input", args.input
+    elif args.command in ("run", "all", "report"):
+        from .context import TRACE_PATH_ENV_VAR, external_trace_path
+
+        label, path = TRACE_PATH_ENV_VAR, external_trace_path()
+    else:
+        return
+    if path is not None:
+        try:
+            _trace_path(path)
+        except argparse.ArgumentTypeError as error:
+            parser.error(f"{label}: {error}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_trace_input(parser, args)
     if args.command == "list":
         for experiment_id in experiment_ids():
             print(experiment_id)

@@ -1,8 +1,7 @@
 """Fig. 8: CDFs of execution-time component shares.
 
-Panel (a) aggregates per hardware component (GPU FLOPs, GPU memory,
-PCIe, Ethernet); panels (b)-(d) show per-type CDFs of the four logical
-components, at both job and cNode level.
+Panels (b)-(d): per-type CDFs of the four logical components, at both
+job and cNode level.  Panel (a)'s per-hardware view is not rendered.
 """
 
 from __future__ import annotations
@@ -10,12 +9,12 @@ from __future__ import annotations
 from typing import Dict
 
 from ..core.architectures import Architecture
-from ..core.population import COMPONENT_KEYS, HARDWARE_KEYS, batch_breakdowns
+from ..core.population import COMPONENT_KEYS, batch_breakdowns
 from ..trace.statistics import EmpiricalCDF
 from .context import default_hardware, trace_feature_arrays
 from .result import ExperimentResult
 
-__all__ = ["run", "component_cdfs", "hardware_cdfs"]
+__all__ = ["run", "component_cdfs"]
 
 
 def component_cdfs(
@@ -31,19 +30,6 @@ def component_cdfs(
             analyzed.fraction_samples(component), weights
         )
         for component in COMPONENT_KEYS
-    }
-
-
-def hardware_cdfs(jobs: tuple, cnode_level: bool = False) -> Dict[str, EmpiricalCDF]:
-    """Panel (a): per-hardware-component share CDFs, all workloads."""
-    analyzed = batch_breakdowns(trace_feature_arrays(jobs), default_hardware())
-    weights = analyzed.cnode_weights() if cnode_level else None
-    return {
-        component: EmpiricalCDF.from_samples(
-            analyzed.hardware_share_samples(component), weights
-        )
-        for component in HARDWARE_KEYS
-        if component != "NVLink"  # no NVLink traffic in the trace types
     }
 
 

@@ -24,8 +24,6 @@ from .efficiency import (
     EfficiencyModel,
     PAPER_DEFAULT_EFFICIENCY,
     TABLE_VI_EFFICIENCIES,
-    full_efficiency,
-    uniform_efficiency,
 )
 from .features import WorkloadFeatures
 from .hardware import (
@@ -123,7 +121,6 @@ __all__ = [
     "estimate_breakdown",
     "ethernet_crossover",
     "estimate_step_time",
-    "full_efficiency",
     "job_throughput",
     "pai_default_hardware",
     "project_to_allreduce_cluster",
@@ -138,7 +135,6 @@ __all__ = [
     "sweep_resource",
     "testbed_v100_hardware",
     "throughput_speedup",
-    "uniform_efficiency",
     "weight_share_scenarios",
     "weight_traffic_times",
 ]

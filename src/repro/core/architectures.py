@@ -51,11 +51,6 @@ class Architecture(enum.Enum):
         raise KeyError(f"unknown architecture label: {label!r}")
 
     @property
-    def is_distributed(self) -> bool:
-        """Whether more than one cNode participates."""
-        return self is not Architecture.SINGLE
-
-    @property
     def is_local(self) -> bool:
         """Whether all cNodes live on one physical server."""
         return self in (

@@ -47,10 +47,6 @@ class CrossoverResult:
     value: Optional[float]
     always_better: bool  # projection wins across the whole range
 
-    @property
-    def has_crossover(self) -> bool:
-        return self.value is not None
-
 
 def _projection_speedup_at(
     features: WorkloadFeatures,

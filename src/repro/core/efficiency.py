@@ -18,8 +18,6 @@ from .architectures import MEDIA_GPU_FLOPS, MEDIA_GPU_MEMORY
 __all__ = [
     "EfficiencyModel",
     "PAPER_DEFAULT_EFFICIENCY",
-    "full_efficiency",
-    "uniform_efficiency",
     "TABLE_VI_EFFICIENCIES",
 ]
 
@@ -70,16 +68,6 @@ class EfficiencyModel:
             pcie=min(1.0, self.pcie * communication),
             network=min(1.0, self.network * communication),
         )
-
-
-def uniform_efficiency(value: float) -> EfficiencyModel:
-    """An :class:`EfficiencyModel` with every component at ``value``."""
-    return EfficiencyModel(compute=value, memory=value, pcie=value, network=value)
-
-
-def full_efficiency() -> EfficiencyModel:
-    """Peak-rate model (efficiency 1.0 everywhere); useful in tests."""
-    return uniform_efficiency(1.0)
 
 
 #: The paper's base assumption: "we use 70% of the actual capacities in

@@ -83,14 +83,6 @@ class LinkSpec:
         if self.latency < 0:
             raise ValueError("latency must be non-negative")
 
-    def transfer_time(self, num_bytes: float, efficiency: float = 1.0) -> float:
-        """Time to move ``num_bytes`` at ``efficiency`` fraction of peak."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if not 0 < efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
-        return self.latency + num_bytes / (self.bandwidth * efficiency)
-
 
 @dataclass(frozen=True)
 class ServerSpec:

@@ -701,14 +701,6 @@ class PopulationBreakdown:
             raise KeyError(f"unknown component: {component!r}")
         return self.fractions()[component]
 
-    def hardware_share_samples(self, hardware_component: str) -> np.ndarray:
-        """Per-job shares of one hardware component (Fig. 8(a) CDFs)."""
-        if hardware_component not in HARDWARE_KEYS:
-            raise KeyError(
-                f"unknown hardware component: {hardware_component!r}"
-            )
-        return self.hardware_shares()[hardware_component]
-
     def weighted_fraction_exceeding(
         self,
         component: str,

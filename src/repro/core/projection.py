@@ -109,11 +109,6 @@ class ProjectionResult:
         """Whether the projection improves overall job throughput."""
         return self.throughput_speedup > 1.0
 
-    @property
-    def single_cnode_sped_up(self) -> bool:
-        """Whether the per-step time improves, ignoring cNode reduction."""
-        return self.single_cnode_speedup > 1.0
-
 
 def projection_speedups(
     features: WorkloadFeatures,

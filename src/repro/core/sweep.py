@@ -10,7 +10,7 @@ Table I baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
 from .features import WorkloadFeatures
@@ -38,21 +38,6 @@ class SweepSeries:
 
     resource: str
     points: Tuple[SweepPoint, ...]
-
-    def speedup_at_normalized(self, normalized_value: float) -> float:
-        """Average speedup at an exact normalized resource value."""
-        for point in self.points:
-            if abs(point.normalized_value - normalized_value) < 1e-9:
-                return point.average_speedup
-        raise KeyError(
-            f"no sweep point at normalized value {normalized_value} "
-            f"for resource {self.resource!r}"
-        )
-
-    @property
-    def max_speedup(self) -> float:
-        """Best average speedup over the candidate values."""
-        return max(point.average_speedup for point in self.points)
 
     @property
     def sensitivity(self) -> float:

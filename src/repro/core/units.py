@@ -40,18 +40,15 @@ __all__ = [
     "MEGA",
     "GIGA",
     "TERA",
-    "bits",
     "kilobytes",
     "megabytes",
     "gigabytes",
-    "terabytes",
     "gbps",
     "gigabytes_per_second",
     "terabytes_per_second",
     "teraflops",
     "gigaflops",
     "parse_size",
-    "parse_bandwidth",
     "parse_flops",
     "format_size",
     "format_bandwidth",
@@ -79,11 +76,6 @@ TIB = 1024.0**4
 _BITS_PER_BYTE = 8.0
 
 
-def bits(n: float) -> float:
-    """Convert a number of bits to bytes."""
-    return float(n) / _BITS_PER_BYTE
-
-
 def kilobytes(n: float) -> float:
     """``n`` kilobytes expressed in bytes."""
     return float(n) * KB
@@ -97,11 +89,6 @@ def megabytes(n: float) -> float:
 def gigabytes(n: float) -> float:
     """``n`` gigabytes expressed in bytes."""
     return float(n) * GB
-
-
-def terabytes(n: float) -> float:
-    """``n`` terabytes expressed in bytes."""
-    return float(n) * TB
 
 
 def gbps(n: float) -> float:
@@ -168,35 +155,7 @@ def parse_size(text: str) -> float:
     return value * _SIZE_MULTIPLIERS[unit]
 
 
-_BANDWIDTH_PATTERN = re.compile(
-    r"^\s*(?P<value>[0-9]*\.?[0-9]+)\s*(?P<unit>[KMGT]?)(?P<kind>bps|b/s|B/s|Bps)\s*$"
-)
-
-_PREFIX_MULTIPLIERS = {"": 1.0, "k": KILO, "m": MEGA, "g": GIGA, "t": TERA}
-
-
-def parse_bandwidth(text: str) -> float:
-    """Parse a bandwidth string to bytes per second.
-
-    The ``kind`` suffix is case-sensitive in the conventional way: a lower
-    case ``b`` means bits, an upper case ``B`` means bytes.
-
-    >>> parse_bandwidth("25Gbps")
-    3125000000.0
-    >>> parse_bandwidth("10GB/s")
-    10000000000.0
-    """
-    match = _BANDWIDTH_PATTERN.match(text)
-    if match is None:
-        raise ValueError(f"unparseable bandwidth: {text!r}")
-    value = float(match.group("value"))
-    prefix = match.group("unit").lower()
-    kind = match.group("kind")
-    rate = value * _PREFIX_MULTIPLIERS[prefix]
-    if kind in ("bps", "b/s"):
-        rate /= _BITS_PER_BYTE
-    return rate
-
+_FLOPS_MULTIPLIERS = {"": 1.0, "k": KILO, "m": MEGA, "g": GIGA, "t": TERA, "p": 1e15}
 
 _FLOPS_PATTERN = re.compile(
     r"^\s*(?P<value>[0-9]*\.?[0-9]+)\s*(?P<unit>[KMGTP]?)\s*(?:FLOPs?(?:/s)?)?\s*$",
@@ -214,10 +173,7 @@ def parse_flops(text: str) -> float:
     if match is None:
         raise ValueError(f"unparseable FLOP quantity: {text!r}")
     value = float(match.group("value"))
-    prefix = match.group("unit").lower()
-    multipliers = dict(_PREFIX_MULTIPLIERS)
-    multipliers["p"] = 1e15
-    return value * multipliers[prefix]
+    return value * _FLOPS_MULTIPLIERS[match.group("unit").lower()]
 
 
 def _format_with_scale(value: float, scales: list, suffixes: list) -> str:

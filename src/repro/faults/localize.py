@@ -43,11 +43,6 @@ class Diagnosis:
     confidence: float
     evidence: Tuple[str, ...]
 
-    @property
-    def is_healthy(self) -> bool:
-        """Whether the stream looked nominal end to end."""
-        return self.kind is None
-
 
 def _strongest(anomalies: Sequence[Anomaly]) -> Anomaly:
     """Deterministic pick: largest magnitude, then target label."""

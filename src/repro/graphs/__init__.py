@@ -12,7 +12,6 @@ from .builders import (
     build_resnet50,
     build_speech,
 )
-from .cards import LayerGroupStats, group_stats, render_model_card
 from .features_from_graph import Deployment, features_for, ring_sync_bytes, sync_traffic
 from .graph import GraphTotals, ModelGraph
 from .ops import (
@@ -37,7 +36,6 @@ __all__ = [
     "ADAM",
     "Deployment",
     "GraphTotals",
-    "LayerGroupStats",
     "MOMENTUM",
     "ModelGraph",
     "Op",
@@ -62,12 +60,10 @@ __all__ = [
     "elementwise_op",
     "embedding_lookup_op",
     "features_for",
-    "group_stats",
     "layernorm_op",
     "lstm_layer_ops",
     "matmul_op",
     "pooling_op",
-    "render_model_card",
     "ring_sync_bytes",
     "softmax_op",
     "sync_traffic",

@@ -7,7 +7,6 @@ from .model import (
     batch_sweep,
     estimate_latency,
     max_batch_within_slo,
-    serving_throughput,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "estimate_latency",
     "inference_features_for",
     "max_batch_within_slo",
-    "serving_throughput",
 ]

@@ -24,7 +24,6 @@ from .features import InferenceFeatures
 __all__ = [
     "InferenceBreakdown",
     "estimate_latency",
-    "serving_throughput",
     "max_batch_within_slo",
     "batch_sweep",
 ]
@@ -91,18 +90,6 @@ def estimate_latency(
         / (hardware.gpu.memory_bandwidth * efficiency.memory),
         output_io=features.output_bytes / pcie,
     )
-
-
-def serving_throughput(
-    features: InferenceFeatures,
-    hardware: HardwareConfig,
-    efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-) -> float:
-    """Saturated requests/second at this batch size."""
-    latency = estimate_latency(features, hardware, efficiency).total
-    if latency <= 0:
-        raise ValueError("workload has zero estimated latency")
-    return features.batch_size / latency
 
 
 def max_batch_within_slo(

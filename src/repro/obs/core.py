@@ -107,9 +107,6 @@ class Observability:
     def info(self, message: str, **fields: Any) -> None:
         self.log(INFO, message, **fields)
 
-    def warning(self, message: str, **fields: Any) -> None:
-        self.log(WARNING, message, **fields)
-
     def error(self, message: str, **fields: Any) -> None:
         self.log(ERROR, message, **fields)
 

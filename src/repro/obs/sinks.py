@@ -146,6 +146,3 @@ class MemorySink(Sink):
 
     def emit(self, event: Dict[str, Any]) -> None:
         self.events.append(event)
-
-    def of_kind(self, kind: str) -> List[Dict[str, Any]]:
-        return [event for event in self.events if event.get("kind") == kind]

@@ -1,7 +1,6 @@
 """Optimization techniques of Sec. IV-D: mixed precision and XLA fusion."""
 
 from .base import OptimizationPass, apply_passes
-from .overlap import OverlapSchedule, overlap_speedup, overlapped_step_time
 from .mixed_precision import (
     NET_MATMUL_SPEEDUP,
     TENSOR_CORE_PEAK_RATIO,
@@ -22,7 +21,6 @@ __all__ = [
     "MAX_FUSED_EFFICIENCY",
     "NET_MATMUL_SPEEDUP",
     "OptimizationPass",
-    "OverlapSchedule",
     "STRUCTURAL_FUSION_SAVING",
     "TENSOR_CORE_PEAK_RATIO",
     "TENSOR_CORE_UTILIZATION",
@@ -30,7 +28,5 @@ __all__ = [
     "fused_memory_efficiency",
     "fusion_groups",
     "mixed_precision_pass",
-    "overlap_speedup",
-    "overlapped_step_time",
     "xla_fusion_pass",
 ]

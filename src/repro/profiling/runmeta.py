@@ -91,13 +91,6 @@ class RunMetadata:
     def entries(self) -> Tuple[OpTraceEntry, ...]:
         return tuple(self._entries)
 
-    def devices(self) -> List[str]:
-        """All devices/channels observed, sorted."""
-        return sorted({entry.device for entry in self._entries})
-
-    def entries_on(self, device: str) -> List[OpTraceEntry]:
-        return [e for e in self._entries if e.device == device]
-
     def entries_of(self, category: str) -> List[OpTraceEntry]:
         return [e for e in self._entries if e.category == category]
 
@@ -107,14 +100,6 @@ class RunMetadata:
 
     def busy_time_us(self, category: str) -> float:
         return sum(e.duration_us for e in self.entries_of(category))
-
-    def step_span_us(self) -> float:
-        """Wall-clock span of the step."""
-        if not self._entries:
-            return 0.0
-        return max(e.end_us for e in self._entries) - min(
-            e.start_us for e in self._entries
-        )
 
     def summary(self) -> Dict[str, float]:
         categories = sorted({e.category for e in self._entries})

@@ -4,7 +4,9 @@ Each entry is one JSON file named by its configuration fingerprint
 (:mod:`repro.runtime.fingerprint`).  Because the fingerprint covers the
 trace config, hardware model and package version, a hit is valid by
 construction -- there is no expiry logic.  Corrupt or truncated files
-are treated as misses and overwritten on the next store.
+are treated as misses and overwritten on the next store, and a store
+that the disk refuses (full, read-only, failing) is skipped with a
+warning: the cache can lose an entry, never a result.
 
 Values are normalized to native Python types before storage so a warm
 (cache-served) result renders byte-identically to the cold run that
@@ -147,8 +149,13 @@ class ResultCache:
         obs.metrics.counter("cache.corrupt").inc()
         obs.event("cache.corrupt", level=WARNING, key=key, reason=reason)
 
-    def store(self, key: str, result: ExperimentResult) -> Path:
-        """Write one entry atomically; returns the entry path."""
+    def store(self, key: str, result: ExperimentResult) -> Optional[Path]:
+        """Write one entry atomically; returns the entry path.
+
+        An ``OSError`` on the way (a full disk, a failing ``rename``)
+        leaves no entry and no temporary behind, emits a
+        ``cache.store_failed`` warning and returns ``None``.
+        """
         result = normalize_result(result)
         payload: Dict[str, Any] = {
             "format": CACHE_FORMAT,
@@ -158,22 +165,32 @@ class ResultCache:
             "rows": result.rows,
             "notes": result.notes,
         }
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
-        handle = tempfile.NamedTemporaryFile(
-            mode="w",
-            encoding="utf-8",
-            dir=str(self.root),
-            suffix=".tmp",
-            delete=False,
-        )
+        tmp: Optional[str] = None
         try:
-            with handle:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with tempfile.NamedTemporaryFile(
+                mode="w",
+                encoding="utf-8",
+                dir=str(self.root),
+                suffix=".tmp",
+                delete=False,
+            ) as handle:
+                tmp = handle.name
                 json.dump(payload, handle, indent=1)
-            os.replace(handle.name, path)
-        except BaseException:
-            os.unlink(handle.name)
-            raise
+            os.replace(tmp, path)
+            tmp = None
+        except OSError as error:
+            get_obs().event(
+                "cache.store_failed", level=WARNING, key=key, error=str(error)
+            )
+            return None
+        finally:
+            if tmp is not None:  # never renamed into place
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
         get_obs().event(
             "cache.store",
             level=DEBUG,

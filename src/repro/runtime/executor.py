@@ -323,7 +323,7 @@ def run_suite(
             cached=False,
         )
         if cache is not None and outcome.ok:
-            cache.store(keys[experiment_id], result)
-            obs.metrics.counter("cache.store").inc()
+            if cache.store(keys[experiment_id], result) is not None:
+                obs.metrics.counter("cache.store").inc()
 
     return [outcomes[experiment_id] for experiment_id in experiment_ids]

@@ -108,8 +108,3 @@ class SchedFaults:
 
     crashes: Tuple[CrashSpec, ...] = ()
     storms: Tuple[StormSpec, ...] = ()
-
-    @property
-    def is_healthy(self) -> bool:
-        """Whether this record injects nothing at all."""
-        return not self.crashes and not self.storms

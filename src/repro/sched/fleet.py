@@ -93,11 +93,6 @@ class Placement:
         """GPUs held across all servers."""
         return sum(self.counts)
 
-    @property
-    def servers_used(self) -> int:
-        """Servers holding at least one of the job's GPUs."""
-        return len(self.servers)
-
 
 class Fleet:
     """Per-server free-GPU accounting for a homogeneous cluster.
@@ -136,11 +131,6 @@ class Fleet:
     def busy_gpus(self) -> int:
         """Currently allocated GPUs."""
         return self.total_gpus - self._free_total
-
-    @property
-    def free_by_server(self) -> Tuple[int, ...]:
-        """Free GPU count per server."""
-        return tuple(int(free) for free in self._free)
 
     @property
     def largest_free_block(self) -> int:

@@ -91,13 +91,6 @@ class JobOutcome:
         return self.end_hour - self.arrival_hour
 
     @property
-    def slowdown(self) -> float:
-        """JCT over pure service time (>= 1 for work-conserving runs)."""
-        if self.service_hours <= 0:
-            return 1.0
-        return self.completion_time_hours / self.service_hours
-
-    @property
     def preemptions(self) -> int:
         """How many times the job was evicted and later resumed.
 
@@ -105,11 +98,6 @@ class JobOutcome:
         :attr:`retries`, not here.
         """
         return max(0, len(self.segments) - 1 - self.retries)
-
-    @property
-    def executed_hours(self) -> float:
-        """Wall-clock hours actually spent running (sum of segments)."""
-        return sum(segment.duration_hours for segment in self.segments)
 
     @property
     def gpu_hours(self) -> float:
@@ -212,13 +200,6 @@ class ScheduleOutcome:
         total = sum(o.completion_time_hours for o in self.outcomes)
         return total / len(self.outcomes)
 
-    @property
-    def mean_slowdown(self) -> float:
-        """Average JCT / service-time ratio."""
-        if not self.outcomes:
-            return 0.0
-        return sum(o.slowdown for o in self.outcomes) / len(self.outcomes)
-
     def mean_bounded_slowdown(self, threshold_hours: float = 1.0) -> float:
         """Average bounded slowdown: JCT over max(service, threshold).
 
@@ -244,11 +225,6 @@ class ScheduleOutcome:
     def total_preemptions(self) -> int:
         """Evictions across all jobs."""
         return sum(o.preemptions for o in self.outcomes)
-
-    @property
-    def total_retries(self) -> int:
-        """Failure/requeue cycles across all jobs."""
-        return sum(o.retries for o in self.outcomes)
 
     def gpu_hours_by_type(self) -> Dict[Architecture, float]:
         """GPU-hours consumed per Table II workload type."""

@@ -58,14 +58,6 @@ class WhatIfReport:
         return 1.0 - self.projected.mean_queueing_delay_hours / base
 
     @property
-    def completion_time_reduction(self) -> float:
-        """Relative drop in mean job completion time."""
-        base = self.baseline.mean_completion_time_hours
-        if base <= 0:
-            return 0.0
-        return 1.0 - self.projected.mean_completion_time_hours / base
-
-    @property
     def gpu_hours_saved(self) -> float:
         """GPU-hours the projected deployment frees up."""
         base = sum(o.gpu_hours for o in self.baseline.outcomes)

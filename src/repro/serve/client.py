@@ -199,24 +199,3 @@ class ServeClient:
         conflict with another writer's batch.
         """
         return self._request("/ingest", body=serialize_jobs(jobs))
-
-    # ---- convenience -----------------------------------------------
-
-    def wait_until_ingested(
-        self, timeout: float = 60.0, poll_s: float = 0.05
-    ) -> Dict[str, Any]:
-        """Poll ``/healthz`` until the service reports ingest complete.
-
-        Returns the final health payload; raises ``TimeoutError`` if the
-        replay does not finish within ``timeout`` seconds.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            health = self.healthz()
-            if health.get("ingest_complete"):
-                return health
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"ingestion incomplete after {timeout:.1f}s: {health}"
-                )
-            time.sleep(poll_s)

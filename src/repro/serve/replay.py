@@ -67,10 +67,6 @@ class TraceReplayer:
         """Ask a running replay to finish after the current batch."""
         self._stop.set()
 
-    @property
-    def stopped(self) -> bool:
-        return self._stop.is_set()
-
     def _batches(self) -> Iterator[ReplayBatch]:
         """Day-grouped, size-bounded batches, in stream order.
 

@@ -558,8 +558,7 @@ class TraceService:
         for index, record in enumerate(records):
             try:
                 jobs.append(job_from_dict(record))
-            except (KeyError, OverflowError, TypeError, ValueError) as error:
-                # OverflowError: int() of an infinite job_id or submit_day.
+            except (KeyError, TypeError, ValueError) as error:
                 raise QueryError(
                     400, f"invalid job record at index {index}: {error}"
                 ) from None

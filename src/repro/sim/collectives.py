@@ -5,9 +5,7 @@ Alpha-beta cost models for the collectives the architectures use:
 * ring AllReduce -- dense gradient exchange of the AllReduce
   architectures and PEARL's replicated weights;
 * AllGather(v) / ReduceScatter -- PEARL's partitioned-embedding
-  exchange, built on NCCL primitives (Sec. IV-C);
-* broadcast -- PS variable distribution;
-* PS pull/push -- the centralized pattern over Ethernet + PCIe.
+  exchange, built on NCCL primitives (Sec. IV-C).
 
 Each function returns the *per-node* busy time of the collective; the
 executor charges it to the appropriate channels.
@@ -22,8 +20,6 @@ __all__ = [
     "ring_allreduce_time",
     "allgatherv_time",
     "reduce_scatter_time",
-    "broadcast_time",
-    "ps_pull_push_time",
 ]
 
 
@@ -129,42 +125,3 @@ def reduce_scatter_time(
         raise ValueError(f"unknown topology: {topology!r}")
     seconds = _bandwidth_time(volume, bandwidth, efficiency, latency, steps)
     return CollectiveCost(seconds, volume, "reduce_scatter")
-
-
-def broadcast_time(
-    num_bytes: float,
-    num_nodes: int,
-    bandwidth: float,
-    efficiency: float = 0.7,
-    latency: float = 0.0,
-) -> CollectiveCost:
-    """Pipeline broadcast: ~``S`` bytes per node independent of ``n``."""
-    if num_nodes < 1:
-        raise ValueError("num_nodes must be at least 1")
-    if num_nodes == 1:
-        return CollectiveCost(0.0, 0.0, "local")
-    seconds = _bandwidth_time(num_bytes, bandwidth, efficiency, latency, steps=1)
-    return CollectiveCost(seconds, num_bytes, "broadcast")
-
-
-def ps_pull_push_time(
-    num_bytes: float,
-    ethernet_bandwidth: float,
-    pcie_bandwidth: float,
-    network_efficiency: float = 0.7,
-    pcie_efficiency: float = 0.7,
-    ethernet_latency: float = 0.0,
-    pcie_latency: float = 0.0,
-) -> CollectiveCost:
-    """One PS round trip: variables/gradients cross Ethernet then PCIe.
-
-    ``num_bytes`` is the total round-trip volume (pull + push); the two
-    hops serialize, matching the analytical model's Ethernet & PCIe sum.
-    """
-    eth = _bandwidth_time(
-        num_bytes, ethernet_bandwidth, network_efficiency, ethernet_latency, 2
-    )
-    pci = _bandwidth_time(
-        num_bytes, pcie_bandwidth, pcie_efficiency, pcie_latency, 2
-    )
-    return CollectiveCost(eth + pci, num_bytes, "ps")

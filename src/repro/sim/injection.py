@@ -80,15 +80,6 @@ class StepFaults:
             if any(weight <= 0 for weight in self.ps_shard_weights):
                 raise ValueError("ps shard weights must be positive")
 
-    @property
-    def is_healthy(self) -> bool:
-        """Whether this record injects nothing at all."""
-        return (
-            not self.compute_multipliers
-            and not self.link_bandwidth
-            and self.ps_shard_weights is None
-        )
-
     def compute_multiplier(self, replica: int) -> float:
         """The slowdown factor of one replica (1.0 when healthy)."""
         return self.compute_multipliers.get(replica, 1.0)

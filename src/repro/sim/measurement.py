@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..core.timemodel import TimeBreakdown
 from .events import TimelineRecord
@@ -50,9 +50,6 @@ class StepMeasurement:
     def __post_init__(self) -> None:
         if self.step_time < 0:
             raise ValueError("step_time must be non-negative")
-
-    def records_of(self, category: str) -> List[TimelineRecord]:
-        return [r for r in self.records if r.category == category]
 
     @functools.cached_property
     def _aggregates(

@@ -18,7 +18,6 @@ the executor charges the resulting busy times to the NVLink channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..graphs.graph import ModelGraph
 from .collectives import (
@@ -71,24 +70,6 @@ class PearlSchedule:
     gather: CollectiveCost
     scatter: CollectiveCost
     dense_allreduce: CollectiveCost
-
-    @property
-    def pre_forward(self) -> List[CollectiveCost]:
-        """Collectives that must finish before the forward pass."""
-        return [self.gather]
-
-    @property
-    def post_backward(self) -> List[CollectiveCost]:
-        """Collectives after gradients are available."""
-        return [self.scatter, self.dense_allreduce]
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.gather.seconds
-            + self.scatter.seconds
-            + self.dense_allreduce.seconds
-        )
 
 
 def pearl_schedule(

@@ -1,60 +1,20 @@
-"""Parameter-server provisioning: the PS-side bottleneck.
+"""Parameter-server shard loads: the PS-side hotspot.
 
 The analytical model charges a PS/Worker job's weight traffic to the
-*worker's* NIC and PCIe (Sec. II-B), implicitly assuming enough
-parameter servers that the PS side never throttles.  This module makes
-the PS side explicit: with ``w`` workers each moving ``V`` bytes per
-step and ``p`` parameter servers sharding the variables evenly, every
-PS NIC carries ``w * V / p`` bytes, so the synchronization time is::
-
-    T_w(p) = max(V, w * V / p) / (B_eth * eff)  +  V / (B_pcie * eff)
-
-Under-provisioned PS fleets (``p < w``) throttle the whole job -- the
-classic incast wall that pushes production setups to co-locate PS
-shards with workers.  :func:`recommended_ps_count` returns the smallest
-fleet that keeps the PS side off the critical path.
+*worker's* NIC and PCIe (Sec. II-B).  With ``w`` workers each moving
+``V`` bytes per step and the variables sharded over the parameter
+servers, every PS NIC carries its shard's share of the aggregate
+``w * V`` bytes.  A skewed sharding funnels more of that traffic
+through one hot shard; :func:`hotspot_load_factor` is the factor the
+step executor stretches the Ethernet hop by, and :func:`shard_loads`
+is the per-shard byte counter the fault telemetry samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY, EfficiencyModel
-from ..core.hardware import HardwareConfig
-
-__all__ = [
-    "PsProvisioning",
-    "hotspot_load_factor",
-    "ps_sync_time",
-    "recommended_ps_count",
-    "ps_scaling_curve",
-    "shard_loads",
-]
-
-
-@dataclass(frozen=True)
-class PsProvisioning:
-    """A parameter-server fleet for one job."""
-
-    num_workers: int
-    num_parameter_servers: int
-
-    def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        if self.num_parameter_servers < 1:
-            raise ValueError("num_parameter_servers must be at least 1")
-
-    @property
-    def ps_load_factor(self) -> float:
-        """How much more traffic each PS NIC carries than a worker NIC."""
-        return self.num_workers / self.num_parameter_servers
-
-    @property
-    def ps_bound(self) -> bool:
-        """Whether the PS side is the synchronization bottleneck."""
-        return self.ps_load_factor > 1.0
+__all__ = ["hotspot_load_factor", "shard_loads"]
 
 
 def shard_loads(
@@ -82,84 +42,12 @@ def hotspot_load_factor(
 ) -> float:
     """NIC load factor of the hottest shard relative to one worker.
 
-    With even sharding this reduces to ``w / p`` (the classic
-    :attr:`PsProvisioning.ps_load_factor`); a skewed weight vector
-    funnels a larger share of the aggregate ``w * V`` traffic through
-    the hot shard's NIC, stretching the incast wall accordingly.
+    With even sharding over ``p`` parameter servers this reduces to
+    ``w / p``; a skewed weight vector funnels a larger share of the
+    aggregate ``w * V`` traffic through the hot shard's NIC, stretching
+    the incast wall accordingly.
     """
     if num_workers < 1:
         raise ValueError("num_workers must be at least 1")
     loads = shard_loads(float(num_workers), shard_weights)
     return max(loads)
-
-
-def ps_sync_time(
-    traffic_per_worker: float,
-    provisioning: PsProvisioning,
-    hardware: HardwareConfig,
-    efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-    shard_weights: Optional[Sequence[float]] = None,
-) -> float:
-    """Per-step weight-synchronization time with an explicit PS fleet.
-
-    ``shard_weights`` (one per parameter server) skews the variable
-    sharding: the synchronization then waits on the hottest shard's NIC
-    instead of the even ``w / p`` split.
-    """
-    if traffic_per_worker < 0:
-        raise ValueError("traffic_per_worker must be non-negative")
-    if shard_weights is not None and len(shard_weights) != (
-        provisioning.num_parameter_servers
-    ):
-        raise ValueError(
-            "shard_weights must have one entry per parameter server"
-        )
-    ethernet = hardware.ethernet.bandwidth * efficiency.network
-    pcie = hardware.pcie.bandwidth * efficiency.pcie
-    load_factor = provisioning.ps_load_factor
-    if shard_weights is not None:
-        load_factor = hotspot_load_factor(
-            provisioning.num_workers, shard_weights
-        )
-    wire = max(traffic_per_worker, traffic_per_worker * load_factor)
-    return wire / ethernet + traffic_per_worker / pcie
-
-
-def recommended_ps_count(num_workers: int) -> int:
-    """Smallest PS fleet that keeps the PS side off the critical path.
-
-    With even sharding the PS side matches the worker side when
-    ``p == w`` -- which is why production deployments co-locate one PS
-    shard per worker machine.
-    """
-    if num_workers < 1:
-        raise ValueError("num_workers must be at least 1")
-    return num_workers
-
-
-def ps_scaling_curve(
-    traffic_per_worker: float,
-    num_workers: int,
-    hardware: HardwareConfig,
-    ps_counts: List[int] = None,
-    efficiency: EfficiencyModel = PAPER_DEFAULT_EFFICIENCY,
-) -> List[dict]:
-    """Sync time vs PS-fleet size (a provisioning-study table)."""
-    if ps_counts is None:
-        ps_counts = sorted(
-            {1, 2, 4, num_workers // 4 or 1, num_workers // 2 or 1, num_workers}
-        )
-    rows = []
-    for count in ps_counts:
-        provisioning = PsProvisioning(num_workers, count)
-        rows.append(
-            {
-                "num_ps": count,
-                "sync_time_s": ps_sync_time(
-                    traffic_per_worker, provisioning, hardware, efficiency
-                ),
-                "ps_bound": provisioning.ps_bound,
-                "ps_load_factor": provisioning.ps_load_factor,
-            }
-        )
-    return rows

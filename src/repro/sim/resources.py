@@ -112,10 +112,6 @@ class Device:
         if self.launch_overhead < 0:
             raise ValueError("launch_overhead must be non-negative")
 
-    @property
-    def now_free(self) -> float:
-        return self._busy_until
-
     def run_kernel(
         self,
         request_time: float,

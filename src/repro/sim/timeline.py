@@ -14,12 +14,11 @@ that bucket (I=input, C=compute, M=memory, W=weight, o=overhead).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List
 
 from .measurement import StepMeasurement
 
-__all__ = ["CATEGORY_GLYPHS", "render_timeline", "busy_fraction_by_resource"]
+__all__ = ["CATEGORY_GLYPHS", "render_timeline"]
 
 CATEGORY_GLYPHS: Dict[str, str] = {
     "input": "I",
@@ -30,17 +29,6 @@ CATEGORY_GLYPHS: Dict[str, str] = {
 }
 
 _IDLE = "."
-
-
-def busy_fraction_by_resource(measurement: StepMeasurement) -> Dict[str, float]:
-    """Fraction of the step each device/channel spends busy."""
-    span = measurement.step_time
-    if span <= 0:
-        return {}
-    busy: Dict[str, float] = defaultdict(float)
-    for record in measurement.records:
-        busy[record.resource] += record.duration
-    return {resource: min(t / span, 1.0) for resource, t in sorted(busy.items())}
 
 
 def render_timeline(

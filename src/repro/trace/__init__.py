@@ -24,11 +24,9 @@ from .schema import (
     JobView,
     features_of_type,
     iter_day_groups,
-    jobs_of_type,
 )
 from .serialization import (
     SCHEMA_VERSION,
-    append_trace,
     iter_trace,
     job_from_dict,
     job_to_dict,
@@ -50,7 +48,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "StreamingCDF",
     "TraceConfig",
-    "append_trace",
     "evaluate_targets",
     "features_of_type",
     "iter_day_groups",
@@ -61,7 +58,6 @@ __all__ = [
     "jsonl_to_columnar",
     "job_from_dict",
     "job_to_dict",
-    "jobs_of_type",
     "load_trace",
     "resource_concentration",
     "save_trace",

@@ -655,7 +655,6 @@ def jsonl_to_columnar(
     jsonl_path: Union[str, Path],
     store_path: Union[str, Path],
     shard_rows: int = DEFAULT_SHARD_ROWS,
-    tolerate_torn_tail: bool = False,
 ) -> int:
     """Convert a JSONL trace into a columnar store; returns the count.
 
@@ -663,9 +662,7 @@ def jsonl_to_columnar(
     memory stays bounded by one shard regardless of trace size.
     """
     return write_columnar(
-        iter_trace(jsonl_path, tolerate_torn_tail=tolerate_torn_tail),
-        store_path,
-        shard_rows=shard_rows,
+        iter_trace(jsonl_path), store_path, shard_rows=shard_rows
     )
 
 

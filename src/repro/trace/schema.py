@@ -28,7 +28,6 @@ from ..core.population import FeatureView
 __all__ = [
     "JobRecord",
     "JobView",
-    "jobs_of_type",
     "features_of_type",
     "iter_day_groups",
 ]
@@ -107,13 +106,6 @@ class JobView:
             f"JobView(job_id={self.job_id}, submit_day={self.submit_day}, "
             f"user_group={self.user_group!r})"
         )
-
-
-def jobs_of_type(
-    jobs: Iterable[JobRecord], architecture: Architecture
-) -> List[JobRecord]:
-    """Filter a trace down to one workload type."""
-    return [job for job in jobs if job.workload_type is architecture]
 
 
 def features_of_type(

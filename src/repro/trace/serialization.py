@@ -8,18 +8,19 @@ externally produced traces with the same fields.
 
 Because the format is line-oriented it also streams: :func:`iter_trace`
 yields validated records one line at a time without materializing the
-trace (the ``repro.serve`` replayer feeds from it), and
-:func:`append_trace` extends an existing file in place, so a trace can
-grow batch by batch the same way a live cluster log does.
+trace (the ``repro.serve`` replayer feeds from it).
+
+The loader is strict.  A record must be an object, and each field must
+have the type :func:`job_to_dict` writes: ``int`` for the id, day,
+cNode count and batch size (never ``bool``), ``int`` or ``float`` for
+the feature volumes, and ``str`` for the labels.  Anything else raises
+``ValueError`` instead of being coerced: :func:`iter_trace` names the
+file and line, and ``POST /ingest`` answers 400.
 
 Durability: :func:`save_trace` writes through :func:`atomic_write`
 (a fsynced temporary sibling renamed into place, shared with the
-columnar store), so a crash mid-write can never leave a truncated file
-under the target name; :func:`append_trace` flushes and fsyncs before
-returning, so acknowledged batches survive a crash.
-The only window left is a crash *inside* an append, which can tear the
-final line -- :func:`iter_trace` can skip exactly that case with
-``tolerate_torn_tail=True``.
+columnar store), so a crash or an I/O error mid-write can never leave
+a truncated file under the target name.
 
 For populations beyond a few hundred thousand jobs, prefer the
 columnar sibling format (:mod:`repro.trace.columnar`), which loads via
@@ -32,11 +33,10 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Union
 
 from ..core.architectures import Architecture
 from ..core.features import FEATURE_FIELDS, WorkloadFeatures
-from ..obs import WARNING, get_obs
 from .schema import JobRecord
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "save_trace",
     "load_trace",
     "iter_trace",
-    "append_trace",
 ]
 
 SCHEMA_VERSION = 1
@@ -71,22 +70,69 @@ def job_to_dict(job: JobRecord) -> dict:
     }
 
 
+#: The exact types each feature field may hold.  Exact, so ``bool``
+#: (an ``int`` subclass) is refused along with floats for counts and
+#: numbers for labels.  Sets, because a hashed lookup is the cheapest
+#: per-field test.
+_FEATURE_KINDS = {name: frozenset({int, float}) for name in _FEATURE_FIELDS}
+_FEATURE_KINDS.update(
+    name=frozenset({str}),
+    architecture=frozenset({str}),
+    num_cnodes=frozenset({int}),
+    batch_size=frozenset({int}),
+)
+#: Every type JSON decodes to: an unknown field passes the type check
+#: and :class:`WorkloadFeatures` names it.
+_JSON_KINDS = frozenset({str, int, float, bool, list, dict, type(None)})
+
+
+def _wrong_type(field: str, value, kinds) -> ValueError:
+    rule = "of type " + " or ".join(sorted(kind.__name__ for kind in kinds))
+    if int in kinds:
+        rule = "finite and " + rule
+    return ValueError(
+        f"{field} must be {rule}, not {type(value).__name__} {value!r:.60}"
+    )
+
+
 def job_from_dict(payload: dict) -> JobRecord:
-    """Deserialize one job record; validates through the schema types."""
+    """Deserialize one job record; checks every field's type exactly.
+
+    Nothing is coerced: a float id or day, a ``bool`` count, a numeric
+    label or a record that is not an object raises ``ValueError``.
+    """
+    if type(payload) is not dict:
+        raise _wrong_type("a job record", payload, {dict})
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported trace schema version: {version!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    raw = dict(payload["features"])
+    raw = payload["features"]
+    if type(raw) is not dict:
+        raise _wrong_type("features", raw, {dict})
+    kinds_of = _FEATURE_KINDS.get
+    for field, value in raw.items():
+        if type(value) not in kinds_of(field, _JSON_KINDS):
+            raise _wrong_type(field, value, _FEATURE_KINDS[field])
+    raw = dict(raw)
     architecture = Architecture.from_label(raw.pop("architecture"))
     features = WorkloadFeatures(architecture=architecture, **raw)
+    job_id = payload["job_id"]
+    submit_day = payload.get("submit_day", 0)
+    user_group = payload.get("user_group", "default")
+    if type(job_id) is not int:
+        raise _wrong_type("job_id", job_id, {int})
+    if type(submit_day) is not int:
+        raise _wrong_type("submit_day", submit_day, {int})
+    if type(user_group) is not str:
+        raise _wrong_type("user_group", user_group, {str})
     return JobRecord(
-        job_id=int(payload["job_id"]),
+        job_id=job_id,
         features=features,
-        submit_day=int(payload.get("submit_day", 0)),
-        user_group=str(payload.get("user_group", "default")),
+        submit_day=submit_day,
+        user_group=user_group,
     )
 
 
@@ -133,91 +179,36 @@ def save_trace(jobs: Iterable[JobRecord], path: Union[str, Path]) -> int:
     return count
 
 
-def append_trace(jobs: Iterable[JobRecord], path: Union[str, Path]) -> int:
-    """Append records to a (possibly new) JSONL trace; returns the count.
-
-    Appending is how a streamed trace grows on disk: batches written by
-    successive calls read back, via :func:`iter_trace` or
-    :func:`load_trace`, exactly as if :func:`save_trace` had written
-    them all at once.  The handle is flushed and fsynced before the
-    count is returned, so an acknowledged batch survives a crash; a
-    crash *during* the append can tear at most the final line, which
-    :func:`iter_trace` recovers from with ``tolerate_torn_tail=True``.
-    """
-    count = 0
-    with Path(path).open("a", encoding="utf-8") as handle:
-        for job in jobs:
-            handle.write(json.dumps(job_to_dict(job), sort_keys=True))
-            handle.write("\n")
-            count += 1
-        handle.flush()
-        os.fsync(handle.fileno())
-    return count
-
-
-def iter_trace(
-    path: Union[str, Path], tolerate_torn_tail: bool = False
-) -> Iterator[JobRecord]:
+def iter_trace(path: Union[str, Path]) -> Iterator[JobRecord]:
     """Yield validated records from a JSONL trace, one line at a time.
 
     The streaming counterpart of :func:`load_trace`: memory use is one
     line regardless of trace size, so a replayer can feed a multi-GB
-    trace without materializing it.  Malformed lines raise ``ValueError``
-    tagged with the offending line number, exactly like the batch loader.
-
-    With ``tolerate_torn_tail=True`` a malformed *final* line -- the
-    signature of a writer killed mid-:func:`append_trace` (no trailing
-    newline, truncated JSON) -- is skipped with an ``obs`` warning
-    instead of poisoning the whole trace.  Corruption anywhere before
-    the final line still raises: a torn tail is an expected crash
-    artifact, a torn middle is not.
+    trace without materializing it.  A malformed line -- the last one
+    included -- raises ``ValueError`` tagged with the file and the
+    line number, exactly like the batch loader.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
-        pending_error: Optional[Exception] = None
-        pending_line: int = 0
         for line_number, line in enumerate(handle, start=1):
-            if pending_error is not None:
-                # The malformed line was not the last one: real
-                # mid-file corruption, never a torn tail.
-                raise pending_error
             stripped = line.strip()
             if not stripped:
                 continue
             try:
                 payload = json.loads(stripped)
             except json.JSONDecodeError as error:
-                decorated = ValueError(
+                raise ValueError(
                     f"{path}:{line_number}: invalid JSON: {error}"
-                )
-                decorated.__cause__ = error
-                if tolerate_torn_tail:
-                    pending_error = decorated
-                    pending_line = line_number
-                    continue
-                raise decorated
+                ) from error
             try:
                 record = job_from_dict(payload)
             except (KeyError, TypeError, ValueError) as error:
-                # An undecodable *record* is valid JSON that fails the
-                # schema -- a writer bug, not a torn write; a torn tail
-                # can only produce truncated (invalid) JSON.
                 raise ValueError(
                     f"{path}:{line_number}: invalid job record: {error}"
                 ) from error
             yield record
-        if pending_error is not None:
-            get_obs().event(
-                "trace.torn_tail",
-                level=WARNING,
-                path=str(path),
-                line=pending_line,
-                detail=str(pending_error),
-            )
 
 
-def load_trace(
-    path: Union[str, Path], tolerate_torn_tail: bool = False
-) -> List[JobRecord]:
+def load_trace(path: Union[str, Path]) -> List[JobRecord]:
     """Read a JSONL trace, validating every record."""
-    return list(iter_trace(path, tolerate_torn_tail=tolerate_torn_tail))
+    return list(iter_trace(path))

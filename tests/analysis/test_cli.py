@@ -8,6 +8,14 @@ from repro.analysis.cli import build_parser, main
 from repro.trace.columnar import write_columnar
 
 
+def main_error(argv, capsys):
+    """Run ``main(argv)``, which must exit 2; returns its stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestParser:
     def test_list_command(self):
         args = build_parser().parse_args(["list"])
@@ -92,6 +100,36 @@ class TestParser:
             err = capsys.readouterr().err
             assert err.startswith("usage: pai-repro ")
             assert str(manifest) in err
+
+    def test_convert_input_must_be_a_trace(self, tmp_path, capsys):
+        # An empty directory or a missing file used to end in a
+        # traceback (exit 1) from the converter.
+        out = str(tmp_path / "out.jsonl")
+        for path, named in (
+            (tmp_path, str(tmp_path / "manifest.json")),
+            (tmp_path / "missing.jsonl", "missing.jsonl"),
+        ):
+            err = main_error(["convert", str(path), out], capsys)
+            assert err.startswith("usage: pai-repro ")
+            assert "argument input: not a trace file or a columnar store" in err
+            assert named in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig5"], ["all", "-q", "--no-cache"], ["report", "--no-cache"]],
+        ids=["run", "all", "report"],
+    )
+    def test_trace_path_env_must_be_a_trace(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # PAI_REPRO_TRACE_PATH at an empty directory used to end in a
+        # traceback (exit 1) from the first trace read.
+        monkeypatch.setenv("PAI_REPRO_TRACE_PATH", str(tmp_path))
+        err = main_error(argv, capsys)
+        assert err.startswith("usage: pai-repro ")
+        assert "PAI_REPRO_TRACE_PATH" in err
+        assert str(tmp_path / "manifest.json") in err
+        assert "Traceback" not in err
 
 
 class TestMain:

@@ -122,12 +122,6 @@ class TestFig8:
         # The >40%-of-PS-jobs-above-80%-communication marker.
         assert any(">80%" in note for note in result.notes)
 
-    def test_hardware_cdfs(self, jobs):
-        from repro.analysis.fig08_cdf import hardware_cdfs
-
-        cdfs = hardware_cdfs(jobs)
-        assert {"GPU_FLOPs", "GPU_memory", "PCIe", "Ethernet"} <= set(cdfs)
-
 
 class TestFig9:
     def test_not_sped_up_markers(self, jobs):

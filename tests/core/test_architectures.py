@@ -61,14 +61,6 @@ class TestClassification:
         assert not Architecture.PS_WORKER.is_local
         assert not Architecture.ALLREDUCE_CLUSTER.is_local
 
-    def test_distributed(self):
-        assert not Architecture.SINGLE.is_distributed
-        assert all(
-            arch.is_distributed
-            for arch in Architecture
-            if arch is not Architecture.SINGLE
-        )
-
 
 class TestContention:
     def test_single_server_architectures_contend(self):

@@ -28,7 +28,7 @@ class TestEthernetCrossover:
         # NVLink, so no Ethernet upgrade saves it -- the paper's core
         # point about high-speed GPU interconnects.
         result = ethernet_crossover(ps_job(), hardware)
-        assert not result.has_crossover
+        assert result.value is None
         assert result.always_better
 
     def _marginal_job(self):
@@ -39,7 +39,7 @@ class TestEthernetCrossover:
 
     def test_marginal_job_has_finite_crossover(self, hardware):
         result = ethernet_crossover(self._marginal_job(), hardware)
-        assert result.has_crossover
+        assert result.value is not None
         assert result.value > hardware.ethernet.bandwidth
 
     def test_break_even_is_actually_break_even(self, hardware):
@@ -64,13 +64,13 @@ class TestEthernetCrossover:
         # The PCIe hop alone already exceeds the NVLink time, so NO
         # finite bandwidth saves PS/Worker:
         assert expected < 0
-        assert not result.has_crossover
+        assert result.value is None
         assert result.always_better
 
     def test_io_bound_job_never_benefits(self, hardware):
         job = ps_job(weight=1e6, io=2e9, flops=1e11)
         result = ethernet_crossover(job, hardware)
-        assert not result.has_crossover
+        assert result.value is None
         assert not result.always_better
 
     def test_range_validation(self, hardware):
@@ -88,7 +88,7 @@ class TestDistribution:
         results = crossover_distribution(population, hardware)
         assert len(results) == 300
         always = [r for r in results if r.always_better]
-        finite = [r for r in results if r.has_crossover]
+        finite = [r for r in results if r.value is not None]
         # Most jobs want NVLink at any fabric speed (the PCIe hop floors
         # PS/Worker); the I/O-heavy cohort has a finite break-even
         # bandwidth beyond which keeping PS/Worker wins.

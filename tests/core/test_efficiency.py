@@ -6,8 +6,6 @@ from repro.core.efficiency import (
     EfficiencyModel,
     PAPER_DEFAULT_EFFICIENCY,
     TABLE_VI_EFFICIENCIES,
-    full_efficiency,
-    uniform_efficiency,
 )
 
 
@@ -15,13 +13,6 @@ class TestDefaults:
     def test_paper_default_is_70_percent(self):
         for field in ("compute", "memory", "pcie", "network"):
             assert getattr(PAPER_DEFAULT_EFFICIENCY, field) == 0.7
-
-    def test_uniform(self):
-        model = uniform_efficiency(0.5)
-        assert model.compute == model.network == 0.5
-
-    def test_full(self):
-        assert full_efficiency().memory == 1.0
 
 
 class TestValidation:

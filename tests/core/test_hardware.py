@@ -60,27 +60,6 @@ class TestValidation:
             ServerSpec(gpus_per_server=0)
 
 
-class TestLinkTransfer:
-    def test_transfer_time(self):
-        link = LinkSpec("eth", bandwidth=1e9, latency=0.0)
-        assert link.transfer_time(1e9) == pytest.approx(1.0)
-
-    def test_transfer_time_with_efficiency(self):
-        link = LinkSpec("eth", bandwidth=1e9)
-        assert link.transfer_time(7e8, efficiency=0.7) == pytest.approx(1.0)
-
-    def test_transfer_includes_latency(self):
-        link = LinkSpec("eth", bandwidth=1e9, latency=0.5)
-        assert link.transfer_time(0.0) == pytest.approx(0.5)
-
-    def test_transfer_rejects_negative(self):
-        link = LinkSpec("eth", bandwidth=1e9)
-        with pytest.raises(ValueError):
-            link.transfer_time(-1)
-        with pytest.raises(ValueError):
-            link.transfer_time(1, efficiency=0.0)
-
-
 class TestBandwidthOf:
     @pytest.mark.parametrize(
         "medium,attr",

@@ -129,12 +129,6 @@ class TestHardwareShares:
         cnode_level = analyzed.average_hardware_shares(cnode_level=True)
         assert cnode_level["Ethernet"] > job_level["Ethernet"]
 
-    def test_samples(self, hardware):
-        analyzed = breakdown(hardware)
-        assert len(analyzed.hardware_share_samples("Ethernet")) == 2
-        with pytest.raises(KeyError):
-            analyzed.hardware_share_samples("Floppy")
-
 
 class TestFractionSamples:
     def test_samples_match_population(self, hardware):

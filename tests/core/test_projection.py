@@ -106,7 +106,7 @@ class TestProjectionSpeedups:
             weight_bound, Architecture.ALLREDUCE_LOCAL, hardware
         )
         assert result.sped_up
-        assert result.single_cnode_sped_up
+        assert result.single_cnode_speedup > 1.0
 
     def test_io_bound_job_not_sped_up(self, hardware):
         io_bound = ps_job(
@@ -119,7 +119,7 @@ class TestProjectionSpeedups:
         result = projection_speedups(
             io_bound, Architecture.ALLREDUCE_LOCAL, hardware
         )
-        assert not result.single_cnode_sped_up
+        assert result.single_cnode_speedup <= 1.0
 
     def test_cluster_speedup_capped_near_1_2(self, hardware):
         weight_bound = ps_job(num_cnodes=4, weight=50e9, input_bytes=1.0)

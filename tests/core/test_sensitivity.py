@@ -36,11 +36,10 @@ class TestEq3:
         assert eq3_weight_bound_speedup(hardware) == pytest.approx(21.0)
 
     def test_independent_of_uniform_efficiency(self, hardware):
-        from repro.core.efficiency import uniform_efficiency
+        from repro.core.efficiency import EfficiencyModel
 
-        assert eq3_weight_bound_speedup(
-            hardware, uniform_efficiency(0.5)
-        ) == pytest.approx(21.0)
+        half = EfficiencyModel(compute=0.5, memory=0.5, pcie=0.5, network=0.5)
+        assert eq3_weight_bound_speedup(hardware, half) == pytest.approx(21.0)
 
     def test_scales_with_nvlink(self, hardware):
         faster = hardware.with_resource("nvlink", 100e9)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.architectures import Architecture
-from repro.core.efficiency import EfficiencyModel, full_efficiency
+from repro.core.efficiency import EfficiencyModel
 from repro.core.features import WorkloadFeatures
 from repro.core.hardware import (
     pai_default_hardware,
@@ -284,7 +284,8 @@ class TestEfficiencyScaling:
     def test_full_efficiency_is_faster(self, hardware):
         features = features_for(Architecture.PS_WORKER, num_cnodes=16)
         at_70 = estimate_step_time(features, hardware)
-        at_100 = estimate_step_time(features, hardware, full_efficiency())
+        full = EfficiencyModel(compute=1.0, memory=1.0, pcie=1.0, network=1.0)
+        at_100 = estimate_step_time(features, hardware, full)
         assert at_100 == pytest.approx(at_70 * 0.7)
 
     def test_component_efficiency_targets_one_term(self, hardware):

@@ -8,7 +8,6 @@ from repro.core.units import (
     GB,
     MB,
     TB,
-    bits,
     format_bandwidth,
     format_size,
     format_time,
@@ -18,11 +17,9 @@ from repro.core.units import (
     gigaflops,
     kilobytes,
     megabytes,
-    parse_bandwidth,
     parse_flops,
     parse_size,
     teraflops,
-    terabytes,
     terabytes_per_second,
 )
 
@@ -32,14 +29,10 @@ class TestConstructors:
         # The exact factor behind Eq. 3: 25 Gb/s == 3.125 GB/s.
         assert gbps(25) == 3.125e9
 
-    def test_bits(self):
-        assert bits(8) == 1.0
-
     def test_byte_scales(self):
         assert kilobytes(1) == 1e3
         assert megabytes(204) == 204e6
         assert gigabytes(54) == 54e9
-        assert terabytes(1) == 1e12
 
     def test_rate_scales(self):
         assert gigabytes_per_second(10) == 10e9
@@ -72,25 +65,6 @@ class TestParseSize:
             parse_size(text)
 
 
-class TestParseBandwidth:
-    def test_gigabit(self):
-        assert parse_bandwidth("25Gbps") == pytest.approx(3.125e9)
-
-    def test_gigabyte(self):
-        assert parse_bandwidth("10GB/s") == pytest.approx(10e9)
-
-    def test_terabyte(self):
-        assert parse_bandwidth("1TB/s") == pytest.approx(1e12)
-
-    def test_case_of_b_matters(self):
-        assert parse_bandwidth("1GB/s") == 8 * parse_bandwidth("1Gb/s")
-
-    @pytest.mark.parametrize("text", ["", "fast", "10G"])
-    def test_invalid(self, text):
-        with pytest.raises(ValueError):
-            parse_bandwidth(text)
-
-
 class TestParseFlops:
     @pytest.mark.parametrize(
         "text,expected",
@@ -100,6 +74,7 @@ class TestParseFlops:
             ("2.5 TFLOPs", 2.5e12),
             ("330.7 GFLOPs", 330.7e9),
             ("7.9TFLOPs/s", 7.9e12),
+            ("2P", 2e15),
         ],
     )
     def test_valid(self, text, expected):

@@ -15,6 +15,8 @@ from repro.faults import (
     step_faults_at,
 )
 from repro.faults.injector import STORM_TICKS
+from repro.sched import SchedFaults
+from repro.sim import StepFaults
 
 
 def plan_of(*faults):
@@ -26,9 +28,9 @@ class TestStepFaultsAt:
         plan = plan_of(
             FaultSpec(FaultKind.STRAGGLER, replica_target(1), 10.0, 5.0, 2.0)
         )
-        assert step_faults_at(plan, 9.0, 4).is_healthy
-        assert not step_faults_at(plan, 10.0, 4).is_healthy
-        assert step_faults_at(plan, 15.0, 4).is_healthy
+        assert step_faults_at(plan, 9.0, 4) == StepFaults()
+        assert step_faults_at(plan, 10.0, 4) != StepFaults()
+        assert step_faults_at(plan, 15.0, 4) == StepFaults()
 
     def test_straggler_compiles_to_compute_multiplier(self):
         plan = plan_of(
@@ -98,7 +100,7 @@ class TestStepFaultsAt:
         plan = plan_of(
             FaultSpec(FaultKind.WORKER_CRASH, job_target("*"), 0.0, 2.0, 2.0)
         )
-        assert step_faults_at(plan, 0.0, 4).is_healthy
+        assert step_faults_at(plan, 0.0, 4) == StepFaults()
 
 
 class TestSchedFaultsFor:
@@ -134,4 +136,4 @@ class TestSchedFaultsFor:
         plan = plan_of(
             FaultSpec(FaultKind.STRAGGLER, replica_target(0), 0.0, 5.0, 2.0)
         )
-        assert sched_faults_for(plan).is_healthy
+        assert sched_faults_for(plan) == SchedFaults()

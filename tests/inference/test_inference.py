@@ -8,7 +8,6 @@ from repro.inference import (
     estimate_latency,
     inference_features_for,
     max_batch_within_slo,
-    serving_throughput,
 )
 
 
@@ -90,10 +89,11 @@ class TestThroughputAndBatching:
         # Per-request work is linear here, so throughput is flat-to-equal;
         # with fixed per-execution I/O it would grow. Check monotone
         # non-decreasing of batch/latency.
-        small = serving_throughput(resnet_serving, testbed)
-        large = serving_throughput(
-            resnet_serving.with_batch_size(64), testbed
-        )
+        def throughput(features):
+            return features.batch_size / estimate_latency(features, testbed).total
+
+        small = throughput(resnet_serving)
+        large = throughput(resnet_serving.with_batch_size(64))
         assert large >= small * 0.99
 
     def test_slo_search(self, resnet_serving, testbed):

@@ -20,6 +20,11 @@ from repro.obs import (
 )
 
 
+def of_kind(sink, kind):
+    """The events of one kind that a ``MemorySink`` collected, in order."""
+    return [event for event in sink.events if event.get("kind") == kind]
+
+
 @pytest.fixture(autouse=True)
 def fresh_global_obs():
     reset_obs()
@@ -46,7 +51,7 @@ class TestEvents:
         obs, sink = memory_obs()
         obs.debug("d")
         obs.info("i")
-        obs.warning("w")
+        obs.log(WARNING, "w")
         obs.error("e")
         assert [e["level"] for e in sink.events] == [
             "debug",
@@ -64,7 +69,7 @@ class TestSpans:
         obs, sink = memory_obs()
         with obs.trace("work", id="x"):
             sum(range(1000))
-        (span,) = sink.of_kind("span")
+        (span,) = of_kind(sink, "span")
         assert span["name"] == "work"
         assert span["id"] == "x"
         assert span["status"] == "ok"
@@ -76,7 +81,7 @@ class TestSpans:
         with obs.trace("outer"):
             with obs.trace("inner"):
                 pass
-        spans = {s["name"]: s for s in sink.of_kind("span")}
+        spans = {s["name"]: s for s in of_kind(sink, "span")}
         assert spans["outer"]["depth"] == 0
         assert spans["inner"]["depth"] == 1
 
@@ -85,7 +90,7 @@ class TestSpans:
         with pytest.raises(RuntimeError):
             with obs.trace("doomed"):
                 raise RuntimeError("boom")
-        (span,) = sink.of_kind("span")
+        (span,) = of_kind(sink, "span")
         assert span["status"] == "error"
 
     def test_span_observes_a_timer(self):
@@ -100,7 +105,7 @@ class TestStderrSink:
         stream = io.StringIO()
         obs = Observability(sinks=[StderrSink(WARNING, stream=stream)])
         obs.info("hidden")
-        obs.warning("shown")
+        obs.log(WARNING, "shown")
         output = stream.getvalue()
         assert "hidden" not in output
         assert "shown" in output
@@ -179,5 +184,5 @@ class TestGlobalContext:
         sink = obs.add_sink(MemorySink())
         obs.metrics.counter("cache.hit").inc(2)
         obs.emit_summary()
-        (summary,) = sink.of_kind("summary")
+        (summary,) = of_kind(sink, "summary")
         assert summary["metrics"]["counters"]["cache.hit"] == 2

@@ -14,7 +14,6 @@ from repro.core.hardware import pai_default_hardware
 from repro.core.population import batch_breakdowns
 from repro.core.recommend import recommend_architecture
 from repro.core.timemodel import estimate_breakdown
-from repro.optim.overlap import OverlapSchedule, overlapped_step_time
 from repro.trace.schema import JobRecord
 from repro.trace.serialization import job_from_dict, job_to_dict
 
@@ -71,23 +70,6 @@ class TestSerializationProperties:
     def test_survives_real_json(self, job):
         payload = json.loads(json.dumps(job_to_dict(job)))
         assert job_from_dict(payload) == job
-
-
-class TestOverlapProperties:
-    @given(
-        job=jobs(),
-        fraction=st.floats(0.0, 1.0),
-        tail=st.floats(0.0, 1.0),
-    )
-    def test_always_between_the_extremes(self, job, fraction, tail):
-        breakdown = estimate_breakdown(job.features, HARDWARE)
-        overlapped = overlapped_step_time(
-            job.features,
-            HARDWARE,
-            OverlapSchedule(overlap_fraction=fraction, tail_fraction=tail),
-        )
-        assert breakdown.total_ideal_overlap - 1e-9 <= overlapped
-        assert overlapped <= breakdown.total + 1e-9
 
 
 class TestRecommendProperties:

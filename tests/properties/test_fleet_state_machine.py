@@ -35,6 +35,11 @@ from repro.sched.fleet import Fleet, Placement
 MAX_FLEETS = 4
 
 
+def free_by_server(fleet):
+    """Free GPU count per server, read from the fleet's own array."""
+    return tuple(int(free) for free in fleet._free)
+
+
 def dense_shape(
     free: np.ndarray,
     gpus_per_server: int,
@@ -128,23 +133,23 @@ class FleetMachine(RuleBasedStateMachine):
         index = self._pick(data)
         fleet = self.fleets[index]
         num_gpus = data.draw(st.integers(1, fleet.total_gpus + extra))
-        before = np.array(fleet.free_by_server)
+        before = np.array(free_by_server(fleet))
         expected = dense_shape(
             before, fleet.gpus_per_server, architecture, num_gpus
         )
         assert fleet.fits(architecture, num_gpus) == (expected is not None)
-        assert fleet.free_by_server == tuple(before)
+        assert free_by_server(fleet) == tuple(before)
         placement = fleet.try_place(architecture, num_gpus)
         if expected is None:
             assert placement is None
-            assert fleet.free_by_server == tuple(before)
+            assert free_by_server(fleet) == tuple(before)
             return
         servers = tuple(int(s) for s in np.flatnonzero(expected))
         assert placement.servers == servers
         assert placement.counts == tuple(int(expected[s]) for s in servers)
         assert placement.total_gpus == num_gpus
-        assert placement.servers_used <= num_gpus
-        assert fleet.free_by_server == tuple(before - expected)
+        assert len(placement.servers) <= num_gpus
+        assert free_by_server(fleet) == tuple(before - expected)
         self.held[index].append(placement)
 
     @precondition(lambda self: any(self.held))
@@ -160,7 +165,7 @@ class FleetMachine(RuleBasedStateMachine):
     @rule(data=st.data(), out_of_range=st.booleans())
     def rejected_release(self, data, out_of_range):
         fleet = self.fleets[self._pick(data)]
-        free = fleet.free_by_server
+        free = free_by_server(fleet)
         servers = sorted(
             data.draw(
                 st.sets(st.integers(0, fleet.num_servers - 1), min_size=1)
@@ -181,7 +186,7 @@ class FleetMachine(RuleBasedStateMachine):
             counts[spot] = fleet.gpus_per_server - free[server] + 1
         with pytest.raises(ValueError):
             fleet.release(Placement(servers=servers, counts=counts))
-        assert fleet.free_by_server == free
+        assert free_by_server(fleet) == free
 
     @rule(
         data=st.data(),
@@ -201,12 +206,12 @@ class FleetMachine(RuleBasedStateMachine):
             if spoiler == "foreign":
                 bad = Placement(servers=(fleet.num_servers,), counts=(1,))
             else:
-                room = fleet.gpus_per_server - fleet.free_by_server[server]
+                room = fleet.gpus_per_server - free_by_server(fleet)[server]
                 bad = Placement(servers=(server,), counts=(room + 1,))
             placements.insert(
                 data.draw(st.integers(0, len(placements))), bad
             )
-        before = fleet.free_by_server
+        before = free_by_server(fleet)
         for architecture, widest in FAMILIES.items():
             # One past the widest never fits.
             num_gpus = data.draw(st.integers(1, widest(fleet) + 1))
@@ -215,7 +220,7 @@ class FleetMachine(RuleBasedStateMachine):
             assert _answer(Fleet.releases_to_fit, *args) == expected
             if spoiler is not None and placements[0] is bad:
                 assert expected is ValueError
-            assert fleet.free_by_server == before
+            assert free_by_server(fleet) == before
 
     @precondition(lambda self: len(self.fleets) < MAX_FLEETS)
     @rule(data=st.data())
@@ -231,14 +236,14 @@ class FleetMachine(RuleBasedStateMachine):
             for placement in held:
                 for server, count in zip(placement.servers, placement.counts):
                     in_use[server] += count
-            free = np.array(fleet.free_by_server)
+            free = np.array(free_by_server(fleet))
             assert (free + in_use == fleet.gpus_per_server).all()
             assert fleet.free_gpus + int(in_use.sum()) == fleet.total_gpus
 
     @invariant()
     def free_total_is_the_sum_over_servers(self):
         for fleet in self.fleets:
-            assert fleet.free_gpus == sum(fleet.free_by_server)
+            assert fleet.free_gpus == sum(free_by_server(fleet))
             assert fleet.busy_gpus == fleet.total_gpus - fleet.free_gpus
 
 

@@ -135,9 +135,8 @@ def test_work_is_conserved(case):
     # pauses work but never loses or duplicates it.
     assert len(outcome.outcomes) + len(outcome.rejected) == len(jobs)
     for job_outcome in outcome.outcomes:
-        assert job_outcome.executed_hours == (
-            pytest.approx(durations[job_outcome.job.job_id])
-        )
+        executed = sum(s.duration_hours for s in job_outcome.segments)
+        assert executed == pytest.approx(durations[job_outcome.job.job_id])
 
 
 @given(job_lists())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.architectures import Architecture
-from repro.core.efficiency import uniform_efficiency
+from repro.core.efficiency import EfficiencyModel
 from repro.core.features import WorkloadFeatures
 from repro.core.hardware import pai_default_hardware
 from repro.core.projection import (
@@ -22,6 +22,12 @@ from repro.core.timemodel import (
 )
 
 HARDWARE = pai_default_hardware()
+
+
+def uniform_efficiency(value):
+    """An :class:`EfficiencyModel` with every component at ``value``."""
+    return EfficiencyModel(compute=value, memory=value, pcie=value, network=value)
+
 
 positive = st.floats(min_value=1.0, max_value=1e15, allow_nan=False)
 non_negative = st.floats(min_value=0.0, max_value=1e15, allow_nan=False)

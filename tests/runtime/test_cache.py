@@ -1,11 +1,18 @@
 """The on-disk content-addressed result cache."""
 
+import errno
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis.context import TRACE_JOBS_ENV_VAR, clear_caches
 from repro.analysis.result import ExperimentResult, format_value
+from repro.obs import MemorySink, get_obs, reset_obs
+from repro.runtime import run_suite
 from repro.runtime.cache import (
     CACHE_DIR_ENV_VAR,
     ResultCache,
@@ -186,3 +193,78 @@ class TestDefaultCacheDir:
     def test_default_under_home_cache(self, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         assert default_cache_dir().name == "pai-repro"
+
+
+def full_disk(monkeypatch, root):
+    """Every write to a cache temporary fails with ENOSPC."""
+    real = tempfile.NamedTemporaryFile
+
+    def opened(*args, **kwargs):
+        handle = real(*args, **kwargs)
+
+        def write(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        handle.write = write
+        return handle
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", opened)
+
+
+def failing_rename(monkeypatch, root):
+    """Renaming a temporary into ``root`` fails with EIO."""
+    real = os.replace
+
+    def replace(src, dst, *args, **kwargs):
+        if Path(dst).parent == Path(root):
+            raise OSError(errno.EIO, "Input/output error")
+        return real(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+STORE_FAULTS = [full_disk, failing_rename]
+
+
+@pytest.mark.parametrize(
+    "fault", STORE_FAULTS, ids=["enospc-at-write", "eio-at-replace"]
+)
+class TestStoreFaults:
+    """A store the disk refuses loses the entry, never the result."""
+
+    def test_store_returns_none_and_leaves_nothing(
+        self, tmp_path, monkeypatch, fault
+    ):
+        cache = ResultCache(tmp_path)
+        reset_obs()
+        sink = get_obs().add_sink(MemorySink())
+        try:
+            fault(monkeypatch, tmp_path)
+            assert cache.store(KEY, sample_result()) is None
+        finally:
+            reset_obs()
+        assert list(tmp_path.iterdir()) == []
+        (event,) = [e for e in sink.events if e["kind"] == "cache.store_failed"]
+        assert event["level"] == "warning"
+        assert event["key"] == KEY
+        assert "Errno" in event["error"]
+        monkeypatch.undo()
+        assert cache.load(KEY) is None
+        assert cache.store(KEY, sample_result()) == cache.path_for(KEY)
+
+    def test_run_suite_returns_every_outcome(
+        self, tmp_path, monkeypatch, fault
+    ):
+        monkeypatch.setenv(TRACE_JOBS_ENV_VAR, "1500")
+        ids = ["table1", "table2"]
+        try:
+            expected = run_suite(ids, jobs=1, cache=None)
+            fault(monkeypatch, tmp_path / "cache")
+            cache = ResultCache(tmp_path / "cache")
+            outcomes = run_suite(ids, jobs=1, cache=cache)
+        finally:
+            clear_caches()
+        assert [o.experiment_id for o in outcomes] == ids
+        assert all(o.ok for o in outcomes)
+        assert [o.result for o in outcomes] == [o.result for o in expected]
+        assert list((tmp_path / "cache").iterdir()) == []

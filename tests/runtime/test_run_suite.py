@@ -17,6 +17,12 @@ from repro.runtime import (
     suite_experiment_ids,
 )
 
+
+def of_kind(sink, kind):
+    """The events of one kind that a ``MemorySink`` collected, in order."""
+    return [event for event in sink.events if event.get("kind") == kind]
+
+
 #: Small trace for suite-level tests; participates in fingerprints, so
 #: entries never collide with a full-size run's cache.
 SMALL_TRACE = "1500"
@@ -182,10 +188,10 @@ class TestHardCrashIsolation:
         finally:
             reset_obs()
         assert failed_ids(outcomes) == ["crash"]
-        assert sink.of_kind("pool.broken")
-        assert sink.of_kind("pool.worker_died")
+        assert of_kind(sink, "pool.broken")
+        assert of_kind(sink, "pool.worker_died")
         spans = [
-            e for e in sink.of_kind("span") if e.get("name") == "experiment"
+            e for e in of_kind(sink, "span") if e.get("name") == "experiment"
         ]
         assert {s["id"] for s in spans} == {"ok", "crash"}
         assert {s["status"] for s in spans} == {"ok", "error"}

@@ -1,4 +1,4 @@
-"""Shared job factory for the scheduling-subsystem tests."""
+"""Shared job factory and fleet oracle for the scheduling-subsystem tests."""
 
 from repro.core.architectures import Architecture
 from repro.core.features import WorkloadFeatures
@@ -27,3 +27,8 @@ def make_job(
         dense_weight_bytes=1e6,
     )
     return JobRecord(job_id=job_id, features=features, submit_day=submit_day)
+
+
+def free_by_server(fleet):
+    """Free GPU count per server, read from the fleet's own array."""
+    return tuple(int(free) for free in fleet._free)

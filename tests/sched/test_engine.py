@@ -308,7 +308,8 @@ class TestRegistryCounters:
             len(job.segments) for job in outcome.outcomes
         )
         assert added["sched.completions"] == len(outcome.outcomes)
-        assert added["sched.failures"] == outcome.total_retries == 2
+        retries = sum(job.retries for job in outcome.outcomes)
+        assert added["sched.failures"] == retries == 2
         assert added["sched.preemptions"] == outcome.total_preemptions > 0
 
     def test_backfill_counts_the_job_started_past_the_head(self):
@@ -372,9 +373,7 @@ class TestOutcomeMetrics:
         by_id = {o.job.job_id: o for o in outcome.outcomes}
         assert by_id[1].queueing_delay_hours == pytest.approx(2.0)
         assert by_id[1].completion_time_hours == pytest.approx(4.0)
-        assert by_id[1].slowdown == pytest.approx(2.0)
         assert outcome.mean_queueing_delay_hours == pytest.approx(1.0)
-        assert outcome.mean_slowdown == pytest.approx(1.5)
         assert outcome.mean_bounded_slowdown(threshold_hours=1.0) == pytest.approx(1.5)
 
     def test_bounded_slowdown_floors_service(self):
@@ -383,7 +382,8 @@ class TestOutcomeMetrics:
             jobs, Fleet(1), FifoPolicy(), durations={0: 10.0, 1: 0.01}
         )
         # Raw slowdown for job 1 is 1000x; bounded treats it as >= 1 h.
-        assert outcome.mean_slowdown > 100.0
+        raw = [o.completion_time_hours / o.service_hours for o in outcome.outcomes]
+        assert sum(raw) / len(raw) > 100.0
         assert outcome.mean_bounded_slowdown(threshold_hours=1.0) < 10.0
         with pytest.raises(ValueError):
             outcome.mean_bounded_slowdown(threshold_hours=0.0)

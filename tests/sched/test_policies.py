@@ -214,7 +214,8 @@ class TestPriority:
         # Work is conserved: 24 h ran before eviction, the remaining
         # 76 h resume when the gang finishes at t=34.
         assert victim.segments[1].start_hour == 34.0
-        assert victim.executed_hours == pytest.approx(100.0)
+        executed = sum(s.duration_hours for s in victim.segments)
+        assert executed == pytest.approx(100.0)
         assert victim.end_hour == pytest.approx(110.0)
 
     def test_preemption_disabled(self):

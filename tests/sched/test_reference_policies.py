@@ -38,7 +38,7 @@ from reference_policies import (
     ReferencePriority,
     ReferenceSjf,
 )
-from sched_helpers import make_job
+from sched_helpers import free_by_server, make_job
 from test_schedule_digest import schedule_digest
 
 GPUS_PER_SERVER = 8
@@ -66,7 +66,7 @@ class OrderChecked:
         assert queue == sorted(queue)
         assert running == sorted(running)
         fleet = context.fleet
-        accounted = list(fleet.free_by_server)
+        accounted = list(free_by_server(fleet))
         for entry in context.running:
             placement = entry.placement
             for server, count in zip(placement.servers, placement.counts):

@@ -2,8 +2,6 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.core.architectures import Architecture
 from repro.core.hardware import pai_default_hardware
 from repro.core.projection import (
@@ -100,8 +98,3 @@ class TestWhatIf:
     def test_zero_baseline_delay_guard(self):
         report = run_projection_what_if([make_job(0)], num_servers=4)
         assert report.queueing_delay_reduction == 0.0
-        assert report.completion_time_reduction == pytest.approx(
-            1.0
-            - report.projected.mean_completion_time_hours
-            / report.baseline.mean_completion_time_hours
-        )

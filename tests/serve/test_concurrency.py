@@ -23,6 +23,15 @@ from repro.serve import (
 SRC = Path(__file__).resolve().parent.parent.parent / "src"
 
 
+def wait_until_ingested(client, timeout=60.0, poll_s=0.05):
+    """Poll ``/healthz`` until the service reports its replay done."""
+    deadline = time.monotonic() + timeout
+    while not client.healthz().get("ingest_complete"):
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"ingestion incomplete after {timeout:.1f}s")
+        time.sleep(poll_s)
+
+
 def consistent(stats_payload):
     """Internal-consistency invariants of one /stats response."""
     jobs = stats_payload["jobs"]
@@ -197,7 +206,7 @@ class TestGracefulShutdown:
             assert banner.startswith("serving on "), banner
             url = banner.removeprefix("serving on ")
             client = ServeClient(url)
-            client.wait_until_ingested(timeout=60)
+            wait_until_ingested(client, timeout=60)
             assert client.stats()["jobs"] == 300
             process.send_signal(signal.SIGTERM)
             stdout, stderr = process.communicate(timeout=30)

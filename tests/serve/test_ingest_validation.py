@@ -30,6 +30,12 @@ from repro.serve import (
 )
 from repro.serve.server import QueryError, _Handler
 
+
+def of_kind(sink, kind):
+    """The events of one kind that a ``MemorySink`` collected, in order."""
+    return [event for event in sink.events if event.get("kind") == kind]
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 #: The numeric features of a serialized record.
@@ -74,6 +80,43 @@ def test_non_finite_metadata_is_400(small_trace, field, value):
     error = _ingest(body)
     assert error.status == 400
     assert "index 1" in str(error)
+
+
+#: Values the record parser used to coerce (a float id read as an int,
+#: ``true`` as a cNode count, a number as a tenant label).
+MISTYPED = [
+    ("job_id", 1.5),
+    ("submit_day", 2.7),
+    ("user_group", 5),
+    ("features.num_cnodes", True),
+    ("features.batch_size", 3.9),
+    ("features.flop_count", True),
+    ("features.name", 7),
+]
+
+
+@pytest.mark.parametrize("field,value", MISTYPED, ids=[f for f, _ in MISTYPED])
+def test_mistyped_field_is_400(small_trace, field, value):
+    body = serialize_jobs(small_trace[:2])
+    record = body["jobs"][1]
+    if field.startswith("features."):
+        record["features"][field.split(".", 1)[1]] = value
+    else:
+        record[field] = value
+    error = _ingest(body)
+    assert error.status == 400
+    assert "index 1" in str(error)
+    assert f"{field.split('.')[-1]} must be" in str(error)
+
+
+@pytest.mark.parametrize("record", [[1, 2], "job", 7, None])
+def test_a_record_that_is_not_an_object_is_400(small_trace, record):
+    body = serialize_jobs(small_trace[:2])
+    body["jobs"][1] = record
+    error = _ingest(body)
+    assert error.status == 400
+    assert "index 1" in str(error)
+    assert "a job record must be of type dict" in str(error)
 
 
 def _identity(state):
@@ -216,7 +259,7 @@ class TestReplayMeetsARepeatedId:
             reset_obs()
         assert replayer.delivered == len(jobs)
         assert health["ingest_complete"]
-        return state, health, sink.of_kind("serve.replay.repeated_ids")
+        return state, health, of_kind(sink, "serve.replay.repeated_ids")
 
     def test_an_id_a_client_posted_first(self, small_trace):
         # A client posts its own job under the id of the replay's last

@@ -102,7 +102,7 @@ class TestStop:
                 replayer.stop()
 
         count = replayer.replay(sink)
-        assert replayer.stopped
+        assert replayer._stop.is_set()
         assert count == len(delivered) < len(small_trace)
         # Batches are never torn: delivery stopped on a batch boundary.
         assert delivered == list(small_trace[: len(delivered)])

@@ -1,7 +1,9 @@
 """The HTTP query API: endpoints, validation, caching, lifecycle."""
 
+import errno
 import json
 import math
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -177,6 +179,38 @@ class TestQueryCache:
             assert json.loads(json.dumps(cold)) == cold
         finally:
             service.stop()
+
+    def test_a_full_disk_still_answers(
+        self, small_trace, tmp_path, monkeypatch
+    ):
+        # A cache store that fails with ENOSPC must not turn a computed
+        # answer into a 500.
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace)
+        real = tempfile.NamedTemporaryFile
+
+        def full_disk(*args, **kwargs):
+            handle = real(*args, **kwargs)
+
+            def write(data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(tempfile, "NamedTemporaryFile", full_disk)
+        cached = TraceService(state=state, cache=ResultCache(tmp_path))
+        service = TraceService(state=state)
+        cached.start()
+        service.start()
+        try:
+            assert ServeClient(cached.url).stats() == (
+                ServeClient(service.url).stats()
+            )
+        finally:
+            cached.stop()
+            service.stop()
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_entries_are_population_specific(
         self, small_trace, tmp_path

@@ -1,11 +1,9 @@
-"""Collective cost models: ring, mesh, PS round trips."""
+"""Collective cost models: ring and mesh."""
 
 import pytest
 
 from repro.sim.collectives import (
     allgatherv_time,
-    broadcast_time,
-    ps_pull_push_time,
     reduce_scatter_time,
     ring_allreduce_time,
 )
@@ -71,32 +69,3 @@ class TestReduceScatter:
     def test_unknown_topology(self):
         with pytest.raises(ValueError):
             reduce_scatter_time(1e9, 4, 1e9, topology="star")
-
-
-class TestBroadcast:
-    def test_volume_independent_of_n(self):
-        small = broadcast_time(1e9, 2, 1e9, efficiency=1.0)
-        large = broadcast_time(1e9, 64, 1e9, efficiency=1.0)
-        assert small.seconds == pytest.approx(large.seconds)
-
-    def test_single_node(self):
-        assert broadcast_time(1e9, 1, 1e9).seconds == 0.0
-
-
-class TestPsPullPush:
-    def test_hops_serialize(self):
-        # The Ethernet & PCIe serialization of the analytical model.
-        cost = ps_pull_push_time(
-            7e8,
-            ethernet_bandwidth=3.125e9,
-            pcie_bandwidth=10e9,
-            network_efficiency=0.7,
-            pcie_efficiency=0.7,
-        )
-        expected = 7e8 / (3.125e9 * 0.7) + 7e8 / (10e9 * 0.7)
-        assert cost.seconds == pytest.approx(expected)
-
-    def test_ethernet_dominates(self):
-        cost = ps_pull_push_time(1e9, 3.125e9, 10e9)
-        eth_only = ps_pull_push_time(1e9, 3.125e9, 1e15)
-        assert eth_only.seconds / cost.seconds > 0.7

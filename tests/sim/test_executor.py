@@ -3,9 +3,14 @@
 import pytest
 
 from repro.core.architectures import Architecture
-from repro.core.efficiency import TABLE_VI_EFFICIENCIES, uniform_efficiency
+from repro.core.efficiency import EfficiencyModel, TABLE_VI_EFFICIENCIES
 from repro.graphs import Deployment, build_resnet50
 from repro.sim.executor import SimulationOptions, TestbedSimulator, simulate_step
+
+
+def uniform_efficiency(value):
+    """An :class:`EfficiencyModel` with every component at ``value``."""
+    return EfficiencyModel(compute=value, memory=value, pcie=value, network=value)
 
 
 @pytest.fixture(scope="module")

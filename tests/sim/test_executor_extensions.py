@@ -1,11 +1,11 @@
 """Executor extensions: straggler jitter and memory validation."""
 
+import numpy as np
 import pytest
 
 from repro.core.architectures import Architecture
 from repro.graphs import Deployment, build_gcn, build_multi_interests, build_resnet50
 from repro.sim.executor import SimulationOptions, simulate_step
-from repro.sim.stragglers import JitterModel, expected_straggler_factor
 
 
 class TestJitter:
@@ -52,7 +52,13 @@ class TestJitter:
             )
             inflations.append(jittered.step_time / base.step_time)
         observed = sum(inflations) / len(inflations)
-        analytical = expected_straggler_factor(8, JitterModel(sigma=0.1))
+        # E[max of 8 median-1 log-normals, sigma 0.1], by Monte Carlo.
+        analytical = float(
+            np.random.default_rng(1234)
+            .lognormal(0.0, 0.1, (4000, 8))
+            .max(axis=1)
+            .mean()
+        )
         # Only part of the step jitters, so observed <= analytical; both
         # must exceed 1 and agree within a loose band.
         assert 1.0 < observed <= analytical * 1.05

@@ -37,15 +37,6 @@ class TestPartition:
 
 
 class TestSchedule:
-    def test_phases(self, gcn):
-        schedule = pearl_schedule(gcn, 8, nvlink_bandwidth=50e9)
-        assert schedule.pre_forward == [schedule.gather]
-        assert schedule.post_backward == [
-            schedule.scatter,
-            schedule.dense_allreduce,
-        ]
-        assert schedule.total_seconds > 0
-
     def test_mesh_parallelism(self, gcn):
         # Each worker handles ~1/n of the one-way accessed volume in
         # each phase -- the partitioned-gather parallelism of the

@@ -92,7 +92,8 @@ class TestDevice:
         gpu.run_kernel(0.0, "a", 1.0, "compute")
         gpu.reset()
         assert gpu.records == []
-        assert gpu.now_free == 0.0
+        # Free from time zero again: the next kernel does not queue.
+        assert gpu.run_kernel(0.0, "b", 1.0, "compute") == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

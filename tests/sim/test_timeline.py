@@ -7,10 +7,7 @@ from repro.graphs import Deployment, build_resnet50
 from repro.sim.events import TimelineRecord
 from repro.sim.executor import simulate_step
 from repro.sim.measurement import StepMeasurement
-from repro.sim.timeline import (
-    busy_fraction_by_resource,
-    render_timeline,
-)
+from repro.sim.timeline import render_timeline
 
 
 def toy_measurement():
@@ -62,24 +59,3 @@ class TestRenderTimeline:
         )
         text = render_timeline(measurement, max_resources=3)
         assert len(text.splitlines()) == 4  # header + 3 rows
-
-
-class TestBusyFractions:
-    def test_fractions(self):
-        fractions = busy_fraction_by_resource(toy_measurement())
-        assert fractions["server0/gpu0"] == pytest.approx(0.65)
-        assert fractions["server0/pcie"] == pytest.approx(0.25)
-
-    def test_bounded_by_one(self, testbed):
-        measurement = simulate_step(
-            build_resnet50(), Deployment(Architecture.SINGLE, 1), testbed
-        )
-        assert all(
-            0.0 <= f <= 1.0
-            for f in busy_fraction_by_resource(measurement).values()
-        )
-
-    def test_empty(self):
-        assert busy_fraction_by_resource(
-            StepMeasurement("none", (), 0.0, 1)
-        ) == {}

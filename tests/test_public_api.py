@@ -1,5 +1,8 @@
-"""Public-API hygiene: every exported name resolves and is documented."""
+"""Public-API hygiene: every exported name resolves, is documented and
+has a caller outside the tests."""
 
+import ast
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -76,3 +79,109 @@ class TestVersion:
         assert declared(
             "pyproject.toml", r'^version = "([^"]+)"$'
         ) == declared("src/repro/__init__.py", r'^__version__ = "([^"]+)"$')
+
+
+#: Where a call of a ``src/`` name counts.  ``tests/`` does not: a name
+#: only tests call is either dead or a test helper.
+CALLER_DIRS = ("src", "bench", "tools", "examples", "benchmarks")
+
+#: Public names nothing in the repo calls by name, and why they stay.
+ALLOWLIST = {
+    # http.server dispatches a request to do_<METHOD> by name.
+    "repro.serve.server._Handler.do_GET": "http.server dispatch",
+    "repro.serve.server._Handler.do_POST": "http.server dispatch",
+    "repro.serve.server._Handler.log_message": "http.server logging hook",
+    "repro.sched.predictor._PresetSeedSequence.generate_state": (
+        "numpy's ISeedSequence protocol"
+    ),
+    "repro.lint.engine.lint_source": "the repro.lint library API",
+    "repro.lint.engine.assert_clean": "the repro.lint library API",
+    # Moving it into tests would make tests write a private global.
+    "repro.obs.core.reset_obs": "test hook over process-global state",
+}
+
+
+def _public_definitions(path, tree):
+    """``(qualified name, node)`` of module-level public functions and
+    classes, and of the public methods and properties of every class."""
+    module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, kinds[:2]) and not node.name.startswith("_"):
+                yield f"{module}.{cls.name}.{node.name}", node
+
+
+def _references():
+    """Every ``Name`` id and ``Attribute`` attr, with where it occurs.
+
+    Import aliases and ``__all__`` strings are neither, so a re-export
+    alone is not a caller.
+    """
+    where = {}
+    for directory in CALLER_DIRS:
+        if not (ROOT / directory).is_dir():
+            continue
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                where.setdefault(name, []).append((path, node.lineno))
+    return where
+
+
+@functools.lru_cache(maxsize=None)
+def _uncalled_public_names():
+    """``{qualified name: "file:line"}`` of every public name in
+    ``src/repro`` that nothing references outside its own body."""
+    references = _references()
+    rules = ROOT / "src" / "repro" / "lint" / "rules"
+    uncalled = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if rules in path.parents:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, node in _public_definitions(path, tree):
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in references.get(node.name, ())
+            ):
+                uncalled[qualified] = f"{path.relative_to(ROOT)}:{node.lineno}"
+    return uncalled
+
+
+class TestEveryPublicNameHasACaller:
+    """A public function, class, method or property in ``src/repro`` is
+    referenced somewhere outside its own body in ``src/``, ``bench/``,
+    ``tools/``, ``examples/`` or ``benchmarks/``; otherwise it goes, or
+    moves into the tests that use it.
+
+    The scan matches by name alone, so a name shared with any other
+    attribute or variable counts as called: it can only undercount.
+    ``repro.lint.rules`` is skipped, because its rule classes are
+    registered by decorator and never named.
+    """
+
+    def test_no_uncalled_public_names(self):
+        uncalled = [
+            f"{where} {name}"
+            for name, where in sorted(_uncalled_public_names().items())
+            if name not in ALLOWLIST
+        ]
+        assert not uncalled, "public names with no caller:\n" + "\n".join(
+            uncalled
+        )
+
+    def test_allowlist_holds_only_uncalled_names(self):
+        # A stale entry would hide a name that gained a caller or moved.
+        assert sorted(set(ALLOWLIST) - set(_uncalled_public_names())) == []

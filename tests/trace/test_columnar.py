@@ -22,6 +22,12 @@ from repro.trace.columnar import (
 )
 from repro.trace.serialization import save_trace
 
+
+def of_kind(sink, kind):
+    """The events of one kind that a ``MemorySink`` collected, in order."""
+    return [event for event in sink.events if event.get("kind") == kind]
+
+
 ARCH_CODES = list(Architecture)
 
 
@@ -238,7 +244,7 @@ class TestRoundTrip:
             flops = ColumnarTrace.open(copy).column("flop_count")
         finally:
             reset_obs()
-        fallbacks = sink.of_kind("trace.columnar.mmap_fallback")
+        fallbacks = of_kind(sink, "trace.columnar.mmap_fallback")
         assert [event["path"] for event in fallbacks] == [str(shard)]
         assert np.array_equal(flops, mapped.column("flop_count"))
         eager = ColumnarTrace.open(copy)

@@ -1,36 +1,23 @@
-"""Crash-durability regressions for trace persistence.
+"""Crash- and I/O-fault durability of trace persistence.
 
-These pin the two bugfixes: ``save_trace`` must be atomic (a crash or a
-poisoned iterator mid-write leaves any pre-existing trace intact), and
-``iter_trace(tolerate_torn_tail=True)`` must recover a trace whose
-writer was killed mid-append -- and only that case; corruption anywhere
-before the final line still raises.  The columnar store's shard and
-manifest writes share ``save_trace``'s atomic commit and are pinned the
-same way.
+``save_trace`` must be atomic: a crash, a poisoned iterator or an I/O
+error mid-write leaves any pre-existing trace byte-identical and no
+``.tmp`` sibling behind.  The columnar store's shard and manifest writes
+share ``save_trace``'s atomic commit (``atomic_write``) and are pinned
+the same way, with ENOSPC at write and EIO at fsync and at rename
+injected into each.  A truncated final line -- what a writer killed
+mid-line leaves -- raises like any other malformed line.
 """
 
+import errno
 import json
 import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.trace.columnar import MANIFEST_NAME, write_columnar
-from repro.trace.serialization import (
-    append_trace,
-    iter_trace,
-    job_to_dict,
-    load_trace,
-    save_trace,
-)
-
-SRC = Path(__file__).resolve().parents[2] / "src"
-
+from repro.trace.serialization import job_to_dict, load_trace, save_trace
 
 class TestAtomicSave:
     def test_failed_save_preserves_existing_trace(
@@ -77,7 +64,7 @@ class _TornWriter:
 
     def write(self, data):
         self._handle.write(data[: len(data) // 2])
-        raise OSError("disk full mid-write")
+        raise OSError(errno.ENOSPC, "disk full mid-write")
 
     def __getattr__(self, name):
         return getattr(self._handle, name)
@@ -113,6 +100,76 @@ class TestAtomicColumnarWrite:
         assert sorted(p.name for p in store.glob("*.tmp")) == []
 
 
+def _inject(monkeypatch, fault, target):
+    """Make the atomic write of ``target`` fail with ``fault``.
+
+    The write goes through a ``<target>.tmp`` sibling; the fault hits
+    only that sibling's write, fsync or rename, so every other file the
+    writer touches behaves normally.
+    """
+    tmp_name = target + ".tmp"
+    real_open, real_fsync, real_replace = Path.open, os.fsync, os.replace
+    tmp_fds = set()
+
+    def tracked_open(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        if self.name != tmp_name:
+            return handle
+        if fault == "enospc-at-write":
+            return _TornWriter(handle)
+        tmp_fds.add(handle.fileno())
+        return handle
+
+    def failing_fsync(fd):
+        if fd in tmp_fds:
+            raise OSError(errno.EIO, "injected EIO at fsync")
+        return real_fsync(fd)
+
+    def failing_replace(src, dst, *args, **kwargs):
+        if fault == "eio-at-replace" and Path(src).name == tmp_name:
+            raise OSError(errno.EIO, "injected EIO at rename")
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", tracked_open)
+    if fault == "eio-at-fsync":
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+    monkeypatch.setattr(os, "replace", failing_replace)
+
+
+FAULTS = ["enospc-at-write", "eio-at-fsync", "eio-at-replace"]
+
+
+class TestIoFaults:
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_jsonl_save(self, tmp_path, small_trace, monkeypatch, fault):
+        path = tmp_path / "trace.jsonl"
+        save_trace(small_trace[:5], path)
+        before = path.read_bytes()
+        _inject(monkeypatch, fault, path.name)
+        with pytest.raises(OSError, match="injected|mid-write"):
+            save_trace(small_trace[5:20], path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.jsonl"]
+
+    # ENOSPC at write into a shard or the manifest is
+    # TestAtomicColumnarWrite's torn write.
+    @pytest.mark.parametrize("target", ["shard-00000.npz", MANIFEST_NAME])
+    @pytest.mark.parametrize("fault", ["eio-at-fsync", "eio-at-replace"])
+    def test_columnar_write(
+        self, tmp_path, small_trace, monkeypatch, fault, target
+    ):
+        store = tmp_path / "trace.columnar"
+        write_columnar(small_trace[:50], store)
+        before = (store / target).read_bytes()
+        _inject(monkeypatch, fault, target)
+        with pytest.raises(OSError, match="injected|mid-write"):
+            write_columnar(small_trace[50:120], store)
+        monkeypatch.undo()
+        assert (store / target).read_bytes() == before
+        assert sorted(p.name for p in store.glob("*.tmp")) == []
+
+
 class TestTornTail:
     def torn_trace(self, tmp_path, small_trace):
         """A trace whose final line is truncated mid-record."""
@@ -128,85 +185,10 @@ class TestTornTail:
         with pytest.raises(ValueError, match=":5:.*invalid JSON"):
             load_trace(path)
 
-    def test_torn_tail_skipped_when_tolerated(self, tmp_path, small_trace):
-        path = self.torn_trace(tmp_path, small_trace)
-        recovered = load_trace(path, tolerate_torn_tail=True)
-        assert recovered == list(small_trace[:4])
-
     def test_mid_file_corruption_still_raises(self, tmp_path, small_trace):
         path = self.torn_trace(tmp_path, small_trace)
-        append_trace(small_trace[5:7], path)  # tear is no longer the tail
+        with path.open("a", encoding="utf-8") as handle:
+            for job in small_trace[5:7]:  # the tear is no longer the tail
+                handle.write(json.dumps(job_to_dict(job)) + "\n")
         with pytest.raises(ValueError, match=":5:"):
-            load_trace(path, tolerate_torn_tail=True)
-
-    def test_recovered_trace_accepts_new_appends(self, tmp_path, small_trace):
-        # The documented crash-recovery flow: tolerate the tail once,
-        # rewrite atomically, resume appending.
-        path = self.torn_trace(tmp_path, small_trace)
-        recovered = load_trace(path, tolerate_torn_tail=True)
-        save_trace(recovered, path)
-        append_trace(small_trace[4:8], path)
-        assert load_trace(path) == list(small_trace[:8])
-
-    def test_writer_killed_mid_append_recovers(self, tmp_path, small_trace):
-        """Kill a real writer subprocess mid-line, then reload."""
-        path = tmp_path / "killed.jsonl"
-        save_trace(small_trace[:6], path)
-        script = textwrap.dedent(
-            """
-            import json, sys
-            from repro.trace.serialization import (
-                iter_trace, job_to_dict,
-            )
-            record = next(iter_trace(sys.argv[1]))
-            line = json.dumps(job_to_dict(record), sort_keys=True)
-            with open(sys.argv[1], "a", encoding="utf-8") as handle:
-                # Half a record, flushed to disk: exactly the bytes a
-                # crash inside append_trace leaves behind.
-                handle.write(line[: len(line) // 2])
-                handle.flush()
-                print("torn", flush=True)
-                while True:
-                    pass
-            """
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        writer = subprocess.Popen(
-            [sys.executable, "-c", script, str(path)],
-            stdout=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        try:
-            assert writer.stdout.readline().strip() == "torn"
-            writer.send_signal(signal.SIGKILL)
-            writer.wait(timeout=30)
-        finally:
-            if writer.poll() is None:
-                writer.kill()
-                writer.wait(timeout=30)
-        assert writer.returncode == -signal.SIGKILL
-        with pytest.raises(ValueError, match="invalid JSON"):
             load_trace(path)
-        recovered = load_trace(path, tolerate_torn_tail=True)
-        assert recovered == list(small_trace[:6])
-        # And a restarted writer resumes cleanly after rewriting.
-        save_trace(recovered, path)
-        append_trace(small_trace[6:9], path)
-        assert load_trace(path) == list(small_trace[:9])
-
-    def test_torn_tail_emits_observability_warning(
-        self, tmp_path, small_trace
-    ):
-        from repro.obs import MemorySink, get_obs, reset_obs
-
-        path = self.torn_trace(tmp_path, small_trace)
-        reset_obs()
-        sink = get_obs().add_sink(MemorySink())
-        try:
-            list(iter_trace(path, tolerate_torn_tail=True))
-        finally:
-            reset_obs()
-        (event,) = sink.of_kind("trace.torn_tail")
-        assert event["line"] == 5
-        assert event["level"] == "warning"

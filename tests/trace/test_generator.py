@@ -7,7 +7,11 @@ from repro.core.efficiency import PAPER_DEFAULT_EFFICIENCY
 from repro.core.hardware import pai_default_hardware
 from repro.core.timemodel import estimate_breakdown
 from repro.trace.generator import ClusterTraceGenerator, TraceConfig, generate_trace
-from repro.trace.schema import jobs_of_type
+
+
+def jobs_of_type(jobs, architecture):
+    """The jobs of one workload type, in trace order."""
+    return [job for job in jobs if job.workload_type is architecture]
 
 
 class TestDeterminism:

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core.architectures import Architecture
-from repro.trace import generate_trace, jobs_of_type
+from repro.trace import generate_trace
+
+
+def jobs_of_type(jobs, architecture):
+    """The jobs of one workload type, in trace order."""
+    return [job for job in jobs if job.workload_type is architecture]
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from repro.trace.schema import (
     JobRecord,
     features_of_type,
     iter_day_groups,
-    jobs_of_type,
 )
 
 
@@ -43,15 +42,6 @@ class TestJobRecord:
 
 
 class TestFilters:
-    def test_jobs_of_type(self):
-        jobs = [
-            record(0),
-            record(1, Architecture.PS_WORKER, 4),
-            record(2, Architecture.PS_WORKER, 8),
-        ]
-        ps = jobs_of_type(jobs, Architecture.PS_WORKER)
-        assert [j.job_id for j in ps] == [1, 2]
-
     def test_features_of_type(self):
         jobs = [record(0), record(1, Architecture.PS_WORKER, 4)]
         features = features_of_type(jobs, Architecture.SINGLE)
@@ -59,7 +49,7 @@ class TestFilters:
         assert features[0].architecture is Architecture.SINGLE
 
     def test_empty_result(self):
-        assert jobs_of_type([], Architecture.PS_WORKER) == []
+        assert features_of_type([], Architecture.PS_WORKER) == []
 
 
 def record_on_day(job_id, day, architecture=Architecture.SINGLE):
