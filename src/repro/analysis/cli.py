@@ -320,16 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
-    from ..trace import evaluate_targets, generate_trace, save_trace
-    from ..trace.columnar import write_columnar
+    from ..trace import (
+        ClusterTraceGenerator,
+        ColumnarTrace,
+        TraceConfig,
+        evaluate_targets,
+        save_trace,
+    )
+    from ..trace.columnar import write_rows
 
-    jobs = generate_trace(num_jobs=args.num_jobs, seed=args.seed)
+    generator = ClusterTraceGenerator(
+        TraceConfig(num_jobs=args.num_jobs, seed=args.seed)
+    )
     if args.trace_format == "columnar":
-        count = write_columnar(jobs, args.output)
+        # The generator's rows become shard columns: no per-job object.
+        count = write_rows(generator.rows(), args.output)
     else:
+        jobs = generator.generate()
         count = save_trace(jobs, args.output)
     print(f"wrote {count} jobs to {args.output} ({args.trace_format})")
     if args.check:
+        if args.trace_format == "columnar":
+            jobs = list(ColumnarTrace.open(args.output).iter_records())
         failures = [
             check for check in evaluate_targets(jobs) if not check["ok"]
         ]

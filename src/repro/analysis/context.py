@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 #: Trace size for the experiment suite: large enough for stable tail
-#: statistics, small enough to generate in under a second.
+#: statistics, small enough to generate in about 0.3-0.45 s on a 2-vCPU
+#: host.
 DEFAULT_TRACE_JOBS = 20000
 
 #: Seed of the calibrated default trace.

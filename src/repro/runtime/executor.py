@@ -21,6 +21,10 @@ Workers are forked after the parent pre-generates the default trace, so
 the 20k-job synthetic trace is shared copy-on-write instead of being
 regenerated per process.
 
+Every worker exits by itself once its parent is gone (see
+:func:`_exit_with_parent`), so a suite killed by a signal -- SIGKILL
+included, which no handler can catch -- leaves no worker running.
+
 Hard-crash isolation: experiments are ``submit()``-ed individually and
 every ``future.result()`` is fenced.  When a worker dies hard the pool
 breaks and *all* unfinished futures raise ``BrokenProcessPool`` -- the
@@ -35,6 +39,8 @@ in-process keeps a determined crasher from taking the parent down.)
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -131,6 +137,37 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     return multiprocessing.get_context("fork")
 
 
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool initializer: end this worker once its parent is gone.
+
+    A dead parent's workers are re-parented, so ``os.getppid()`` stops
+    matching the pid recorded before the fork; a daemon thread polls
+    for that and exits the worker, mid-experiment or idle.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _pool(
+    workers: int, context: multiprocessing.context.BaseContext
+) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=context,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
+
+
 def _run_isolated(
     experiment_id: str, context: multiprocessing.context.BaseContext
 ) -> _RawOutcome:
@@ -144,7 +181,7 @@ def _run_isolated(
     obs.metrics.counter("pool.retries").inc()
     wall_start = time.perf_counter()
     try:
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        with _pool(1, context) as pool:
             return pool.submit(_run_one, experiment_id).result()
     except BaseException as exc:
         obs.event(
@@ -188,9 +225,7 @@ def _run_pool(
     obs.metrics.gauge("pool.workers").set(workers)
     resolved: Dict[str, _RawOutcome] = {}
     try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
+        with _pool(workers, context) as pool:
             futures = {
                 pool.submit(_run_one, experiment_id): experiment_id
                 for experiment_id in pending

@@ -39,26 +39,47 @@ Durability mirrors the JSONL path: every shard goes through
 :func:`repro.trace.serialization.atomic_write` (a fsynced ``.tmp``
 sibling, renamed into place), and the manifest -- the only file that
 makes shards reachable -- is written the same way *last*, so a crash
-mid-conversion can never leave a store that opens but lies.
+mid-conversion can never leave a store that opens but lies.  A rewrite
+puts its shards under names the old manifest does not list and deletes
+the old shards only after its own manifest commits, so the old store
+stays whole until then.
+
+Writers take rows (:data:`repro.trace.schema.ROW_FIELDS` tuples):
+:func:`write_rows` packs them straight into shard columns, which is how
+``pai-repro trace --format columnar`` stores the generator's output
+without a per-job object, and :func:`write_columnar` flattens records
+into the same rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import struct
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 from numpy.lib import format as npy_format
 
 from ..core.architectures import Architecture
+from ..core.features import FEATURE_FIELDS
 from ..core.population import FeatureArrays
 from ..obs import get_obs
-from .schema import JobRecord, JobView
+from .schema import ROW_FIELDS, JobRecord, JobView
 from .serialization import SCHEMA_VERSION, atomic_write, iter_trace, save_trace
 
 __all__ = [
@@ -71,6 +92,7 @@ __all__ = [
     "ColumnarTrace",
     "ShardInfo",
     "write_columnar",
+    "write_rows",
     "jsonl_to_columnar",
     "columnar_to_jsonl",
     "is_columnar_store",
@@ -122,6 +144,11 @@ _ALL_COLUMNS: Tuple[str, ...] = INT_COLUMNS + FLOAT_COLUMNS + (NAME_COLUMN,)
 
 #: Architecture labels in enum order; the store's code space.
 _ARCH_LABELS: Tuple[str, ...] = tuple(arch.value for arch in Architecture)
+_ARCH_CODES: Dict[Architecture, int] = {
+    arch: code for code, arch in enumerate(Architecture)
+}
+
+_FEATURES_OF = operator.attrgetter(*FEATURE_FIELDS)
 
 # Zip local-file-header layout (PKZIP appnote 4.3.7): signature,
 # then the name/extra lengths at byte offsets 26 and 28.
@@ -263,24 +290,34 @@ def _manifest_shards(manifest: dict, path: Path) -> Tuple[ShardInfo, ...]:
     return shards
 
 
-class _ShardWriter:
-    """Accumulates records column-wise and flushes fixed-size shards."""
+#: Rows the shard writer holds as tuples before it packs them into the
+#: shard's columns, so a shard in progress costs about its columns' bytes.
+_PACK_ROWS = 16_384
 
-    def __init__(self, directory: Path, shard_rows: int) -> None:
+
+class _ShardWriter:
+    """Packs :data:`~repro.trace.schema.ROW_FIELDS` rows into columns
+    and flushes fixed-size shards, each checked by
+    :meth:`FeatureArrays.from_columnar` before it is written.
+
+    Shards are written under names that ``taken`` (the shard files of
+    the store being replaced) does not hold, so the old store stays
+    whole until the new manifest commits.
+    """
+
+    def __init__(self, directory: Path, shard_rows: int, taken: Set[str]) -> None:
         if shard_rows < 1:
             raise ValueError("shard_rows must be at least 1")
         self._directory = directory
         self._shard_rows = shard_rows
+        self._taken = taken
         self._group_codes: Dict[str, int] = {}
         self.user_groups: List[str] = []
         self.shards: List[ShardInfo] = []
-        self._reset_buffers()
-
-    def _reset_buffers(self) -> None:
-        self._ints: Dict[str, List[int]] = {name: [] for name in INT_COLUMNS}
-        self._floats: Dict[str, List[float]] = {
-            name: [] for name in FLOAT_COLUMNS
-        }
+        self._rows: List[tuple] = []
+        self._pack_rows = min(_PACK_ROWS, shard_rows)
+        self._packed = 0
+        self._columns: Dict[str, np.ndarray] = {}
         self._names: List[bytes] = []
 
     def _group_code(self, label: str) -> int:
@@ -291,47 +328,78 @@ class _ShardWriter:
             self.user_groups.append(label)
         return code
 
-    def add(self, job: JobRecord) -> None:
-        features = job.features
-        ints = self._ints
-        ints["job_id"].append(job.job_id)
-        ints["submit_day"].append(job.submit_day)
-        ints["user_group"].append(self._group_code(job.user_group))
-        ints["architecture"].append(
-            _ARCH_LABELS.index(features.architecture.value)
-        )
-        ints["num_cnodes"].append(features.num_cnodes)
-        ints["batch_size"].append(features.batch_size)
-        floats = self._floats
-        for column in FLOAT_COLUMNS:
-            floats[column].append(float(getattr(features, column)))
-        # Sentinel-terminated (see COLUMNAR_VERSION): guards trailing
-        # NUL bytes against the S-dtype's trailing-NUL stripping.
-        self._names.append(features.name.encode("utf-8") + b"\x01")
-        if len(self._names) >= self._shard_rows:
-            self.flush()
+    def add(self, row: tuple) -> None:
+        self._rows.append(row)
+        if len(self._rows) >= self._pack_rows:
+            self._pack()
 
     def flush(self) -> None:
-        rows = len(self._names)
-        if rows == 0:
-            return
-        columns: Dict[str, np.ndarray] = {}
-        for name, values in self._ints.items():
-            columns[name] = np.asarray(values, dtype=np.int64)
-        for name, values in self._floats.items():
-            columns[name] = np.asarray(values, dtype=np.float64)
-        width = max(max((len(n) for n in self._names), default=0), 1)
-        columns[NAME_COLUMN] = np.asarray(
-            self._names, dtype=np.dtype(f"S{width}")
-        )
-        filename = f"shard-{len(self.shards):05d}.npz"
+        if self._rows:
+            self._pack()
+        if self._packed:
+            self._write_shard()
+
+    def _pack(self) -> None:
+        """Copy the held rows into the shard's columns; write it if full."""
+        job_ids, days, groups, names, architectures, *numbers = zip(*self._rows)
+        start = self._packed
+        self._packed += len(self._rows)
+        self._rows = []
+        if start == 0:
+            self._columns = {
+                name: np.empty(self._shard_rows, dtype=np.int64)
+                for name in INT_COLUMNS
+            }
+            self._columns.update(
+                (name, np.empty(self._shard_rows, dtype=np.float64))
+                for name in FLOAT_COLUMNS
+            )
+        rows = slice(start, self._packed)
+        columns = self._columns
+        columns["job_id"][rows] = job_ids
+        columns["submit_day"][rows] = days
+        columns["user_group"][rows] = [self._group_code(g) for g in groups]
+        columns["architecture"][rows] = [_ARCH_CODES[a] for a in architectures]
+        for name, values in zip(ROW_FIELDS[5:], numbers):
+            columns[name][rows] = values
+        # Sentinel-terminated (see COLUMNAR_VERSION): guards trailing
+        # NUL bytes against the S-dtype's trailing-NUL stripping.
+        self._names.extend(name.encode("utf-8") + b"\x01" for name in names)
+        if self._packed == self._shard_rows:
+            self._write_shard()
+        self._pack_rows = min(_PACK_ROWS, self._shard_rows - self._packed)
+
+    def _fresh_name(self) -> str:
+        stem = f"shard-{len(self.shards):05d}"
+        filename = f"{stem}.npz"
+        generation = 0
+        while filename in self._taken:
+            generation += 1
+            filename = f"{stem}-{generation}.npz"
+        return filename
+
+    def _write_shard(self) -> None:
+        rows, self._packed = self._packed, 0
+        names, self._names = self._names, []
+        width = max(map(len, names))
+        # Member order is the manifest's column order.
+        columns = {
+            name: self._columns[name][:rows]
+            for name in INT_COLUMNS + FLOAT_COLUMNS
+        }
+        columns[NAME_COLUMN] = np.array(names, dtype=np.dtype(f"S{width}"))
+        try:
+            FeatureArrays.from_columnar(columns, architectures=tuple(Architecture))
+        except ValueError as error:
+            start = sum(shard.rows for shard in self.shards)
+            raise ValueError(f"{error} (of the shard from row {start})") from None
+        filename = self._fresh_name()
         path = self._directory / filename
         with atomic_write(path) as handle:
             np.savez(handle, **columns)
         self.shards.append(
             ShardInfo(file=filename, rows=rows, sha256=_sha256_file(path))
         )
-        self._reset_buffers()
 
 
 def write_columnar(
@@ -341,38 +409,77 @@ def write_columnar(
 ) -> int:
     """Write a trace as a columnar store directory; returns the job count.
 
-    Streams ``jobs`` into ``shard_rows``-sized ``.npz`` shards, then
+    Each job is flattened to a :data:`~repro.trace.schema.ROW_FIELDS`
+    row and written by :func:`write_rows`.
+    """
+    return write_rows(
+        (
+            (job.job_id, job.submit_day, job.user_group)
+            + _FEATURES_OF(job.features)
+            for job in jobs
+        ),
+        path,
+        shard_rows=shard_rows,
+    )
+
+
+def write_rows(
+    rows: Iterable[tuple],
+    path: Union[str, Path],
+    shard_rows: int = DEFAULT_SHARD_ROWS,
+) -> int:
+    """Write :data:`~repro.trace.schema.ROW_FIELDS` rows as a columnar
+    store directory; returns the row count.
+
+    Streams ``rows`` into ``shard_rows``-sized ``.npz`` shards, each
+    validated by :meth:`FeatureArrays.from_columnar` first, then
     commits the store by writing ``manifest.json`` (schema version,
     label tables, per-shard row counts and SHA-256 digests).  Shards
-    and manifest each go through a fsynced ``.tmp`` rename, and because
-    the manifest is written last, an interrupted write leaves either
-    the previous manifest or none -- never a store describing shards
-    that were not fully written.
+    and manifest each go through a fsynced ``.tmp`` rename.
+
+    Rewriting a store is all or nothing: the new shards take names the
+    current manifest does not list, the manifest is written last, and
+    only then are the shard files it does not list deleted.  A write
+    that fails before its manifest commits deletes the shards it wrote
+    and leaves the previous store as it was.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    writer = _ShardWriter(directory, shard_rows)
+    try:
+        taken = {shard.file for shard in ColumnarTrace.open(directory).shards}
+    except (OSError, ValueError):
+        taken = set()  # no readable store to keep
+    writer = _ShardWriter(directory, shard_rows, taken)
     count = 0
-    for job in jobs:
-        writer.add(job)
-        count += 1
-    writer.flush()
-    manifest = {
-        "format": COLUMNAR_FORMAT,
-        "columnar_version": COLUMNAR_VERSION,
-        "schema_version": SCHEMA_VERSION,
-        "jobs": count,
-        "columns": list(_ALL_COLUMNS),
-        "architectures": list(_ARCH_LABELS),
-        "user_groups": writer.user_groups,
-        "shards": [
-            {"file": s.file, "rows": s.rows, "sha256": s.sha256}
-            for s in writer.shards
-        ],
-    }
-    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    with atomic_write(directory / MANIFEST_NAME) as handle:
-        handle.write(payload.encode("utf-8"))
+    try:
+        for row in rows:
+            writer.add(row)
+            count += 1
+        writer.flush()
+        manifest = {
+            "format": COLUMNAR_FORMAT,
+            "columnar_version": COLUMNAR_VERSION,
+            "schema_version": SCHEMA_VERSION,
+            "jobs": count,
+            "columns": list(_ALL_COLUMNS),
+            "architectures": list(_ARCH_LABELS),
+            "user_groups": writer.user_groups,
+            "shards": [
+                {"file": s.file, "rows": s.rows, "sha256": s.sha256}
+                for s in writer.shards
+            ],
+        }
+        payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        with atomic_write(directory / MANIFEST_NAME) as handle:
+            handle.write(payload.encode("utf-8"))
+    except BaseException:
+        for shard in writer.shards:
+            (directory / shard.file).unlink(missing_ok=True)
+        raise
+    kept = {shard.file for shard in writer.shards}
+    for stale in directory.glob("shard-*.npz"):
+        if stale.name not in kept:
+            stale.unlink(missing_ok=True)
     get_obs().event(
         "trace.columnar.write",
         path=str(directory),

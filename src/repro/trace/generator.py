@@ -23,8 +23,10 @@ time shares.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -32,18 +34,62 @@ from ..core.architectures import Architecture
 from ..core.efficiency import PAPER_DEFAULT_EFFICIENCY
 from ..core.features import WorkloadFeatures
 from ..core.hardware import pai_default_hardware
-from .distributions import (
-    beta_with_mean,
-    clipped_lognormal_int,
-    lognormal,
-    loguniform,
-    power_of_two,
-)
 from .schema import JobRecord
 
 __all__ = ["TraceConfig", "ClusterTraceGenerator", "generate_trace"]
 
 _HARDWARE = pai_default_hardware()
+
+# TraceConfig's field checks, by kind: (fields, test, requirement).
+# Each test is written so NaN fails it (every comparison with NaN is
+# false), and each numpy sampler's own argument check happens here,
+# once, naming the field.
+_FIELD_CHECKS = (
+    (
+        ("num_jobs", "trace_days", "user_groups", "production_groups",
+         "ps_cnodes_max"),
+        lambda value: type(value) is int and value >= 1,
+        "an int >= 1",
+    ),
+    (("seed",), lambda value: type(value) is int and value >= 0, "an int >= 0"),
+    (
+        # Log-normal medians, log-uniform bounds and scales.
+        ("ps_cnodes_median", "small_weight_median", "ps_weight_median",
+         "ps_large_weight_low", "ps_large_weight_high",
+         "embedding_access_low", "embedding_access_high", "ps_rho_median",
+         "local_rho_median", "delta_median_1w1g", "delta_median_dist",
+         "gamma_light_median", "gamma_heavy_median", "gamma_heavy_rho_scale",
+         "beta_concentration", "compute_time_median"),
+        lambda value: 0.0 < value < math.inf,
+        "finite and > 0",
+    ),
+    (
+        ("ps_cnodes_sigma", "small_weight_sigma", "ps_weight_sigma",
+         "ps_rho_sigma", "local_rho_sigma", "delta_sigma_1w1g",
+         "delta_sigma_dist", "gamma_light_sigma", "gamma_heavy_sigma",
+         "compute_time_sigma"),
+        lambda value: 0.0 <= value < math.inf,
+        "finite and >= 0",
+    ),
+    (
+        ("share_1w1g", "share_1wng", "share_ps_worker", "share_allreduce",
+         "ps_large_model_fraction", "gamma_heavy_fraction"),
+        lambda value: 0.0 <= value <= 1.0,
+        "in [0, 1]",
+    ),
+    (("beta_mean",), lambda value: 0.0 < value < 1.0, "in (0, 1)"),
+    (
+        ("ps_rho_cnode_exponent",),
+        lambda value: -math.inf < value < math.inf,
+        "finite",
+    ),
+)
+
+#: The log-uniform draws' (low, high) field pairs.
+_LOG_UNIFORM_BOUNDS = (
+    ("ps_large_weight_low", "ps_large_weight_high"),
+    ("embedding_access_low", "embedding_access_high"),
+)
 
 
 @dataclass(frozen=True)
@@ -128,6 +174,16 @@ class TraceConfig:
     production_groups: int = 5
 
     def __post_init__(self) -> None:
+        for names, valid, requirement in _FIELD_CHECKS:
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise ValueError(
+                        f"{name} must be {requirement}, got {value!r}"
+                    )
+        for low, high in _LOG_UNIFORM_BOUNDS:
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(f"{low} must not exceed {high}")
         shares = (
             self.share_1w1g
             + self.share_1wng
@@ -136,161 +192,81 @@ class TraceConfig:
         )
         if abs(shares - 1.0) > 1e-9:
             raise ValueError(f"workload-type shares must sum to 1, got {shares}")
-        if self.num_jobs < 1:
-            raise ValueError("num_jobs must be positive")
+
+
+def _choice_cdf(weights: np.ndarray) -> List[float]:
+    """The CDF ``Generator.choice(k, p=weights)`` searches.
+
+    ``choice`` draws one ``random()`` double and returns
+    ``cdf.searchsorted(u, side="right")`` over ``cumsum(p) /
+    cumsum(p)[-1]``, so ``bisect_right`` over this list with the same
+    double picks the same index from the same stream position.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _zipf_weights(count: int) -> np.ndarray:
+    weights = 1.0 / np.arange(1, count + 1)
+    weights /= weights.sum()
+    return weights
+
+
+def _media_rates(architecture: Architecture) -> Sequence[float]:
+    """``bandwidth * efficiency`` of each medium on the weight path."""
+    return [
+        _HARDWARE.bandwidth_of(medium)
+        * PAPER_DEFAULT_EFFICIENCY.for_medium(medium)
+        for medium in architecture.weight_media
+    ]
 
 
 class ClusterTraceGenerator:
-    """Generates :class:`JobRecord` populations per :class:`TraceConfig`."""
+    """Generates :class:`JobRecord` populations per :class:`TraceConfig`.
+
+    :meth:`rows` is the one draw loop; :meth:`generate` builds records
+    from its rows, and ``pai-repro trace --format columnar`` streams them
+    into a store through :func:`repro.trace.columnar.write_rows`.
+    """
 
     def __init__(self, config: TraceConfig = TraceConfig()) -> None:
         self.config = config
 
-    # ---- time-domain helpers ---------------------------------------
-
-    def _weight_time(self, features_arch: Architecture, traffic: float) -> float:
-        """T_w of a traffic volume on the architecture's media."""
-        seconds = 0.0
-        for medium in features_arch.weight_media:
-            bandwidth = _HARDWARE.bandwidth_of(medium)
-            seconds += traffic / (bandwidth * PAPER_DEFAULT_EFFICIENCY.for_medium(medium))
-        return seconds
-
-    def _derive_compute(self, rng: np.random.Generator, compute_time: float) -> tuple:
-        """Split T_c into (flop_count, memory_access_bytes)."""
-        beta = beta_with_mean(
-            rng, self.config.beta_mean, self.config.beta_concentration
-        )
-        gpu = _HARDWARE.gpu
-        efficiency = PAPER_DEFAULT_EFFICIENCY
-        flops = compute_time * (1.0 - beta) * gpu.peak_flops * efficiency.compute
-        access = compute_time * beta * gpu.memory_bandwidth * efficiency.memory
-        return flops, access
-
-    def _derive_input(
-        self, data_time: float, contention: int
-    ) -> float:
-        """Input bytes whose transfer takes ``data_time`` under contention."""
-        pcie = _HARDWARE.pcie.bandwidth * PAPER_DEFAULT_EFFICIENCY.pcie
-        return data_time * pcie / max(contention, 1)
-
-    # ---- per-type samplers -----------------------------------------
-
-    def _sample_1w1g(self, rng: np.random.Generator, index: int) -> WorkloadFeatures:
-        config = self.config
-        weight = lognormal(rng, config.small_weight_median, config.small_weight_sigma)
-        compute_time = lognormal(
-            rng, config.compute_time_median, config.compute_time_sigma
-        )
-        delta = lognormal(rng, config.delta_median_1w1g, config.delta_sigma_1w1g)
-        flops, access = self._derive_compute(rng, compute_time)
-        return WorkloadFeatures(
-            name=f"job-{index}-1w1g",
-            architecture=Architecture.SINGLE,
-            num_cnodes=1,
-            batch_size=power_of_two(rng, 4, 10),
-            flop_count=flops,
-            memory_access_bytes=access,
-            input_bytes=self._derive_input(delta * compute_time, 1),
-            weight_traffic_bytes=0.0,
-            dense_weight_bytes=weight,
-        )
-
-    def _sample_local_distributed(
-        self, rng: np.random.Generator, index: int, architecture: Architecture
-    ) -> WorkloadFeatures:
-        """1wng and AllReduce-Local jobs: local multi-GPU."""
-        config = self.config
-        num_cnodes = int(rng.integers(2, 9))
-        weight = lognormal(rng, config.small_weight_median, config.small_weight_sigma)
-        traffic = weight  # pull + push of the trainables == at-rest bytes
-        weight_time = self._weight_time(architecture, traffic)
-        rho = lognormal(rng, config.local_rho_median, config.local_rho_sigma)
-        compute_time = weight_time / rho
-        delta = lognormal(rng, config.delta_median_dist, config.delta_sigma_dist)
-        flops, access = self._derive_compute(rng, compute_time)
-        return WorkloadFeatures(
-            name=f"job-{index}-{architecture.value}",
-            architecture=architecture,
-            num_cnodes=num_cnodes,
-            batch_size=power_of_two(rng, 4, 10),
-            flop_count=flops,
-            memory_access_bytes=access,
-            input_bytes=self._derive_input(delta * compute_time, num_cnodes),
-            weight_traffic_bytes=traffic,
-            dense_weight_bytes=weight,
-        )
-
-    def _sample_ps_worker(
-        self, rng: np.random.Generator, index: int
-    ) -> WorkloadFeatures:
-        config = self.config
-        num_cnodes = clipped_lognormal_int(
-            rng,
-            config.ps_cnodes_median,
-            config.ps_cnodes_sigma,
-            low=1,
-            high=config.ps_cnodes_max,
-        )
-        is_large = rng.random() < config.ps_large_model_fraction
-        if is_large:
-            weight = loguniform(
-                rng, config.ps_large_weight_low, config.ps_large_weight_high
-            )
-            embedding = 0.98 * weight
-            dense = weight - embedding
-            access_fraction = loguniform(
-                rng, config.embedding_access_low, config.embedding_access_high
-            )
-            traffic = dense + access_fraction * embedding
-        else:
-            weight = lognormal(rng, config.ps_weight_median, config.ps_weight_sigma)
-            embedding = 0.0
-            dense = weight
-            traffic = weight
-        weight_time = self._weight_time(Architecture.PS_WORKER, traffic)
-        # Larger jobs skew further toward communication (Sec. III-B).
-        scale = (num_cnodes / 8.0) ** config.ps_rho_cnode_exponent
-        io_heavy = rng.random() < config.gamma_heavy_fraction
-        if io_heavy:
-            scale *= config.gamma_heavy_rho_scale
-            gamma = lognormal(
-                rng, config.gamma_heavy_median, config.gamma_heavy_sigma
-            )
-        else:
-            gamma = lognormal(
-                rng, config.gamma_light_median, config.gamma_light_sigma
-            )
-        rho = lognormal(rng, config.ps_rho_median * scale, config.ps_rho_sigma)
-        compute_time = weight_time / rho
-        flops, access = self._derive_compute(rng, compute_time)
-        return WorkloadFeatures(
-            name=f"job-{index}-ps",
-            architecture=Architecture.PS_WORKER,
-            num_cnodes=num_cnodes,
-            batch_size=power_of_two(rng, 5, 11),
-            flop_count=flops,
-            memory_access_bytes=access,
-            input_bytes=self._derive_input(gamma * weight_time, 1),
-            weight_traffic_bytes=traffic,
-            dense_weight_bytes=dense,
-            embedding_weight_bytes=embedding,
-        )
-
-    # ---- trace assembly --------------------------------------------
-
     def generate(self) -> List[JobRecord]:
         """Generate the full synthetic trace (deterministic per seed)."""
+        return [
+            JobRecord(row[0], WorkloadFeatures(*row[3:]), row[1], row[2])
+            for row in self.rows()
+        ]
+
+    def rows(self) -> Iterator[tuple]:
+        """Yield the trace one job at a time, as flat
+        :data:`repro.trace.schema.ROW_FIELDS` tuples, deterministic per
+        seed.
+
+        Nothing is validated here: :meth:`generate` builds validated
+        records, and the columnar writer checks each shard's columns.
+        """
         from ..obs import get_obs
 
+        config = self.config
         with get_obs().trace(
-            "trace.generate",
-            num_jobs=self.config.num_jobs,
-            seed=self.config.seed,
+            "trace.generate", num_jobs=config.num_jobs, seed=config.seed
         ):
-            return self._generate()
+            yield from self._draw()
 
-    def _generate(self) -> List[JobRecord]:
+    def _draw(self) -> Iterator[tuple]:
+        """The per-job draws, in the stream's fixed order.
+
+        Each job's ``rng`` calls, their order and their arguments are
+        part of the trace's definition, as is each float expression's
+        association order: change either and every seed names another
+        trace (``tests/trace/test_generator.py`` pins three).  The draws
+        cannot be batched: ``lognormal`` and ``beta`` consume a variable
+        number of raw words.  Only per-config constants (log medians,
+        beta's ``a`` and ``b``, media rates) are hoisted.
+        """
         config = self.config
         rng = np.random.default_rng(config.seed)
         type_draws = rng.choice(
@@ -302,40 +278,155 @@ class ClusterTraceGenerator:
                 config.share_ps_worker,
                 config.share_allreduce,
             ],
-        )
-        group_weights = 1.0 / np.arange(1, config.user_groups + 1)
-        group_weights /= group_weights.sum()
-        production_weights = 1.0 / np.arange(1, config.production_groups + 1)
-        production_weights /= production_weights.sum()
+        ).tolist()
+        user_cdf = _choice_cdf(_zipf_weights(config.user_groups))
+        user_labels = [f"group-{g}" for g in range(config.user_groups)]
+        production_cdf = _choice_cdf(_zipf_weights(config.production_groups))
+        production_labels = [
+            f"group-{g}" for g in range(config.production_groups)
+        ]
 
-        jobs: List[JobRecord] = []
+        random = rng.random
+        integers = rng.integers
+        lognormal = rng.lognormal
+        uniform = rng.uniform
+        beta = rng.beta
+        log = math.log
+        exp = math.exp
+
+        trace_days = config.trace_days
+        log_small_weight = log(config.small_weight_median)
+        small_weight_sigma = config.small_weight_sigma
+        log_compute_time = log(config.compute_time_median)
+        compute_time_sigma = config.compute_time_sigma
+        log_delta_1w1g = log(config.delta_median_1w1g)
+        delta_sigma_1w1g = config.delta_sigma_1w1g
+        log_delta_dist = log(config.delta_median_dist)
+        delta_sigma_dist = config.delta_sigma_dist
+        log_local_rho = log(config.local_rho_median)
+        local_rho_sigma = config.local_rho_sigma
+        log_ps_cnodes = log(config.ps_cnodes_median)
+        ps_cnodes_sigma = config.ps_cnodes_sigma
+        ps_cnodes_max = config.ps_cnodes_max
+        large_fraction = config.ps_large_model_fraction
+        log_large_low = log(config.ps_large_weight_low)
+        log_large_high = log(config.ps_large_weight_high)
+        log_access_low = log(config.embedding_access_low)
+        log_access_high = log(config.embedding_access_high)
+        log_ps_weight = log(config.ps_weight_median)
+        ps_weight_sigma = config.ps_weight_sigma
+        rho_exponent = config.ps_rho_cnode_exponent
+        heavy_fraction = config.gamma_heavy_fraction
+        heavy_rho_scale = config.gamma_heavy_rho_scale
+        log_gamma_heavy = log(config.gamma_heavy_median)
+        gamma_heavy_sigma = config.gamma_heavy_sigma
+        log_gamma_light = log(config.gamma_light_median)
+        gamma_light_sigma = config.gamma_light_sigma
+        ps_rho_median = config.ps_rho_median
+        ps_rho_sigma = config.ps_rho_sigma
+        beta_a = config.beta_mean * config.beta_concentration
+        beta_b = (1.0 - config.beta_mean) * config.beta_concentration
+
+        # The T_c split multiplies left to right (``T_c * (1 - beta) *
+        # peak * efficiency``), so each factor stays separate: a
+        # pre-multiplied ``peak * efficiency`` would round differently.
+        gpu = _HARDWARE.gpu
+        peak_flops = gpu.peak_flops
+        compute_efficiency = PAPER_DEFAULT_EFFICIENCY.compute
+        memory_bandwidth = gpu.memory_bandwidth
+        memory_efficiency = PAPER_DEFAULT_EFFICIENCY.memory
+        pcie_rate = _HARDWARE.pcie.bandwidth * PAPER_DEFAULT_EFFICIENCY.pcie
+        # T_w adds traffic / rate once per medium on the path.
+        ethernet_rate, ps_pcie_rate = _media_rates(Architecture.PS_WORKER)
+        local = {}
+        for draw, architecture in (
+            (1, Architecture.LOCAL_CENTRALIZED),
+            (3, Architecture.ALLREDUCE_LOCAL),
+        ):
+            (rate,) = _media_rates(architecture)
+            local[draw] = (architecture, f"-{architecture.value}", rate)
+        single = Architecture.SINGLE
+        ps_worker = Architecture.PS_WORKER
+
         for index, draw in enumerate(type_draws):
+            # Each type draws its own times; T_c's beta split, the batch
+            # size, the group and the day follow in the same order for all.
             if draw == 0:
-                features = self._sample_1w1g(rng, index)
-            elif draw == 1:
-                features = self._sample_local_distributed(
-                    rng, index, Architecture.LOCAL_CENTRALIZED
-                )
+                architecture, suffix, num_cnodes, contention = single, "-1w1g", 1, 1
+                weight = lognormal(log_small_weight, small_weight_sigma)
+                compute_time = lognormal(log_compute_time, compute_time_sigma)
+                delta = lognormal(log_delta_1w1g, delta_sigma_1w1g)
+                data_time = delta * compute_time
+                traffic, dense, embedding = 0.0, weight, 0.0
+                batch_low, labels, cdf = 4, user_labels, user_cdf
             elif draw == 2:
-                features = self._sample_ps_worker(rng, index)
-            else:
-                features = self._sample_local_distributed(
-                    rng, index, Architecture.ALLREDUCE_LOCAL
+                architecture, suffix, contention = ps_worker, "-ps", 1
+                num_cnodes = max(
+                    1,
+                    min(
+                        ps_cnodes_max,
+                        int(round(lognormal(log_ps_cnodes, ps_cnodes_sigma))),
+                    ),
                 )
-            if features.architecture is Architecture.PS_WORKER:
+                if random() < large_fraction:
+                    weight = exp(uniform(log_large_low, log_large_high))
+                    embedding = 0.98 * weight
+                    dense = weight - embedding
+                    access_fraction = exp(
+                        uniform(log_access_low, log_access_high)
+                    )
+                    traffic = dense + access_fraction * embedding
+                else:
+                    weight = lognormal(log_ps_weight, ps_weight_sigma)
+                    embedding = 0.0
+                    dense = weight
+                    traffic = weight
+                weight_time = traffic / ethernet_rate + traffic / ps_pcie_rate
+                # Larger jobs skew further toward communication (Sec. III-B).
+                scale = (num_cnodes / 8.0) ** rho_exponent
+                if random() < heavy_fraction:
+                    scale *= heavy_rho_scale
+                    gamma = lognormal(log_gamma_heavy, gamma_heavy_sigma)
+                else:
+                    gamma = lognormal(log_gamma_light, gamma_light_sigma)
+                rho = lognormal(log(ps_rho_median * scale), ps_rho_sigma)
+                compute_time = weight_time / rho
+                data_time = gamma * weight_time
                 # Distributed production jobs concentrate in a few teams.
-                group = int(rng.choice(config.production_groups, p=production_weights))
+                batch_low, labels, cdf = 5, production_labels, production_cdf
             else:
-                group = int(rng.choice(config.user_groups, p=group_weights))
-            jobs.append(
-                JobRecord(
-                    job_id=index,
-                    features=features,
-                    submit_day=int(rng.integers(0, config.trace_days)),
-                    user_group=f"group-{group}",
-                )
+                architecture, suffix, rate = local[draw]
+                num_cnodes = contention = int(integers(2, 9))
+                # Pull + push of the trainables == the at-rest bytes.
+                weight = lognormal(log_small_weight, small_weight_sigma)
+                weight_time = weight / rate
+                rho = lognormal(log_local_rho, local_rho_sigma)
+                compute_time = weight_time / rho
+                delta = lognormal(log_delta_dist, delta_sigma_dist)
+                data_time = delta * compute_time
+                traffic, dense, embedding = weight, weight, 0.0
+                batch_low, labels, cdf = 4, user_labels, user_cdf
+            share = beta(beta_a, beta_b)
+            batch_size = 1 << int(integers(batch_low, batch_low + 7))
+            group = labels[bisect_right(cdf, random())]
+            yield (
+                index,
+                int(integers(0, trace_days)),
+                group,
+                f"job-{index}{suffix}",
+                architecture,
+                num_cnodes,
+                batch_size,
+                compute_time * (1.0 - share) * peak_flops * compute_efficiency,
+                compute_time * share * memory_bandwidth * memory_efficiency,
+                # Input bytes whose transfer takes data_time over the
+                # PCIe share left by the job's co-located cNodes.
+                data_time * pcie_rate / contention,
+                traffic,
+                dense,
+                embedding,
+                0.0,
             )
-        return jobs
 
 
 def generate_trace(

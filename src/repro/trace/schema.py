@@ -22,15 +22,27 @@ from typing import Iterable, Iterator, List, Tuple, Union
 from dataclasses import dataclass
 
 from ..core.architectures import Architecture
-from ..core.features import WorkloadFeatures
+from ..core.features import FEATURE_FIELDS, WorkloadFeatures
 from ..core.population import FeatureView
 
 __all__ = [
+    "ROW_FIELDS",
     "JobRecord",
     "JobView",
     "features_of_type",
     "iter_day_groups",
 ]
+
+#: A job as one flat tuple: the scheduling metadata, then the feature
+#: tuple in :data:`~repro.core.features.FEATURE_FIELDS` order, so
+#: ``JobRecord(row[0], WorkloadFeatures(*row[3:]), row[1], row[2])``
+#: rebuilds the record.  The trace generator yields rows, and the
+#: columnar writer consumes them without a per-job object.
+ROW_FIELDS: Tuple[str, ...] = (
+    "job_id",
+    "submit_day",
+    "user_group",
+) + FEATURE_FIELDS
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,13 @@
 
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +213,81 @@ class TestHardCrashIsolation:
         )
         outcomes = run_suite(["x", "broken"], jobs=1)
         assert failed_ids(outcomes) == ["broken"]
+
+
+#: A suite whose pool workers block in their experiments; it prints the
+#: worker pids once both are up.
+_BLOCKED_SUITE = textwrap.dedent(
+    """
+    import multiprocessing, threading, time
+    from repro.analysis import registry
+    from repro.runtime import run_suite
+
+    def blocked():
+        time.sleep(60)
+
+    registry.EXPERIMENTS.update({"a": blocked, "b": blocked, "c": blocked})
+
+    def report():
+        while len(multiprocessing.active_children()) < 2:
+            time.sleep(0.05)
+        pids = [p.pid for p in multiprocessing.active_children()]
+        print(" ".join(map(str, pids)), flush=True)
+
+    threading.Thread(target=report, daemon=True).start()
+    run_suite(["a", "b", "c"], jobs=2, cache=None)
+    """
+)
+
+
+def _alive(pid):
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestWorkersDieWithTheirParent:
+    """A suite killed by a signal leaves no pool worker running: each
+    worker exits by itself once its parent is gone."""
+
+    @needs_fork
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc"
+    )
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"]
+    )
+    def test_no_worker_outlives_a_killed_suite(self, signum):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env[TRACE_JOBS_ENV_VAR] = SMALL_TRACE
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _BLOCKED_SUITE],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        workers = []
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+            assert ready, "the suite never reported its workers"
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            parent.send_signal(signum)
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.slow
