@@ -35,17 +35,25 @@ from .registry import experiment_ids, run_experiment
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type of every count option: an integer of at least 1."""
+def _int_at_least(text: str, low: int, expected: str) -> int:
+    """``text`` as an integer of at least ``low``, else a usage error."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        )
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type of every count option: an integer of at least 1."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _seed(text: str) -> int:
+    """Argparse type of every ``--seed``: an integer of at least 0."""
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def _trace_path(text: str) -> str:
@@ -162,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="job count",
     )
     trace_parser.add_argument(
-        "--seed", type=int, default=20190501, help="generator seed"
+        "--seed", type=_seed, default=20190501, help="generator seed"
     )
     trace_parser.add_argument(
         "--format",
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a generated synthetic trace of this many jobs",
     )
     serve_parser.add_argument(
-        "--seed", type=int, default=20190501, help="generator seed for -n"
+        "--seed", type=_seed, default=20190501, help="generator seed for -n"
     )
     serve_parser.add_argument(
         "--batch-size",
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario count (kinds cycle round-robin; >= 5 covers all)",
     )
     faults_parser.add_argument(
-        "--seed", type=int, default=20190501, help="suite seed"
+        "--seed", type=_seed, default=20190501, help="suite seed"
     )
     faults_parser.add_argument(
         "-o",

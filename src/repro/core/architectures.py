@@ -53,11 +53,7 @@ class Architecture(enum.Enum):
     @property
     def is_local(self) -> bool:
         """Whether all cNodes live on one physical server."""
-        return self in (
-            Architecture.SINGLE,
-            Architecture.LOCAL_CENTRALIZED,
-            Architecture.ALLREDUCE_LOCAL,
-        )
+        return self._value_ in _LOCAL_LABELS
 
     @property
     def is_centralized(self) -> bool:
@@ -111,12 +107,9 @@ class Architecture(enum.Enum):
 
     @property
     def max_local_cnodes(self) -> int:
-        """Upper bound on cNodes for local architectures (8 GPUs/server)."""
-        if self is Architecture.SINGLE:
-            return 1
-        if self.is_local:
-            return 8
-        return 1 << 20  # effectively unbounded for cluster architectures
+        """Upper bound on cNodes for local architectures (8 GPUs/server);
+        effectively unbounded (``1 << 20``) for cluster architectures."""
+        return _MAX_LOCAL_CNODES.get(self._value_, 1 << 20)
 
     @property
     def requires_nvlink(self) -> bool:
@@ -142,3 +135,16 @@ class Architecture(enum.Enum):
             Architecture.PS_WORKER,
             Architecture.PEARL,
         )
+
+
+# ``is_local`` and ``max_local_cnodes`` run per placement and per
+# validated record, so they look the member's label up in constants
+# built once rather than build a tuple of members on every call.  The
+# key is the label because a ``str`` hashes in C, where an ``Enum``
+# member's ``__hash__`` is Python code.
+_MAX_LOCAL_CNODES = {
+    Architecture.SINGLE.value: 1,
+    Architecture.LOCAL_CENTRALIZED.value: 8,
+    Architecture.ALLREDUCE_LOCAL.value: 8,
+}
+_LOCAL_LABELS = frozenset(_MAX_LOCAL_CNODES)

@@ -464,11 +464,11 @@ class FeatureView:
 
     @property
     def architecture(self) -> Architecture:
-        return _ARCHITECTURES[int(self._arrays.arch_codes[self._index])]
+        return _ARCHITECTURES[self._arrays.arch_codes.item(self._index)]
 
     @property
     def num_cnodes(self) -> int:
-        return int(self._arrays.num_cnodes[self._index])
+        return self._arrays.num_cnodes.item(self._index)
 
     @property
     def batch_size(self) -> int:

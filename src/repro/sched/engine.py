@@ -21,7 +21,17 @@ running set in (end hour, job id) order, inserting and removing by
 ``bisect`` as jobs arrive, start, end, are preempted and crash, and
 hands both lists themselves to the policy, uncopied, in that order: no
 policy re-sorts either one per decision round, and a round costs what
-the policy reads rather than the queue's depth.
+the policy reads rather than the queue's depth.  A decision's starts
+leave the queue together, one slice per run of consecutive queue
+positions, deleted from the back once the last start is placed, so
+FIFO's started prefix is a single ``del queue[:k]`` rather than one
+shift of the whole queue per start.  A start still counts as a backfill
+exactly when a job ranked ahead of it is waiting and was not started
+earlier in the same decision.
+
+Each job's (architecture, width) is read once, at admission, and its
+outcome is filed at its rank, so outcomes come out in trace order with
+no closing sort.
 
 Durations are resolved for the whole trace before the replay starts;
 model-predicted ones come from one vectorized evaluation
@@ -79,6 +89,8 @@ class _JobState:
 
     __slots__ = (
         "job",
+        "workload_type",
+        "num_cnodes",
         "rank",
         "arrival_hour",
         "service_hours",
@@ -92,10 +104,21 @@ class _JobState:
     )
 
     def __init__(
-        self, job: JobRecord, rank: int, arrival_hour: float, service_hours: float
+        self,
+        job: JobRecord,
+        workload_type: Architecture,
+        num_cnodes: int,
+        rank: int,
+        arrival_hour: float,
+        service_hours: float,
     ):
         self.job = job
-        #: Place in (arrival hour, job id) order: the job's queue key.
+        #: The job's shape, read once at admission: every start places
+        #: it.
+        self.workload_type = workload_type
+        self.num_cnodes = num_cnodes
+        #: Place in (arrival hour, job id) order: the job's queue key,
+        #: and the job's index among the finished outcomes.
         self.rank = rank
         self.arrival_hour = arrival_hour
         self.service_hours = service_hours
@@ -176,7 +199,15 @@ def run_schedule(
     service = _resolve_durations(trace, durations, predictor)
 
     rejected: List[JobRecord] = []
-    admitted: List[Tuple[JobRecord, float]] = []
+    # Event heap: (hour, sequence, kind, key, incarnation); kind 0 =
+    # completion, 1 = arrival, so completions at a timestamp release
+    # GPUs before that timestamp's scheduling pass.  Injected faults
+    # ride the same heap: kind 2 = worker crash (key = index into
+    # ``faults.crashes``), kind 3 = storm wave (key = index into
+    # ``faults.storms``), ordered after the timestamp's arrivals so a
+    # crash can hit a job that just started.
+    events: List[Tuple[float, int, int, int, int]] = []
+    states: Dict[int, _JobState] = {}
     #: Admission screen memo: geometry feasibility is a pure function
     #: of (architecture, width), so a million-job trace asks the fleet
     #: once per distinct shape instead of once per job.
@@ -210,25 +241,15 @@ def run_schedule(
                 f"job {job.job_id}: duration must be finite and "
                 f"non-negative, got {hours!r} hours"
             )
-        admitted.append((job, hours))
-
-    # Event heap: (hour, sequence, kind, key, incarnation); kind 0 =
-    # completion, 1 = arrival, so completions at a timestamp release
-    # GPUs before that timestamp's scheduling pass.  Injected faults
-    # ride the same heap: kind 2 = worker crash (key = index into
-    # ``faults.crashes``), kind 3 = storm wave (key = index into
-    # ``faults.storms``), ordered after the timestamp's arrivals so a
-    # crash can hit a job that just started.
-    events: List[Tuple[float, int, int, int, int]] = []
-    states: Dict[int, _JobState] = {}
-    sequence = 0
-    # ``admitted`` is in (submit day, job id) order, which is (arrival
-    # hour, job id) order, so a job's index in it is its queue key.
-    for rank, (job, hours) in enumerate(admitted):
+        # The trace is in (submit day, job id) order, which is (arrival
+        # hour, job id) order, so a job's place among the admitted ones
+        # is its queue key.  It is its arrival's sequence number too.
+        rank = len(states)
         arrival = job.submit_day * _HOURS_PER_DAY
-        events.append((arrival, sequence, 1, job.job_id, 0))
-        states[job.job_id] = _JobState(job, rank, arrival, hours)
-        sequence += 1
+        events.append((arrival, rank, 1, job.job_id, 0))
+        states[job.job_id] = _JobState(job, *shape, rank, arrival, hours)
+
+    sequence = len(events)
     for crash_index, crash in enumerate(faults.crashes):
         events.append((crash.hour, sequence, 2, crash_index, 0))
         sequence += 1
@@ -248,7 +269,10 @@ def run_schedule(
     queue_keys: List[int] = []
     running: List[RunningJob] = []
     running_keys: List[Tuple[float, int]] = []
-    finished: List[JobOutcome] = []
+    #: Finished outcomes filed by rank, so they come out in (submit day,
+    #: job id) order with no closing sort.  Every admitted job has
+    #: finished once the event heap drains.
+    finished: List[Optional[JobOutcome]] = [None] * len(states)
     samples: List[TelemetrySample] = []
     active_gpu_hours = 0.0
     previous_hour = events[0][0] if events else 0.0
@@ -315,7 +339,7 @@ def run_schedule(
             level=DEBUG,
             job_id=state.job.job_id,
             hour=now,
-            num_cnodes=state.job.num_cnodes,
+            num_cnodes=state.num_cnodes,
         )
         end_segment(state, now)
         state.remaining_hours -= now - state.segment_start
@@ -377,14 +401,12 @@ def run_schedule(
                         continue  # stale completion of a preempted run
                     end_segment(state, now)
                     state.remaining_hours = 0.0
-                    finished.append(
-                        JobOutcome(
-                            job=state.job,
-                            arrival_hour=state.arrival_hour,
-                            service_hours=state.service_hours,
-                            segments=tuple(state.segments),
-                            retries=state.retries,
-                        )
+                    finished[state.rank] = JobOutcome(
+                        job=state.job,
+                        arrival_hour=state.arrival_hour,
+                        service_hours=state.service_hours,
+                        segments=tuple(state.segments),
+                        retries=state.retries,
                     )
                     tally["sched.completions"] += 1
                 else:
@@ -399,41 +421,56 @@ def run_schedule(
                 decision: SchedulingDecision = policy.select(context)
                 if decision.is_empty:
                     break
-                applied = 0
+                preempted = 0
                 for job_id in decision.preemptions:
                     state = states.get(job_id)
                     if state is None or state.placement is None:
                         continue  # policy named a job that is not running
                     preempt_job(state, now)
-                    applied += 1
+                    preempted += 1
+                # Queue positions of the jobs this decision started,
+                # ascending.  They leave the queue after the last start.
+                taken: List[int] = []
                 for job_id in decision.starts:
                     state = states.get(job_id)
-                    if state is None:
-                        continue  # policy named a job that is not queued
+                    if state is None or state.placement is not None:
+                        # Not in the trace, or running: started before,
+                        # or earlier in this decision.
+                        continue
                     position = bisect_left(queue_keys, state.rank)
                     if (
-                        position == len(queue)
+                        position == len(queue_keys)
                         or queue_keys[position] != state.rank
                     ):
                         continue  # policy named a job that is not queued
                     placement = fleet.try_place(
-                        state.job.workload_type, state.job.num_cnodes
+                        state.workload_type, state.num_cnodes
                     )
                     if placement is None:
                         continue  # plan no longer fits the live fleet
-                    if position:
-                        # An earlier arrival is still waiting: a backfill
-                        # (or priority jump) by the policy's own choice.
-                        # A re-queued job keeps its first arrival hour,
-                        # so starting it ahead of younger waiters is not
+                    earlier = bisect_left(taken, position)
+                    if earlier != position:
+                        # An earlier arrival is still waiting, and was
+                        # not started by this decision: a backfill (or
+                        # priority jump) by the policy's own choice.  A
+                        # re-queued job keeps its first arrival hour, so
+                        # starting it ahead of younger waiters is not
                         # one.
                         tally["sched.backfills"] += 1
-                    del queue_keys[position]
-                    del queue[position]
+                    taken.insert(earlier, position)
                     start_job(state, placement, now)
-                    applied += 1
-                if applied == 0:
+                if not taken and not preempted:
                     break  # non-empty decision that changed nothing
+                # One slice per run of consecutive positions, from the
+                # back, so the runs ahead keep their positions.
+                end = len(taken)
+                while end:
+                    first = end - 1
+                    while first and taken[first - 1] == taken[first] - 1:
+                        first -= 1
+                    del queue_keys[taken[first] : taken[end - 1] + 1]
+                    del queue[taken[first] : taken[end - 1] + 1]
+                    end = first
             else:
                 raise RuntimeError(
                     f"scheduler stuck: policy {policy_name!r} did not settle "
@@ -496,9 +533,6 @@ def run_schedule(
         for name, count in tally.items():
             obs.metrics.counter(name).inc(count)
 
-    outcomes = sorted(
-        finished, key=lambda o: (o.job.submit_day, o.job.job_id)
-    )
     telemetry = FleetTelemetry(
         samples=tuple(samples),
         total_gpus=fleet.total_gpus,
@@ -519,7 +553,7 @@ def run_schedule(
     )
     return ScheduleOutcome(
         policy=policy_name,
-        outcomes=outcomes,
+        outcomes=finished,
         total_gpus=fleet.total_gpus,
         rejected=rejected,
         telemetry=telemetry,

@@ -15,8 +15,11 @@ Table II deployment taxonomy:
 A :class:`Placement` is *sparse*: the ascending indices of the servers
 a job holds GPUs on and the positive count on each, so it has at most
 ``num_cnodes`` entries however large the fleet is.  Allocating and
-releasing touch only those servers; only the placement scan itself
-reads every server's free count.
+releasing touch only those servers, one byte each; only the placement
+scan itself reads every server's free count, and it reads them at C
+speed (see :class:`Fleet`).  The placements :meth:`Fleet.try_place`
+makes skip the public constructor's checks: the fleet built them, so
+their servers already ascend and their counts are positive ints.
 
 Because local gangs need *contiguous* per-server capacity, a fleet can
 hold many free GPUs yet be unable to start a job -- the fragmentation
@@ -27,13 +30,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.architectures import Architecture
 
 __all__ = ["Fleet", "Placement"]
+
+#: The most GPUs a server can hold: a free count is one byte.
+_MAX_GPUS_PER_SERVER = 255
+
+#: ``_BELOW[w]`` is the bytes ``0 .. w-1``, so ``free.lstrip(_BELOW[w])``
+#: drops the leading servers with fewer than ``w`` free GPUs.
+_BELOW = tuple(
+    bytes(range(width)) for width in range(_MAX_GPUS_PER_SERVER + 1)
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -97,22 +109,41 @@ class Placement:
 class Fleet:
     """Per-server free-GPU accounting for a homogeneous cluster.
 
-    Free counts live in one ``int64`` array, so the placement scans --
-    first-fit for local gangs, greedy left-to-right fill for cluster
-    shapes -- are single NumPy operations rather than per-server Python
-    loops.  On the multi-thousand-server fleets the scheduler
+    Free counts live in one ``bytearray``, one byte per server, so a
+    server holds at most 255 GPUs (the constructor refuses more).  The
+    placement scans read those bytes at C speed rather than in
+    per-server Python loops:
+
+    * first fit for a local gang of ``w`` GPUs is one ``lstrip`` of the
+      leading servers with fewer than ``w`` free;
+    * PS/Worker first counts the servers with no free GPU, then takes
+      the first ``w`` with one from a NumPy view;
+    * packed cluster shapes first test the kept free total, then fill
+      greedily with a cumulative sum over the same view.
+
+    A view is made for the one call and never stored: ``copy.deepcopy``
+    or pickle would copy a stored view apart from the bytes it reads.
+    Allocating and releasing change only the bytes of the servers a
+    placement holds.  On the multi-thousand-server fleets the scheduler
     experiments sweep, the scan is the scheduler's hot path.
+
+    Raises:
+        ValueError: A dimension is not positive, or ``gpus_per_server``
+            is above 255.
     """
 
     def __init__(self, num_servers: int, gpus_per_server: int = 8) -> None:
         if num_servers < 1 or gpus_per_server < 1:
             raise ValueError("cluster dimensions must be positive")
+        if gpus_per_server > _MAX_GPUS_PER_SERVER:
+            raise ValueError(
+                f"gpus_per_server must be at most {_MAX_GPUS_PER_SERVER} "
+                f"(one byte per server), got {gpus_per_server}"
+            )
         self.num_servers = num_servers
         self.gpus_per_server = gpus_per_server
-        self._free: np.ndarray = np.full(
-            num_servers, gpus_per_server, dtype=np.int64
-        )
-        #: ``_free.sum()``, kept by ``try_place`` and ``release``.
+        self._free = bytearray((gpus_per_server,)) * num_servers
+        #: ``sum(_free)``, kept by ``try_place`` and ``release``.
         self._free_total = num_servers * gpus_per_server
 
     # ---- capacity accounting -----------------------------------------
@@ -135,7 +166,7 @@ class Fleet:
     @property
     def largest_free_block(self) -> int:
         """Largest single-server free block (bounds local gang size)."""
-        return int(self._free.max())
+        return int(np.frombuffer(self._free, np.uint8).max())
 
     def utilization(self) -> float:
         """Fraction of GPUs currently allocated."""
@@ -167,38 +198,47 @@ class Fleet:
 
     def _shape(
         self, architecture: Architecture, num_gpus: int
-    ) -> Optional[Tuple[List[int], List[int]]]:
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """The servers and per-server counts of a placement, or
         ``None`` if it does not fit right now.  Does not mutate the
         fleet.
 
-        Both shapes reproduce the greedy left-to-right scan exactly:
-        first-fit picks the lowest-indexed server with room, and the
+        Every shape reproduces the greedy left-to-right scan exactly:
+        first fit picks the lowest-indexed server with room, and the
         cluster fill takes ``min(free, cap)`` per server until the
-        running total (a cumulative sum) reaches the request.
+        running total (a cumulative sum) reaches the request.  The
+        entries are Python ints, the servers ascend and the counts are
+        positive, as :class:`Placement` requires.
         """
         if num_gpus < 1:
             raise ValueError("num_gpus must be positive")
+        free = self._free
+        num_servers = self.num_servers
         if architecture.is_local:
-            fits_here = self._free >= num_gpus
-            server = int(fits_here.argmax())
-            if not fits_here[server]:
+            if num_gpus > self.gpus_per_server:
                 return None
-            return [server], [num_gpus]
-        per_server_cap = (
-            1 if architecture is Architecture.PS_WORKER else self.gpus_per_server
-        )
-        grab_cap = np.minimum(self._free, per_server_cap)
-        cumulative = grab_cap.cumsum()
+            server = num_servers - len(free.lstrip(_BELOW[num_gpus]))
+            if server == num_servers:
+                return None
+            return (server,), (num_gpus,)
+        if architecture is Architecture.PS_WORKER:
+            if num_servers - free.count(0) < num_gpus:
+                return None
+            servers = np.frombuffer(free, np.uint8).nonzero()[0][:num_gpus]
+            return tuple(servers.tolist()), (1,) * num_gpus
+        if self._free_total < num_gpus:
+            return None
+        # A server's free count never exceeds its capacity, so the
+        # packed fill takes all of it.
+        grab = np.frombuffer(free, np.uint8)
+        cumulative = grab.cumsum(dtype=np.int64)
         stop = int(cumulative.searchsorted(num_gpus))
-        if stop == self.num_servers:
-            return None  # every server's share together falls short
-        # grab_cap[stop] > 0, so the last server held is ``stop`` and
+        # grab[stop] > 0, so the last server held is ``stop`` and
         # trimming the overshoot leaves it a positive count.
-        servers = grab_cap[: stop + 1].nonzero()[0]
-        counts = grab_cap[servers].tolist()
+        servers = grab[: stop + 1].nonzero()[0]
+        counts = grab[servers].tolist()
         counts[-1] -= cumulative.item(stop) - num_gpus
-        return servers.tolist(), counts
+        return tuple(servers.tolist()), tuple(counts)
 
     def fits(self, architecture: Architecture, num_gpus: int) -> bool:
         """Whether the job could be placed on the fleet right now."""
@@ -224,9 +264,14 @@ class Fleet:
         servers, counts = shape
         free = self._free
         for server, count in zip(servers, counts):
-            free[server] = free.item(server) - count
+            free[server] -= count
         self._free_total -= num_gpus
-        return Placement(servers, counts)
+        # The fleet made the shape, so the constructor's checks would
+        # only repeat what ``_shape`` guarantees.
+        placement = object.__new__(Placement)
+        object.__setattr__(placement, "servers", servers)
+        object.__setattr__(placement, "counts", counts)
+        return placement
 
     def release(self, placement: Placement) -> None:
         """Return a placement's GPUs to the free pool.
@@ -245,10 +290,10 @@ class Fleet:
         free = self._free
         room = self.gpus_per_server
         for server, count in zip(servers, counts):
-            if free.item(server) + count > room:
+            if free[server] + count > room:
                 raise ValueError("release would exceed server capacity")
         for server, count in zip(servers, counts):
-            free[server] = free.item(server) + count
+            free[server] += count
         self._free_total += sum(counts)
 
     def releases_to_fit(
@@ -276,13 +321,13 @@ class Fleet:
         """
         if num_gpus < 1:
             raise ValueError("num_gpus must be positive")
-        free = self._free.tolist()
+        free = self._free.copy()
         num_servers = self.num_servers
         room = self.gpus_per_server
         local = architecture.is_local
         spread = architecture is Architecture.PS_WORKER
         if local:
-            reach = max(free)
+            reach = self.largest_free_block
         elif spread:
             reach = num_servers - free.count(0)
         else:

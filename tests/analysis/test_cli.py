@@ -67,6 +67,24 @@ class TestParser:
         assert err.startswith("usage: pai-repro ")
         assert "expected a positive integer" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "-n", "10", "--seed", "-1"],
+            ["serve", "-n", "10", "--seed", "-1"],
+            ["faults", "-n", "2", "--seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_seed_options_reject_negative_values(self, argv, capsys):
+        # Each used to end in a ValueError traceback (exit 1): from
+        # TraceConfig for trace and serve, from numpy for faults.
+        err = main_error(argv, capsys)
+        assert err.startswith("usage: pai-repro ")
+        assert "argument --seed: expected a non-negative integer" in err
+        args = build_parser().parse_args(argv[:-1] + ["0"])
+        assert args.seed == 0
+
     def test_serve_trace_must_be_a_trace(self, small_trace, tmp_path, capsys):
         # A missing path used to start the service, whose replay thread
         # then died and left it answering for an empty population.

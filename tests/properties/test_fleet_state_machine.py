@@ -36,7 +36,7 @@ MAX_FLEETS = 4
 
 
 def free_by_server(fleet):
-    """Free GPU count per server, read from the fleet's own array."""
+    """Free GPU count per server, read from the fleet's own bytes."""
     return tuple(int(free) for free in fleet._free)
 
 
@@ -115,7 +115,9 @@ class FleetMachine(RuleBasedStateMachine):
         self.held: List[List[Placement]] = []
 
     @initialize(
-        num_servers=st.integers(1, 6), gpus_per_server=st.integers(1, 8)
+        num_servers=st.integers(1, 6),
+        # 255 is the most a server's one-byte free count holds.
+        gpus_per_server=st.integers(1, 8) | st.just(255),
     )
     def build(self, num_servers, gpus_per_server):
         self.fleets.append(Fleet(num_servers, gpus_per_server))

@@ -30,5 +30,5 @@ def make_job(
 
 
 def free_by_server(fleet):
-    """Free GPU count per server, read from the fleet's own array."""
+    """Free GPU count per server, read from the fleet's own bytes."""
     return tuple(int(free) for free in fleet._free)

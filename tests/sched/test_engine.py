@@ -330,6 +330,47 @@ class TestRegistryCounters:
         assert starts == {0: 0.0, 1: 10.0, 2: 0.0}
         assert added["sched.backfills"] == 1
 
+    def test_a_fifo_prefix_counts_no_backfill(self):
+        # One decision starts all five queued jobs: each start is at
+        # the head once the ones before it have started.
+        jobs = [make_job(i) for i in range(5)]
+        outcome, added = self._counted(
+            lambda: run_schedule(
+                jobs, Fleet(1), FifoPolicy(), durations={i: 1.0 for i in range(5)}
+            )
+        )
+        assert [o.first_start_hour for o in outcome.outcomes] == [0.0] * 5
+        assert added["sched.starts"] == 5
+        assert added["sched.backfills"] == 0
+
+    def test_positions_named_out_of_order_and_twice(self):
+        # The first decision names queue positions [3, 0, 3]: job 3
+        # starts once, past three waiting jobs (a backfill), then job 0
+        # at the head (not one).  FIFO then starts jobs 1, 2 and 4.
+        class Positions:
+            name = "positions"
+
+            def __init__(self):
+                self.first = True
+
+            def select(self, context):
+                if self.first:
+                    self.first = False
+                    queue = context.queue
+                    ids = (queue[3].job_id, queue[0].job_id, queue[3].job_id)
+                    return SchedulingDecision(starts=ids)
+                return FifoPolicy().select(context)
+
+        jobs = [make_job(i) for i in range(5)]
+        outcome, added = self._counted(
+            lambda: run_schedule(
+                jobs, Fleet(1), Positions(), durations={i: 1.0 for i in range(5)}
+            )
+        )
+        assert [len(o.segments) for o in outcome.outcomes] == [1] * 5
+        assert added["sched.starts"] == 5
+        assert added["sched.backfills"] == 1
+
     def test_a_requeued_job_keeps_its_arrival_place(self):
         # Jobs 0 (6 GPUs) and 1 (2 GPUs) fill the server at hour 0; job
         # 2 arrives at hour 24 and waits.  A storm at hour 30 evicts job

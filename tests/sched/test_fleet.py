@@ -1,5 +1,8 @@
 """The fleet resource model: shaped placement and accounting."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.architectures import Architecture
@@ -14,6 +17,11 @@ class TestValidation:
             Fleet(num_servers=0)
         with pytest.raises(ValueError):
             Fleet(num_servers=2, gpus_per_server=0)
+
+    def test_a_server_holds_at_most_255_gpus(self):
+        # A free count is one byte.
+        with pytest.raises(ValueError, match="gpus_per_server"):
+            Fleet(1, 256)
 
     def test_num_gpus_must_be_positive(self):
         fleet = Fleet(num_servers=2)
@@ -197,3 +205,56 @@ class TestCanEverPlace:
         fleet = Fleet(num_servers=4, gpus_per_server=8)
         assert fleet.can_ever_place(Architecture.ALLREDUCE_CLUSTER, 32)
         assert not fleet.can_ever_place(Architecture.ALLREDUCE_CLUSTER, 33)
+
+
+class TestByteFleet:
+    """Free counts are one byte per server."""
+
+    def test_a_full_255_gpu_server_places_and_releases(self):
+        fleet = Fleet(3, 255)
+        local = fleet.try_place(Architecture.ALLREDUCE_LOCAL, 255)
+        assert (local.servers, local.counts) == ((0,), (255,))
+        assert fleet.try_place(Architecture.ALLREDUCE_LOCAL, 255).servers == (1,)
+        packed = fleet.try_place(Architecture.ALLREDUCE_CLUSTER, 255)
+        assert (packed.servers, packed.counts) == ((2,), (255,))
+        assert free_by_server(fleet) == (0, 0, 0)
+        assert fleet.try_place(Architecture.SINGLE, 1) is None
+        fleet.release(local)
+        assert free_by_server(fleet) == (255, 0, 0)
+        assert fleet.largest_free_block == 255
+        with pytest.raises(ValueError, match="capacity"):
+            fleet.release(local)
+        assert free_by_server(fleet) == (255, 0, 0)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda fleet: pickle.loads(pickle.dumps(fleet))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_places_apart_from_its_source(self, duplicate):
+        fleet = Fleet(num_servers=2, gpus_per_server=8)
+        fleet.try_place(Architecture.ALLREDUCE_LOCAL, 5)
+        twin = duplicate(fleet)
+        assert free_by_server(twin) == (3, 8)
+        assert twin.try_place(Architecture.ALLREDUCE_LOCAL, 8).servers == (1,)
+        assert free_by_server(fleet) == (3, 8)
+        assert fleet.try_place(Architecture.ALLREDUCE_LOCAL, 3).servers == (0,)
+        assert free_by_server(twin) == (3, 0)
+        assert (fleet.free_gpus, twin.free_gpus) == (8, 3)
+
+    @pytest.mark.parametrize(
+        "architecture, width",
+        [
+            (Architecture.SINGLE, 1),
+            (Architecture.ALLREDUCE_LOCAL, 4),
+            (Architecture.PS_WORKER, 3),
+            (Architecture.ALLREDUCE_CLUSTER, 11),
+        ],
+    )
+    def test_placement_entries_are_python_ints(self, architecture, width):
+        fleet = Fleet(num_servers=4, gpus_per_server=8)
+        fleet.try_place(Architecture.ALLREDUCE_LOCAL, 3)
+        placement = fleet.try_place(architecture, width)
+        assert placement.total_gpus == width
+        for entry in placement.servers + placement.counts:
+            assert type(entry) is int
