@@ -115,6 +115,8 @@ def bench_queries(jobs, shards: int, clients: int) -> dict:
                 turn += 1
         except Exception as error:  # surfaced after join
             failures.append((slot, error))
+        finally:
+            client.close()
 
     try:
         service.start_replay(

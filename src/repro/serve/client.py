@@ -1,11 +1,22 @@
 """A small stdlib client for the trace-analytics service.
 
 Wraps :mod:`http.client` around the JSON endpoints of
-:class:`repro.serve.server.TraceService`: one method per endpoint, plus
-a readiness helper for scripts that must wait for ingestion to finish.
-Used by the load generator (``benchmarks/bench_serve.py``), the CI smoke
-job and the concurrency tests -- anything that talks to the service the
-way an external consumer would.
+:class:`repro.serve.server.TraceService`, one method per endpoint.
+Used by the load generators (``benchmarks/bench_serve.py`` and
+``bench/serve_workload.py``), the CI smoke job and the concurrency
+tests -- anything that talks to the service the way an external
+consumer would.
+
+Connections persist (HTTP/1.1 keep-alive).  A client keeps one
+connection per calling thread, so a client shared by several threads
+stays parallel and never interleaves two exchanges on one socket.  A
+connection is kept only after a response was read to its end and did
+not say ``Connection: close``; any failure during an exchange (a
+timeout, a reset, a body that is not JSON) throws it away.  Before a
+kept connection is reused it is probed without blocking: a readable
+idle socket means the server closed it (its idle timeout or its drain)
+or sent bytes no request asked for, and the client connects again.
+:meth:`ServeClient.close` releases the connections.
 
 The client separates the *connect* timeout (how long to wait for the
 TCP handshake) from the *read* timeout (how long to wait for a
@@ -14,7 +25,10 @@ response on an established connection), and retries transient failures
 with bounded exponential backoff and deterministic jitter.  4xx
 responses and timeouts on an established connection are never retried:
 the former are caller bugs, and the latter may have already mutated
-server state.
+server state.  Nothing else re-sends a request: a request that was
+written and then failed is retried only within ``retries``, so
+``retries=0`` means one attempt, and an ingest is never posted twice
+without the caller knowing.
 """
 
 from __future__ import annotations
@@ -22,8 +36,11 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
+import threading
 import time
 import urllib.parse
+import weakref
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..trace.schema import JobRecord
@@ -56,6 +73,10 @@ class ServiceError(Exception):
 
 class ServeClient:
     """Blocking JSON client for one service base URL.
+
+    Each calling thread gets its own persistent connection, opened on
+    its first request and reused while the server keeps it open;
+    :meth:`close` releases them all.
 
     Parameters
     ----------
@@ -108,6 +129,26 @@ class ServeClient:
         self.backoff_cap = backoff_cap
         self._jitter = random.Random(jitter_seed)
         self._sleep = sleep
+        # The calling thread's kept connection, as ``.connection``.
+        self._local = threading.local()
+        # Every kept connection, for close(); weak, so that it keeps no
+        # connection open past the thread that kept it.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every connection the client keeps, in any thread.
+
+        Call it with no request in flight.  The client stays usable: a
+        later request opens a new connection.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
 
     # ---- transport -------------------------------------------------
 
@@ -116,16 +157,43 @@ class ServeClient:
         base = min(self.backoff_cap, self.backoff_base * (2.0**attempt))
         return base * (1.0 + 0.25 * self._jitter.random())
 
-    def _request_once(
-        self, path: str, body: Optional[Dict[str, Any]]
-    ) -> Dict[str, Any]:
+    def _connect(self) -> http.client.HTTPConnection:
+        """The calling thread's kept connection if the server has left
+        it open, else a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            # An idle kept socket with something to read was closed by
+            # the server, or holds bytes no request asked for.
+            sock = connection.sock
+            if sock is not None and not select.select([sock], [], [], 0)[0]:
+                return connection
+            self._drop(connection)
         connection = http.client.HTTPConnection(
             self._host, self._port, timeout=self.connect_timeout
         )
         try:
             connection.connect()
-            if connection.sock is not None:
-                connection.sock.settimeout(self.read_timeout)
+            connection.sock.settimeout(self.read_timeout)
+        except BaseException:
+            connection.close()
+            raise
+        self._local.connection = connection
+        with self._connections_lock:
+            self._connections.add(connection)
+        return connection
+
+    def _drop(self, connection: http.client.HTTPConnection) -> None:
+        """Close the calling thread's kept ``connection`` for good."""
+        self._local.connection = None
+        with self._connections_lock:
+            self._connections.discard(connection)
+        connection.close()
+
+    def _request_once(
+        self, path: str, body: Optional[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        connection = self._connect()
+        try:
             connection.request(
                 "POST" if body is not None else "GET",
                 self._prefix + path,
@@ -141,16 +209,26 @@ class ServeClient:
                 ),
             )
             response = connection.getresponse()
-            payload = response.read().decode("utf-8", errors="replace")
-            if not 200 <= response.status < 300:
-                try:
-                    payload = json.loads(payload).get("error", payload)
-                except ValueError:
-                    pass
-                raise ServiceError(response.status, payload)
-            return json.loads(payload)
-        finally:
-            connection.close()
+            text = response.read().decode("utf-8", errors="replace")
+        except BaseException:
+            self._drop(connection)
+            raise
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            # Not the service's JSON: the connection is out of step.
+            self._drop(connection)
+            if 200 <= response.status < 300:
+                raise
+            raise ServiceError(response.status, text) from None
+        if response.will_close:
+            self._drop(connection)
+        if not 200 <= response.status < 300:
+            message = (
+                payload.get("error", text) if isinstance(payload, dict) else text
+            )
+            raise ServiceError(response.status, message)
+        return payload
 
     def _request(
         self, path: str, body: Optional[Dict[str, Any]] = None

@@ -1,9 +1,10 @@
 """The resident trace-analytics service: a concurrent JSON query API.
 
 A :class:`TraceService` owns the sharded population state and exposes it
-over a stdlib ``ThreadingHTTPServer`` -- one handler thread per request,
-many concurrent readers, none of them blocking ingestion (reads work on
-merged copy-on-write snapshots; see :mod:`repro.serve.state`).
+over a stdlib ``ThreadingHTTPServer`` -- one handler thread per
+connection, many concurrent readers, none of them blocking ingestion
+(reads work on merged copy-on-write snapshots; see
+:mod:`repro.serve.state`).
 
 Endpoints (all JSON):
 
@@ -27,18 +28,31 @@ traces can never alias, even at identical batch counts -- and each store
 evicts the entry it supersedes so a long-lived service keeps at most one
 live entry per (endpoint, params).
 
-Shutdown is graceful: ``shutdown()`` stops accepting new connections,
-then joins every in-flight handler thread before returning (the HTTP/1.0
-one-request-per-connection discipline guarantees handlers terminate).
+Connections persist (HTTP/1.1): one connection carries request after
+request until the client closes it or asks to (``Connection: close``,
+or HTTP/1.0), it idles for the handler's ``timeout``, or the service
+drains.  A request whose body the handler will not read in full (a
+413, a malformed or missing ``Content-Length``, a chunked body) is
+answered and its connection closed, so those bytes are never parsed as
+the next request.
+
+Shutdown is graceful: :meth:`TraceService.stop` stops accepting new
+connections, ends every connection that is waiting for its next
+request, lets every request already being read finish with a complete
+response that carries ``Connection: close``, and joins every handler
+thread before returning.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..analysis.result import ExperimentResult
@@ -60,6 +74,13 @@ __all__ = ["MAX_INGEST_BYTES", "QueryError", "TraceService", "serialize_jobs"]
 #: against one unbounded request, not a real security boundary).
 MAX_INGEST_BYTES = 64 * 1024 * 1024
 
+#: How often the accept loop checks for a shutdown request: the most a
+#: ``stop()`` waits for the loop to notice.
+_SHUTDOWN_POLL_S = 0.05
+
+#: The longest request line a handler reads, as ``http.server`` allows.
+_MAX_REQUEST_LINE = 65536
+
 #: The model configuration every shard evaluates under, hashed once: the
 #: last part of every query-cache key.
 _MODEL_CONFIG_FINGERPRINT = fingerprint(
@@ -79,51 +100,137 @@ class QueryError(Exception):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Per-request handler: route, delegate to the service, write JSON."""
+    """Per-connection handler: reads requests one after another, routes
+    each to the service and writes its JSON answer."""
 
-    # One request per connection: handler threads always terminate after
-    # their response, which is what makes draining on shutdown finite.
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"
     server_version = "pai-repro-serve"
+    # Seconds a connection may idle between requests (or stall inside
+    # one) before its handler closes it.
     timeout = 30
+    # Each response leaves in one write (a buffered wfile that _respond
+    # flushes) and at once: with Nagle's algorithm on, a second small
+    # write waits for the client's delayed ACK, ~40 ms on Linux.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args: Any) -> None:
         get_obs().debug("serve.http " + fmt % args)
 
+    def handle(self) -> None:
+        """Answer this connection's requests until it is to be closed."""
+        get_obs().metrics.counter("serve.connections").inc()
+        self.close_connection = False
+        while not self.close_connection:
+            self._handle_one()
+
+    def _handle_one(self) -> None:
+        """Wait for the connection's next request and answer it."""
+        server: _Server = self.server  # type: ignore[assignment]
+        self.close_connection = True
+        if not server.mark_idle(self.connection):
+            return
+        try:
+            line = self.rfile.readline(_MAX_REQUEST_LINE + 1)
+        except OSError:  # the idle timeout, or the client reset
+            return
+        finally:
+            server.mark_busy(self.connection)
+        if not line:
+            return
+        self.raw_requestline = line
+        if len(line) > _MAX_REQUEST_LINE:
+            self.requestline = self.request_version = self.command = ""
+            self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+            return
+        try:
+            if not self.parse_request():
+                return
+        except OSError:  # the client stalled or reset inside its headers
+            self.close_connection = True
+            return
+        if self.command not in ("GET", "POST"):
+            self.send_error(
+                HTTPStatus.NOT_IMPLEMENTED,
+                f"Unsupported method ({self.command!r})",
+            )
+            return
+        self._handle()
+
     def _respond(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
+        if self.server.draining:  # type: ignore[attr-defined]
+            self.close_connection = True
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
         except OSError:
             # The client went away mid-response; nothing to salvage.
             get_obs().metrics.counter("serve.query.aborted").inc()
+            self.close_connection = True
+            # Closing drops what the failed write left buffered, so the
+            # handler's finish() has nothing left to send; it raises
+            # that failure once more.
+            with contextlib.suppress(OSError):
+                self.wfile.close()
 
-    def _handle(self, method: str) -> None:
+    def _read_body(self) -> bytes:
+        """A POST's body, framed by its ``Content-Length``.
+
+        Raises :class:`QueryError` when the body cannot be read in full;
+        the caller then closes the connection, since the unread bytes
+        would otherwise be parsed as the next request.
+        """
+        raw_length = self.headers.get("Content-Length")
+        if raw_length is None or "Transfer-Encoding" in self.headers:
+            raise QueryError(
+                411, "POST requires a Content-Length header (no chunked bodies)"
+            )
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise QueryError(400, f"invalid Content-Length: {raw_length!r}")
+        if length > MAX_INGEST_BYTES:
+            raise QueryError(413, "ingest body too large")
+        # parse_request answered "Expect: 100-continue" into the buffer;
+        # such a client sends its body only after that answer.
+        self.wfile.flush()
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise QueryError(
+                400, f"body ended after {len(body)} of {length} bytes"
+            )
+        return body
+
+    def _handle(self) -> None:
         service: "TraceService" = self.server.service  # type: ignore[attr-defined]
+        method = self.command
         split = urlsplit(self.path)
         params = dict(parse_qsl(split.query))
         body: Optional[bytes] = None
         if method == "POST":
-            raw_length = self.headers.get("Content-Length") or "0"
             try:
-                length = int(raw_length)
-            except ValueError:
-                length = -1
-            if length < 0:
-                # A malformed header must produce a 400, not a handler
-                # thread abort and a dropped connection.
-                self._respond(
-                    400, {"error": f"invalid Content-Length: {raw_length!r}"}
-                )
+                body = self._read_body()
+            except QueryError as error:
+                self.close_connection = True
+                self._respond(error.status, {"error": str(error)})
                 return
-            if length > MAX_INGEST_BYTES:
-                self._respond(413, {"error": "ingest body too large"})
+            except OSError:  # the client stalled or reset inside its body
+                self.close_connection = True
                 return
-            body = self.rfile.read(length)
+        elif "Transfer-Encoding" in self.headers or self.headers.get(
+            "Content-Length", "0"
+        ) != "0":
+            # A body no endpoint reads would be parsed as the next request.
+            self.close_connection = True
         obs = get_obs()
         obs.metrics.counter("serve.query.requests").inc()
         status = 200
@@ -143,15 +250,10 @@ class _Handler(BaseHTTPRequestHandler):
             obs.metrics.counter("serve.query.errors").inc()
         self._respond(status, payload)
 
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
 
 class _Server(ThreadingHTTPServer):
-    """ThreadingHTTPServer that joins its handler threads on close."""
+    """ThreadingHTTPServer that drains: it ends idle connections and
+    joins its handler threads on close."""
 
     daemon_threads = False
     block_on_close = True
@@ -160,6 +262,44 @@ class _Server(ThreadingHTTPServer):
     def __init__(self, address, service: "TraceService") -> None:
         super().__init__(address, _Handler)
         self.service = service
+        #: Set by :meth:`drain`; every answer from then on carries
+        #: ``Connection: close``.
+        self.draining = False
+        # Connections whose handler waits for the next request line: the
+        # only ones the drain ends without an answer.
+        self._idle: Set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+
+    def mark_idle(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` idle until :meth:`mark_busy`; False once the
+        service drains, when the handler must close it instead."""
+        with self._idle_lock:
+            if self.draining:
+                return False
+            self._idle.add(connection)
+            return True
+
+    def mark_busy(self, connection: socket.socket) -> None:
+        """``connection``'s handler has a request line (or gave up): the
+        drain no longer ends it."""
+        with self._idle_lock:
+            self._idle.discard(connection)
+
+    def drain(self) -> None:
+        """End every idle connection, and let busy ones end after their
+        answer.
+
+        Shutting the read side wakes a handler blocked on its next
+        request line with an end of file and leaves the write side
+        open, so a request line that arrived just before still gets its
+        answer.
+        """
+        with self._idle_lock:
+            self.draining = True
+            for connection in self._idle:
+                with contextlib.suppress(OSError):  # already closed
+                    connection.shutdown(socket.SHUT_RD)
+            self._idle.clear()
 
 
 class TraceService:
@@ -201,6 +341,7 @@ class TraceService:
         # drain comes from stop() joining this thread explicitly.
         self._server_thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
             name="serve-http",
             daemon=True,
         )
@@ -304,8 +445,10 @@ class TraceService:
 
         Safe to call more than once.  Order matters: the replayer stops
         first (no new writes), then the listener stops accepting, then
-        ``server_close`` joins every in-flight handler thread so no
-        response is cut off mid-write.
+        every connection waiting for its next request is ended, and
+        ``server_close`` joins every handler thread, each of which
+        finishes the request it is reading with a complete response
+        (``Connection: close``), so no response is cut off mid-write.
         """
         if self._replayer is not None:
             self._replayer.stop()
@@ -321,6 +464,7 @@ class TraceService:
             if self._server_thread is not None:
                 self._server_thread.join()
                 self._server_thread = None
+            self._server.drain()
             self._server.server_close()
         self._server = None
         obs.event(

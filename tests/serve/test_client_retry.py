@@ -2,6 +2,7 @@
 
 import http.server
 import threading
+import time
 
 import pytest
 
@@ -42,18 +43,44 @@ class FlakyHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def flaky_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), FlakyHandler)
+class KeepAliveFlakyHandler(FlakyHandler):
+    """The same script on persistent connections, counting them in
+    ``server.connections``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def handle(self):
+        with self.server.lock:
+            self.server.connections += 1
+        super().handle()
+
+
+def serve(handler):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.script = []
     server.requests = 0
+    server.connections = 0
     server.lock = threading.Lock()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
     thread.join(timeout=5.0)
+
+
+@pytest.fixture()
+def flaky_server():
+    yield from serve(FlakyHandler)
+
+
+@pytest.fixture()
+def keepalive_server():
+    yield from serve(KeepAliveFlakyHandler)
 
 
 def make_client(server, **kwargs):
@@ -123,6 +150,57 @@ class TestRetries:
         with pytest.raises(ConnectionRefusedError):
             client.healthz()
         assert len(sleeps) == 2
+
+
+class TestPersistentConnections:
+    def test_a_drop_on_a_reused_connection_is_not_resent(
+        self, keepalive_server
+    ):
+        keepalive_server.script[:] = ["ok", "drop"]
+        client, sleeps = make_client(keepalive_server, retries=0)
+        assert client.healthz() == {"status": "ok"}
+        with pytest.raises(TRANSIENT_ERRORS):
+            client.healthz()
+        # One request each: the dropped one was not sent again.
+        assert keepalive_server.requests == 2
+        assert keepalive_server.connections == 1
+        assert sleeps == []
+
+    def test_a_retry_after_a_drop_uses_a_new_connection(
+        self, keepalive_server
+    ):
+        keepalive_server.script[:] = ["ok", "drop"]
+        client, sleeps = make_client(keepalive_server, retries=2)
+        assert client.healthz() == {"status": "ok"}
+        assert client.healthz() == {"status": "ok"}
+        assert keepalive_server.requests == 3
+        assert keepalive_server.connections == 2
+        assert len(sleeps) == 1
+
+    def test_a_connection_the_server_closed_is_replaced(
+        self, keepalive_server, monkeypatch
+    ):
+        monkeypatch.setattr(KeepAliveFlakyHandler, "timeout", 0.2)
+        client, sleeps = make_client(keepalive_server, retries=0)
+        assert client.healthz() == {"status": "ok"}
+        time.sleep(0.5)  # the server times the idle connection out
+        # The probe sees the close and connects again; nothing is sent
+        # on the dead connection, so no attempt fails.
+        assert client.healthz() == {"status": "ok"}
+        assert keepalive_server.requests == 2
+        assert keepalive_server.connections == 2
+        assert sleeps == []
+
+    def test_a_4xx_keeps_the_connection(self, keepalive_server):
+        keepalive_server.script[:] = ["404"]
+        client, sleeps = make_client(keepalive_server, retries=3)
+        with pytest.raises(ServiceError) as exc_info:
+            client.healthz()
+        assert exc_info.value.status == 404
+        assert client.healthz() == {"status": "ok"}
+        assert keepalive_server.requests == 2
+        assert keepalive_server.connections == 1
+        assert sleeps == []
 
 
 class TestBackoff:

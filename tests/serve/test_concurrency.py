@@ -1,8 +1,12 @@
 """Ingestion racing readers: consistent snapshots, graceful shutdown."""
 
+import http.client
+import json
 import math
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -12,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import get_obs
 from repro.serve import (
+    TRANSIENT_ERRORS,
     ServeClient,
     ShardedState,
     TraceReplayer,
@@ -278,3 +284,147 @@ class TestGracefulShutdown:
             assert health["ingest_complete"] is False
         finally:
             service.stop()
+
+
+class GatedService(TraceService):
+    """Holds every ``/stats`` query inside :meth:`handle` until
+    :attr:`release` is set."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def handle(self, method, path, params, body):
+        if path == "/stats":
+            self.entered.set()
+            assert self.release.wait(timeout=30)
+        return super().handle(method, path, params, body)
+
+
+class TestDrainOnPersistentConnections:
+    def test_an_idle_connection_does_not_hold_up_stop(self, small_trace):
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace[:50])
+        service = TraceService(state=state)
+        service.start()
+        client = ServeClient(service.url, retries=0)
+        try:
+            assert client.healthz()["jobs"] == 50
+        finally:
+            start = time.monotonic()
+            service.stop()
+        # The handler's 30 s idle timeout would hold it up that long.
+        assert time.monotonic() - start < 1.0
+        # The kept connection was ended, and nothing listens any more.
+        with pytest.raises(TRANSIENT_ERRORS):
+            client.healthz()
+
+    def test_a_request_in_flight_gets_its_answer(self, small_trace):
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace[:50])
+        service = GatedService(state=state)
+        service.start()
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        stopper = threading.Thread(target=service.stop)
+        try:
+            connection.request("GET", "/stats")
+            assert service.entered.wait(timeout=30)
+            stopper.start()
+            deadline = time.monotonic() + 30
+            while not service._server.draining:
+                assert time.monotonic() < deadline, "stop() never drained"
+                time.sleep(0.01)
+            assert stopper.is_alive()
+            service.release.set()
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read())["jobs"] == 50
+            stopper.join(timeout=30)
+            assert not stopper.is_alive()
+        finally:
+            service.release.set()
+            connection.close()
+            if stopper.ident is None:
+                service.stop()
+            else:
+                stopper.join(timeout=30)
+
+    def test_a_drain_under_load_cuts_no_response(self, small_trace):
+        # More threads than cores, switching often, keep requesting
+        # over kept connections while stop() drains: each call gets a
+        # whole answer or a transient error, never a torn response.
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace[:50])
+        for delay in (0.02, 0.05, 0.1):
+            service = TraceService(state=state)
+            service.start()
+            stop = threading.Event()
+            answers, failures = [], []
+
+            def worker(slot):
+                client = ServeClient(service.url, retries=0, timeout=10)
+                while not stop.is_set():
+                    try:
+                        payload = client.stats() if slot % 2 else client.healthz()
+                        assert payload["jobs"] == 50
+                        answers.append(slot)
+                    except TRANSIENT_ERRORS:
+                        pass
+                    except Exception as error:
+                        failures.append(error)
+                        return
+
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(6)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                time.sleep(delay)
+                start = time.monotonic()
+                service.stop()
+                elapsed = time.monotonic() - start
+            finally:
+                sys.setswitchinterval(interval)
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures
+            assert answers
+            assert elapsed < 5.0
+
+
+class TestAbortedResponses:
+    def test_a_client_that_went_away_is_counted_not_printed(
+        self, small_trace, capfd
+    ):
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace[:50])
+        service = GatedService(state=state)
+        service.start()
+        aborted = get_obs().metrics.counter("serve.query.aborted")
+        before = aborted.value
+        try:
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as sock:
+                sock.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert service.entered.wait(timeout=30)
+                # Close with a reset, so the answer's write fails.
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            time.sleep(0.1)
+        finally:
+            service.release.set()
+            service.stop()
+        assert aborted.value - before == 1
+        assert "Traceback" not in capfd.readouterr().err

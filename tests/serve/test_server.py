@@ -3,11 +3,16 @@
 import errno
 import json
 import math
+import socket
+import sys
 import tempfile
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro.obs import get_obs
 from repro.runtime import ResultCache
 from repro.serve import (
     CDF_METRICS,
@@ -18,6 +23,38 @@ from repro.serve import (
     batch_reference,
     serialize_jobs,
 )
+from repro.serve.server import MAX_INGEST_BYTES
+
+#: A well-formed ``/ingest`` body, for requests framed by hand.
+BODY = b'{"jobs": []}'
+
+
+def exchange(service, request: bytes) -> bytes:
+    """Send ``request`` on a new socket; every byte the service sends
+    back before it closes the connection.  Raises ``socket.timeout``
+    if the service keeps the connection open."""
+    with socket.create_connection(
+        (service.host, service.port), timeout=5
+    ) as sock:
+        sock.sendall(request)
+        replies = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return replies
+            replies += data
+
+
+def only_reply(replies: bytes) -> "tuple[bytes, bytes]":
+    """``(head, body)`` of the one response in ``replies``."""
+    assert replies.count(b"HTTP/1.1 ") == 1, replies
+    head, _, body = replies.partition(b"\r\n\r\n")
+    return head, body
+
+
+def connections() -> int:
+    """Connections the service has accepted in this process so far."""
+    return get_obs().metrics.counter("serve.connections").value
 
 
 @pytest.fixture()
@@ -32,7 +69,9 @@ def service(small_trace):
 
 @pytest.fixture()
 def client(service):
-    return ServeClient(service.url)
+    client = ServeClient(service.url)
+    yield client
+    client.close()
 
 
 class TestEndpoints:
@@ -146,22 +185,158 @@ class TestValidation:
         assert failure.value.status == 400
 
     def test_malformed_content_length_is_400(self, service):
-        import http.client
-
-        for bad_length in ("abc", "-5"):
-            conn = http.client.HTTPConnection(
-                service.host, service.port, timeout=10
+        # Each answer leaves the body unread, so it also ends the
+        # connection: the GET behind it is never read as a request.
+        for bad_length, status in (
+            (b"abc", 400),
+            (b"-5", 400),
+            (str(MAX_INGEST_BYTES + 1).encode(), 413),
+        ):
+            head, body = only_reply(
+                exchange(
+                    service,
+                    b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                    + bad_length
+                    + b"\r\n\r\nGET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+                )
             )
+            assert head.startswith(b"HTTP/1.1 %d " % status)
+            assert b"\r\nConnection: close" in head
+            if status == 400:
+                assert "Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Transfer-Encoding: chunked\r\n\r\nc\r\n" + BODY + b"\r\n0\r\n\r\n",
+            b"\r\n" + BODY,
+        ],
+        ids=["chunked", "no-content-length"],
+    )
+    def test_unframed_ingest_is_411_and_ends_the_connection(
+        self, service, framing
+    ):
+        # The body and the GET behind it must not be read as requests.
+        head, body = only_reply(
+            exchange(
+                service,
+                b"POST /ingest HTTP/1.1\r\nHost: x\r\n"
+                + framing
+                + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+        )
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"\r\nConnection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+
+class TestPersistentConnections:
+    def test_one_client_reuses_one_connection(self, client, small_trace):
+        before = connections()
+        for turn in range(20):
+            payload = client.stats() if turn % 2 else client.healthz()
+            assert payload["jobs"] == len(small_trace)
+        assert connections() - before == 1
+
+    def test_a_client_shared_by_threads_stays_correct(
+        self, service, small_trace
+    ):
+        # More threads than cores, switching often: two exchanges
+        # interleaved on one socket would hand a thread another
+        # endpoint's answer.
+        client = ServeClient(service.url)
+        before = connections()
+        failures = []
+
+        def worker(slot):
             try:
-                conn.putrequest("POST", "/ingest")
-                conn.putheader("Content-Length", bad_length)
-                conn.endheaders()
-                response = conn.getresponse()
-                assert response.status == 400
-                payload = json.loads(response.read().decode("utf-8"))
-                assert "Content-Length" in payload["error"]
-            finally:
-                conn.close()
+                for turn in range(25):
+                    kind = (slot + turn) % 3
+                    if kind == 0:
+                        assert client.healthz()["status"] == "ok"
+                    elif kind == 1:
+                        payload = client.stats()
+                        assert payload["jobs"] == len(small_trace)
+                        assert "architectures" in payload
+                    else:
+                        metric = CDF_METRICS[turn % len(CDF_METRICS)]
+                        assert client.cdf(metric)["metric"] == metric
+            except Exception as error:
+                failures.append((slot, error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert 1 <= connections() - before <= 4
+        client.close()
+
+    def test_sequential_requests_do_not_stall(self, client):
+        client.healthz()
+        start = time.perf_counter()
+        for _ in range(50):
+            client.healthz()
+        # A delayed-ACK stall (~40 ms a request) would take 2 s.
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_a_closing_request_ends_its_connection(
+        self, service, request_head
+    ):
+        # The GET behind it is never answered.
+        head, _ = only_reply(
+            exchange(
+                service,
+                request_head + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+        )
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nConnection: close" in head
+
+    def test_close_releases_the_connection(self, client, small_trace):
+        client.healthz()
+        before = connections()
+        client.close()
+        assert client.stats()["jobs"] == len(small_trace)
+        assert connections() - before == 1
+
+    def test_a_client_that_expects_100_continue_gets_it(self, service):
+        with socket.create_connection(
+            (service.host, service.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /ingest HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(BODY)
+            )
+            # The interim answer comes before the body is sent.
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(BODY + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            replies = b""
+            while replies.count(b"HTTP/1.1 200 ") < 2:
+                data = sock.recv(65536)
+                assert data, replies
+                replies += data
+        # The connection stayed in step: an empty batch, then the GET.
+        assert b'"ingested": 0' in replies
+        assert b'"status": "ok"' in replies
 
 
 class TestQueryCache:

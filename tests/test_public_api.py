@@ -87,9 +87,6 @@ CALLER_DIRS = ("src", "bench", "tools", "examples", "benchmarks")
 
 #: Public names nothing in the repo calls by name, and why they stay.
 ALLOWLIST = {
-    # http.server dispatches a request to do_<METHOD> by name.
-    "repro.serve.server._Handler.do_GET": "http.server dispatch",
-    "repro.serve.server._Handler.do_POST": "http.server dispatch",
     "repro.serve.server._Handler.log_message": "http.server logging hook",
     "repro.sched.predictor._PresetSeedSequence.generate_state": (
         "numpy's ISeedSequence protocol"

@@ -3,8 +3,11 @@
 Starts ``pai-repro serve`` as a real subprocess (empty population,
 JSON-lines telemetry on), streams a small synthetic trace in through
 ``POST /ingest``, queries every endpoint, checks the served numbers
-against the one-shot batch path leaf by leaf, then sends SIGTERM and
-requires a clean drain (exit code 0) and a non-empty event log.
+against the one-shot batch path leaf by leaf, then sends SIGTERM while
+the client still holds its persistent connection open.  It requires a
+clean drain within 5 s (exit code 0), and an event log whose summary
+shows that connections carried several requests each
+(``serve.connections`` < ``serve.query.requests``).
 
 Usage::
 
@@ -14,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import signal
@@ -57,8 +61,15 @@ def start_service(events_path: str) -> "tuple[subprocess.Popen, str]":
     return process, line.removeprefix("serving on ")
 
 
-def check_endpoints(url: str, jobs) -> None:
-    """Every endpoint answers, and the numbers match the batch path."""
+#: Seconds the service may take to drain and exit after SIGTERM.
+DRAIN_LIMIT_S = 5.0
+
+
+def check_endpoints(url: str, jobs):
+    """Every endpoint answers, and the numbers match the batch path.
+
+    Returns the client, whose connection stays open for the caller to
+    hold across the shutdown."""
     from repro.serve import (
         CDF_METRICS,
         ServeClient,
@@ -106,6 +117,26 @@ def check_endpoints(url: str, jobs) -> None:
         assert error.status == 400, error
     else:
         raise AssertionError("bogus metric should be a 400")
+    return client
+
+
+def check_connection_reuse(events: Path) -> "tuple[int, int]":
+    """``(connections, requests)`` from the event log's summary, and
+    require fewer connections than requests."""
+    summaries = [
+        record
+        for record in map(json.loads, events.read_text().splitlines())
+        if record.get("kind") == "summary"
+    ]
+    assert summaries, f"no summary event in {events}"
+    counters = summaries[-1]["metrics"]["counters"]
+    connections = counters["serve.connections"]
+    requests = counters["serve.query.requests"]
+    assert connections < requests, (
+        f"{connections} connections for {requests} requests: "
+        "connections were not reused"
+    )
+    return connections, requests
 
 
 def main(argv=None) -> int:
@@ -119,18 +150,23 @@ def main(argv=None) -> int:
     jobs = generate_trace(num_jobs=args.jobs, seed=7)
     process, url = start_service(args.events)
     try:
-        check_endpoints(url, jobs)
+        client = check_endpoints(url, jobs)
     except BaseException:
         process.kill()
         process.wait()
         raise
+    # The client's idle connection stays open: the drain must end it
+    # rather than wait out the handler's idle timeout.
     process.send_signal(signal.SIGTERM)
-    deadline = time.monotonic() + 30
+    deadline = time.monotonic() + DRAIN_LIMIT_S
     while process.poll() is None and time.monotonic() < deadline:
         time.sleep(0.05)
+    client.close()
     if process.poll() is None:
         process.kill()
-        raise RuntimeError("service did not drain within 30s of SIGTERM")
+        raise RuntimeError(
+            f"service did not drain within {DRAIN_LIMIT_S:g}s of SIGTERM"
+        )
     stdout, stderr = process.communicate()
     if process.returncode != 0:
         raise RuntimeError(
@@ -141,9 +177,11 @@ def main(argv=None) -> int:
     assert events.is_file() and events.stat().st_size > 0, (
         f"missing or empty event log {events}"
     )
+    connections, requests = check_connection_reuse(events)
     print(
         f"serve smoke OK: {len(jobs)} jobs ingested, all endpoints match "
-        f"the batch path, clean SIGTERM drain, events in {events}"
+        f"the batch path, {requests} requests over {connections} "
+        f"connection(s), clean SIGTERM drain, events in {events}"
     )
     return 0
 
