@@ -18,6 +18,9 @@ Endpoints (all JSON):
                             409 if it repeats an ingested job id
 ==========================  =============================================
 
+``/stats`` and ``/census`` take no query parameters and ``/cdf`` takes
+``level`` and ``points``; any other parameter is a 400 naming it.
+
 Query responses are content-addressed into the existing
 :class:`repro.runtime.cache.ResultCache` keyed by (endpoint, params,
 per-shard content-digest vector, and the fingerprint of the one model
@@ -52,7 +55,7 @@ import threading
 import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..analysis.result import ExperimentResult
@@ -91,12 +94,36 @@ _MODEL_CONFIG_FINGERPRINT = fingerprint(
 )
 
 
+#: The query parameters each cached read endpoint takes.  Every
+#: parameter is part of the query-cache key, so an unknown one would
+#: store an entry that no later store supersedes.
+_QUERY_PARAMS: Dict[str, FrozenSet[str]] = {
+    "stats": frozenset(),
+    "census": frozenset(),
+    "cdf": frozenset({"level", "points"}),
+}
+
+
 class QueryError(Exception):
     """A client error with the HTTP status it should produce."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _check_params(endpoint: str, params: Dict[str, str]) -> None:
+    """Raise a 400 :class:`QueryError` naming every query parameter
+    ``endpoint`` does not take."""
+    unknown = sorted(set(params) - _QUERY_PARAMS[endpoint])
+    if unknown:
+        noun = "parameter" if len(unknown) == 1 else "parameters"
+        taken = ", ".join(sorted(_QUERY_PARAMS[endpoint])) or "none"
+        raise QueryError(
+            400,
+            f"unknown query {noun} {', '.join(map(repr, unknown))} "
+            f"for /{endpoint} (it takes: {taken})",
+        )
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -488,10 +515,13 @@ class TraceService:
             if parts == ["healthz"]:
                 return self._healthz()
             if parts == ["stats"]:
+                _check_params("stats", params)
                 return self._cached("stats", params, self._stats)
             if parts == ["census"]:
+                _check_params("census", params)
                 return self._cached("census", params, self._census)
             if len(parts) == 2 and parts[0] == "cdf":
+                _check_params("cdf", params)
                 params = dict(params, metric=parts[1])
                 return self._cached("cdf", params, self._cdf)
             raise QueryError(404, f"unknown endpoint: GET {path}")

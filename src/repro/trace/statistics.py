@@ -19,6 +19,7 @@ Two construction paths exist:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -30,12 +31,29 @@ __all__ = [
 ]
 
 
+def _reject_nan(array: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` if ``array`` holds a NaN.
+
+    The CDFs keep their points sorted, and a NaN sorts nowhere: it would
+    break the ordering every quantile lookup relies on.
+    """
+    if np.isnan(array).any():
+        raise ValueError(f"{name} must not be NaN")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only so that sketches can share it."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class EmpiricalCDF:
     """An empirical (optionally weighted) cumulative distribution.
 
     ``values`` are sorted ascending; ``cumulative`` gives
-    P(X <= values[i]) including weights.
+    P(X <= values[i]) including weights.  Lookups bisect the two tuples,
+    which :meth:`from_samples` keeps sorted by rejecting NaN.
     """
 
     values: Tuple[float, ...]
@@ -49,12 +67,14 @@ class EmpiricalCDF:
         data = np.asarray(samples, dtype=float).ravel()
         if data.size == 0:
             raise ValueError("cannot build a CDF from zero samples")
+        _reject_nan(data, "samples")
         if weights is None:
             weight_array = np.ones_like(data)
         else:
             weight_array = np.asarray(weights, dtype=float).ravel()
             if weight_array.shape != data.shape:
                 raise ValueError("weights must match samples in length")
+            _reject_nan(weight_array, "weights")
             if np.any(weight_array < 0):
                 raise ValueError("weights must be non-negative")
         order = np.argsort(data, kind="stable")
@@ -75,8 +95,7 @@ class EmpiricalCDF:
 
     def probability_at(self, x: float) -> float:
         """P(X <= x)."""
-        values = np.asarray(self.values)
-        index = np.searchsorted(values, x, side="right")
+        index = bisect_right(self.values, x)
         if index == 0:
             return 0.0
         return self.cumulative[index - 1]
@@ -100,10 +119,7 @@ class EmpiricalCDF:
         """
         if not 0 <= q <= 1:
             raise ValueError("q must be in [0, 1]")
-        cumulative = np.asarray(self.cumulative)
-        index = int(
-            np.searchsorted(cumulative, q - self._RANK_SLACK, side="left")
-        )
+        index = bisect_left(self.cumulative, q - self._RANK_SLACK)
         index = min(index, len(self.values) - 1)
         return self.values[index]
 
@@ -135,6 +151,10 @@ class StreamingCDF:
     means, with the exact minimum and maximum preserved).  Total weight
     and observation count are always exact; quantile ranks are exact
     below capacity and off by at most ~1/capacity after compaction.
+
+    Points are stored as read-only arrays, one pair per update, so
+    :meth:`copy` and :meth:`merge` share them instead of copying;
+    compaction replaces them with new arrays.
     """
 
     __slots__ = ("capacity", "count", "_values", "_weights", "_retained")
@@ -162,45 +182,70 @@ class StreamingCDF:
         values: Iterable[float],
         weights: Optional[Iterable[float]] = None,
     ) -> None:
-        """Observe a batch of samples with optional per-sample weights."""
-        data = np.asarray(values, dtype=float).ravel()
+        """Observe a batch of samples with optional per-sample weights.
+
+        The batch is copied once, into arrays the sketch stores
+        read-only, so later writes to the caller's arrays do not reach
+        the sketch.
+        """
+        data = np.array(values, dtype=float).ravel()
         if data.size == 0:
             return
+        _reject_nan(data, "values")
         if weights is None:
             weight_array = np.ones_like(data)
         else:
-            weight_array = np.asarray(weights, dtype=float).ravel()
+            weight_array = np.array(weights, dtype=float).ravel()
             if weight_array.shape != data.shape:
                 raise ValueError("weights must match values in length")
+            _reject_nan(weight_array, "weights")
             if np.any(weight_array < 0):
                 raise ValueError("weights must be non-negative")
         self.count += int(data.size)
-        self._values.append(data)
-        self._weights.append(weight_array)
-        self._retained += int(data.size)
-        if self._retained > self.capacity:
-            self._compact()
+        self._extend([_frozen(data)], [_frozen(weight_array)], int(data.size))
 
     def merge(self, other: "StreamingCDF") -> "StreamingCDF":
-        """A new sketch summarizing both populations."""
+        """A new sketch summarizing both populations.
+
+        The new sketch shares both sides' stored arrays until it
+        compacts; neither side changes.
+        """
         merged = StreamingCDF(capacity=max(self.capacity, other.capacity))
         for source in (self, other):
             if source.count:
-                values, weights = source._points()
-                merged.update_many(values, weights)
-        # ``update_many`` counted retained points; observations are what
-        # the sketch reports, and both sides know theirs exactly.
+                merged._extend(
+                    source._values, source._weights, source._retained
+                )
+        # Observations are what the sketch reports, and both sides know
+        # theirs exactly.
         merged.count = self.count + other.count
         return merged
 
     def copy(self) -> "StreamingCDF":
-        """An independent snapshot of this sketch."""
+        """An independent snapshot of this sketch.
+
+        Stored arrays are read-only, so the snapshot shares them and
+        copies only the two lists that hold them.
+        """
         duplicate = StreamingCDF(capacity=self.capacity)
         duplicate.count = self.count
-        duplicate._values = [np.array(v, copy=True) for v in self._values]
-        duplicate._weights = [np.array(w, copy=True) for w in self._weights]
+        duplicate._values = list(self._values)
+        duplicate._weights = list(self._weights)
         duplicate._retained = self._retained
         return duplicate
+
+    def _extend(
+        self,
+        values: List[np.ndarray],
+        weights: List[np.ndarray],
+        retained: int,
+    ) -> None:
+        """Append read-only point arrays holding ``retained`` points."""
+        self._values.extend(values)
+        self._weights.extend(weights)
+        self._retained += retained
+        if self._retained > self.capacity:
+            self._compact()
 
     def _points(self) -> Tuple[np.ndarray, np.ndarray]:
         if not self._values:
@@ -213,7 +258,8 @@ class StreamingCDF:
         keep = weights > 0
         values, weights = values[keep], weights[keep]
         if values.size <= self.capacity:
-            self._values, self._weights = [values], [weights]
+            self._values = [_frozen(values)]
+            self._weights = [_frozen(weights)]
             self._retained = int(values.size)
             return
         order = np.argsort(values, kind="stable")
@@ -237,8 +283,8 @@ class StreamingCDF:
         # outermost centroids to the exact observed extremes.
         centroids[0] = values[0]
         centroids[-1] = values[-1]
-        self._values = [centroids]
-        self._weights = [bucket_weight[occupied]]
+        self._values = [_frozen(centroids)]
+        self._weights = [_frozen(bucket_weight[occupied])]
         self._retained = int(centroids.size)
 
     def to_cdf(self) -> EmpiricalCDF:

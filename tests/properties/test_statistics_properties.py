@@ -60,6 +60,60 @@ class TestEmpiricalCDF:
         assert abs(cdf.cumulative[-1] - 1.0) < 1e-9
 
 
+class TestLookupsEqualSearchsorted:
+    """``quantile`` and ``probability_at`` bisect the stored tuples; on a
+    sorted, NaN-free CDF that is the index ``np.searchsorted`` gives."""
+
+    # Few distinct values, so ties are common.
+    tied = st.lists(
+        st.integers(min_value=-4, max_value=4).map(float),
+        min_size=1,
+        max_size=60,
+    )
+
+    @given(
+        values=st.one_of(samples, tied),
+        weights_seed=st.integers(min_value=0, max_value=2**31),
+        data=st.data(),
+    )
+    def test_lookups_match_the_searchsorted_formulas(
+        self, values, weights_seed, data
+    ):
+        import numpy as np
+
+        rng = np.random.default_rng(weights_seed)
+        weights = rng.choice([0.0, 0.25, 1.0, 7.0], size=len(values))
+        weights[0] = 1.0
+        cdf = EmpiricalCDF.from_samples(values, weights)
+        grid = np.asarray(cdf.values)
+        cumulative = np.asarray(cdf.cumulative)
+
+        x = data.draw(
+            st.one_of(
+                st.sampled_from(values),
+                st.floats(allow_nan=False, min_value=-2e9, max_value=2e9),
+            )
+        )
+        index = int(np.searchsorted(grid, x, side="right"))
+        want = 0.0 if index == 0 else cdf.cumulative[index - 1]
+        assert cdf.probability_at(x) == want
+
+        slack = EmpiricalCDF._RANK_SLACK
+        q = data.draw(
+            st.one_of(
+                st.sampled_from(cdf.cumulative),
+                # q - slack lands on a grid entry, where the side of
+                # the search decides the index.
+                st.sampled_from(cdf.cumulative).map(
+                    lambda c: min(1.0, c + slack)
+                ),
+                st.floats(min_value=0.0, max_value=1.0),
+            )
+        )
+        index = int(np.searchsorted(cumulative, q - slack, side="left"))
+        assert cdf.quantile(q) == cdf.values[min(index, len(grid) - 1)]
+
+
 class TestMergedVsBatch:
     """Splitting a population and merging equals one-shot construction."""
 

@@ -61,6 +61,8 @@ def serve(handler):
     server.requests = 0
     server.connections = 0
     server.lock = threading.Lock()
+    # Clients made by make_client, closed before the server stops.
+    server.clients = []
     thread = threading.Thread(
         target=server.serve_forever,
         kwargs={"poll_interval": 0.05},
@@ -68,6 +70,8 @@ def serve(handler):
     )
     thread.start()
     yield server
+    for client in server.clients:
+        client.close()
     server.shutdown()
     server.server_close()
     thread.join(timeout=5.0)
@@ -89,6 +93,7 @@ def make_client(server, **kwargs):
     client = ServeClient(
         f"http://127.0.0.1:{server.server_address[1]}", **kwargs
     )
+    server.clients.append(client)
     return client, sleeps
 
 

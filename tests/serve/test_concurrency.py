@@ -1,5 +1,6 @@
 """Ingestion racing readers: consistent snapshots, graceful shutdown."""
 
+import contextlib
 import http.client
 import json
 import math
@@ -58,26 +59,26 @@ class TestReadersDuringIngestion:
         floors = []
 
         def reader(slot):
-            client = ServeClient(service.url)
             floor = 0
             reads = 0
-            try:
-                while not stop.is_set():
-                    payload = client.stats()
-                    jobs = consistent(payload)
-                    assert jobs >= floor, "job count went backwards"
-                    floor = jobs
-                    census = client.census()
-                    if census["jobs"]:
-                        shares = census["census"]["job"].values()
-                        assert math.isclose(
-                            sum(shares), 1.0, rel_tol=1e-9
-                        ), "torn census"
-                    reads += 1
-            except Exception as error:
-                failures.append((slot, error))
-            finally:
-                floors.append((floor, reads))
+            with contextlib.closing(ServeClient(service.url)) as client:
+                try:
+                    while not stop.is_set():
+                        payload = client.stats()
+                        jobs = consistent(payload)
+                        assert jobs >= floor, "job count went backwards"
+                        floor = jobs
+                        census = client.census()
+                        if census["jobs"]:
+                            shares = census["census"]["job"].values()
+                            assert math.isclose(
+                                sum(shares), 1.0, rel_tol=1e-9
+                            ), "torn census"
+                        reads += 1
+                except Exception as error:
+                    failures.append((slot, error))
+                finally:
+                    floors.append((floor, reads))
 
         try:
             readers = [
@@ -161,9 +162,9 @@ class TestReadersDuringIngestion:
 
         def writer(slot):
             try:
-                client = ServeClient(service.url)
-                start = slot * chunk
-                client.ingest(small_trace[start : start + chunk])
+                with contextlib.closing(ServeClient(service.url)) as client:
+                    start = slot * chunk
+                    client.ingest(small_trace[start : start + chunk])
             except Exception as error:
                 failures.append((slot, error))
 
@@ -211,11 +212,12 @@ class TestGracefulShutdown:
             banner = process.stdout.readline().strip()
             assert banner.startswith("serving on "), banner
             url = banner.removeprefix("serving on ")
-            client = ServeClient(url)
-            wait_until_ingested(client, timeout=60)
-            assert client.stats()["jobs"] == 300
-            process.send_signal(signal.SIGTERM)
-            stdout, stderr = process.communicate(timeout=30)
+            # The client keeps its connection open across the SIGTERM.
+            with contextlib.closing(ServeClient(url)) as client:
+                wait_until_ingested(client, timeout=60)
+                assert client.stats()["jobs"] == 300
+                process.send_signal(signal.SIGTERM)
+                stdout, stderr = process.communicate(timeout=30)
             assert process.returncode == 0, stderr
             assert "shut down cleanly" in stdout
             assert "served 300 jobs" in stdout
@@ -278,7 +280,8 @@ class TestGracefulShutdown:
             assert service.wait_for_shutdown(timeout=30)
             assert service.wait_for_ingest(timeout=30)
             assert isinstance(service.replay_error, ValueError)
-            health = ServeClient(service.url).healthz()
+            with contextlib.closing(ServeClient(service.url)) as client:
+                health = client.healthz()
             # The tenth job's day never closed, so it never landed.
             assert health["jobs"] == 9
             assert health["ingest_complete"] is False
@@ -367,16 +370,21 @@ class TestDrainOnPersistentConnections:
 
             def worker(slot):
                 client = ServeClient(service.url, retries=0, timeout=10)
-                while not stop.is_set():
-                    try:
-                        payload = client.stats() if slot % 2 else client.healthz()
-                        assert payload["jobs"] == 50
-                        answers.append(slot)
-                    except TRANSIENT_ERRORS:
-                        pass
-                    except Exception as error:
-                        failures.append(error)
-                        return
+                with contextlib.closing(client):
+                    while not stop.is_set():
+                        try:
+                            payload = (
+                                client.stats()
+                                if slot % 2
+                                else client.healthz()
+                            )
+                            assert payload["jobs"] == 50
+                            answers.append(slot)
+                        except TRANSIENT_ERRORS:
+                            pass
+                        except Exception as error:
+                            failures.append(error)
+                            return
 
             threads = [
                 threading.Thread(target=worker, args=(slot,))

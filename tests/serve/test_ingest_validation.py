@@ -11,6 +11,7 @@ the service had applied it counted every job twice.  A trace replay
 that meets such an id skips it and goes on to the end of the trace.
 """
 
+import contextlib
 import json
 import math
 import threading
@@ -131,17 +132,19 @@ class TestRepeatedJobIds:
         service.start()
         try:
             client = ServeClient(service.url, retries=3)
-            assert client.ingest(batch)["ingested"] == 50
-            before = client.stats()
-            with pytest.raises(ServiceError) as failure:
-                client.ingest(batch)
-            assert failure.value.status == 409
-            assert not failure.value.transient  # so the client never retried
-            assert str(failure.value).endswith(
-                f"repeated job id {batch[0].job_id}"
-            )
-            assert client.healthz()["jobs"] == 50
-            stats = client.stats()
+            with contextlib.closing(client):
+                assert client.ingest(batch)["ingested"] == 50
+                before = client.stats()
+                with pytest.raises(ServiceError) as failure:
+                    client.ingest(batch)
+                assert failure.value.status == 409
+                # so the client never retried
+                assert not failure.value.transient
+                assert str(failure.value).endswith(
+                    f"repeated job id {batch[0].job_id}"
+                )
+                assert client.healthz()["jobs"] == 50
+                stats = client.stats()
         finally:
             service.stop()
         assert stats == before
@@ -248,12 +251,13 @@ class TestReplayMeetsARepeatedId:
         sink = get_obs().add_sink(MemorySink())
         service.start()
         try:
-            if posted:
-                ServeClient(service.url).ingest(posted)
-            replayer = TraceReplayer(jobs, batch_size=20)
-            service.start_replay(replayer)
-            assert service.wait_for_ingest(timeout=60)
-            health = ServeClient(service.url).healthz()
+            with contextlib.closing(ServeClient(service.url)) as client:
+                if posted:
+                    client.ingest(posted)
+                replayer = TraceReplayer(jobs, batch_size=20)
+                service.start_replay(replayer)
+                assert service.wait_for_ingest(timeout=60)
+                health = client.healthz()
         finally:
             service.stop()
             reset_obs()
@@ -314,9 +318,10 @@ class TestRetriedIngest:
         try:
             sleeps = []
             client = ServeClient(service.url, retries=3, sleep=sleeps.append)
-            with pytest.raises(ServiceError) as failure:
-                client.ingest(batch)
-            health = client.healthz()
+            with contextlib.closing(client):
+                with pytest.raises(ServiceError) as failure:
+                    client.ingest(batch)
+                health = client.healthz()
         finally:
             service.stop()
         assert lost == [200]

@@ -1,5 +1,6 @@
 """The HTTP query API: endpoints, validation, caching, lifecycle."""
 
+import contextlib
 import errno
 import json
 import math
@@ -16,6 +17,7 @@ from repro.obs import get_obs
 from repro.runtime import ResultCache
 from repro.serve import (
     CDF_METRICS,
+    QueryError,
     ServeClient,
     ServiceError,
     ShardedState,
@@ -161,6 +163,40 @@ class TestValidation:
                 client.cdf("step_time", points=points)
             assert failure.value.status == 400
 
+    @pytest.mark.parametrize(
+        "path, unknown",
+        [
+            ("/stats?junk=1", "'junk'"),
+            ("/census?level=job", "'level'"),
+            ("/cdf/step_time?points=20&x=1", "'x'"),
+            ("/cdf/step_time?metric=weight", "'metric'"),
+        ],
+    )
+    def test_unknown_query_parameter_is_400(self, client, path, unknown):
+        with pytest.raises(ServiceError, match=unknown) as failure:
+            client._request(path)
+        assert failure.value.status == 400
+
+    def test_unknown_parameters_are_rejected_before_a_snapshot(
+        self, tmp_path
+    ):
+        state = ShardedState(num_shards=2)
+
+        def snapshot():
+            raise AssertionError("snapshot taken for a rejected query")
+
+        state.snapshot = snapshot
+        service = TraceService(state=state, cache=ResultCache(tmp_path))
+        for path, params in (
+            ("/stats", {"junk": "1"}),
+            ("/census", {"junk": "1"}),
+            ("/cdf/step_time", {"points": "20", "x": "1"}),
+        ):
+            with pytest.raises(QueryError) as failure:
+                service.handle("GET", path, params, None)
+            assert failure.value.status == 400
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServiceError) as failure:
             client._request("/nope")
@@ -247,6 +283,10 @@ class TestPersistentConnections:
         client = ServeClient(service.url)
         before = connections()
         failures = []
+        # A thread's kept connection goes with the thread, so each
+        # worker waits until the client has closed every connection.
+        finished = threading.Barrier(5)
+        closed = threading.Event()
 
         def worker(slot):
             try:
@@ -263,24 +303,29 @@ class TestPersistentConnections:
                         assert client.cdf(metric)["metric"] == metric
             except Exception as error:
                 failures.append((slot, error))
+            finally:
+                finished.wait(timeout=60)
+                closed.wait(timeout=60)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        threads = [
+            threading.Thread(target=worker, args=(slot,))
+            for slot in range(4)
+        ]
         try:
-            threads = [
-                threading.Thread(target=worker, args=(slot,))
-                for slot in range(4)
-            ]
             for thread in threads:
                 thread.start()
+            with contextlib.closing(client):
+                finished.wait(timeout=60)
+        finally:
+            closed.set()
             for thread in threads:
                 thread.join(timeout=60)
-        finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
         assert 1 <= connections() - before <= 4
-        client.close()
 
     def test_sequential_requests_do_not_stall(self, client):
         client.healthz()
@@ -346,12 +391,12 @@ class TestQueryCache:
         service = TraceService(state=state, cache=ResultCache(tmp_path))
         service.start()
         try:
-            client = ServeClient(service.url)
-            cold = client.stats()
-            assert list(tmp_path.iterdir()), "no cache entry written"
-            assert client.stats() == cold
-            # The cached payload round-trips through JSON identically.
-            assert json.loads(json.dumps(cold)) == cold
+            with contextlib.closing(ServeClient(service.url)) as client:
+                cold = client.stats()
+                assert list(tmp_path.iterdir()), "no cache entry written"
+                assert client.stats() == cold
+                # The cached payload round-trips through JSON identically.
+                assert json.loads(json.dumps(cold)) == cold
         finally:
             service.stop()
 
@@ -379,9 +424,10 @@ class TestQueryCache:
         cached.start()
         service.start()
         try:
-            assert ServeClient(cached.url).stats() == (
-                ServeClient(service.url).stats()
-            )
+            cached_client = ServeClient(cached.url)
+            client = ServeClient(service.url)
+            with contextlib.closing(cached_client), contextlib.closing(client):
+                assert cached_client.stats() == client.stats()
         finally:
             cached.stop()
             service.stop()
@@ -395,11 +441,11 @@ class TestQueryCache:
         service = TraceService(state=state, cache=ResultCache(tmp_path))
         service.start()
         try:
-            client = ServeClient(service.url)
-            before = client.stats()
-            client.ingest(small_trace[100:150])
-            after = client.stats()
-            assert after["jobs"] == before["jobs"] + 50
+            with contextlib.closing(ServeClient(service.url)) as client:
+                before = client.stats()
+                client.ingest(small_trace[100:150])
+                after = client.stats()
+                assert after["jobs"] == before["jobs"] + 50
         finally:
             service.stop()
 
@@ -415,7 +461,8 @@ class TestQueryCache:
             service = TraceService(state=state, cache=ResultCache(tmp_path))
             service.start()
             try:
-                return ServeClient(service.url).stats()
+                with contextlib.closing(ServeClient(service.url)) as client:
+                    return client.stats()
             finally:
                 service.stop()
 
@@ -437,7 +484,8 @@ class TestQueryCache:
         service = TraceService(state=state, cache=ResultCache(tmp_path))
         service.start()
         try:
-            ServeClient(service.url).stats()
+            with contextlib.closing(ServeClient(service.url)) as client:
+                client.stats()
             with urlopen(
                 f"{service.url}/cdf/step_time?points=20", timeout=10
             ) as response:
@@ -449,20 +497,48 @@ class TestQueryCache:
             "63fcc8b0df264e3542ae7b854ece374ac9461ef4cbd22422ae6322a0103c6310.json",
         ]
 
+    def test_unknown_parameters_leave_the_cache_as_it_was(
+        self, small_trace, tmp_path
+    ):
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace[:50])
+        service = TraceService(state=state, cache=ResultCache(tmp_path))
+        service.start()
+        try:
+            with contextlib.closing(ServeClient(service.url)) as client:
+                client.stats()
+                before = {
+                    entry.name: entry.read_bytes()
+                    for entry in tmp_path.iterdir()
+                }
+                for index in range(200):
+                    with pytest.raises(ServiceError, match="'junk'") as error:
+                        client._request(f"/stats?junk={index}")
+                    assert error.value.status == 400
+                after = {
+                    entry.name: entry.read_bytes()
+                    for entry in tmp_path.iterdir()
+                }
+        finally:
+            service.stop()
+        assert len(before) == 1
+        assert after == before
+
     def test_superseded_entries_are_evicted(self, small_trace, tmp_path):
         state = ShardedState(num_shards=2)
         state.ingest(small_trace[:50])
         service = TraceService(state=state, cache=ResultCache(tmp_path))
         service.start()
         try:
-            client = ServeClient(service.url)
-            for start in range(50, 250, 50):
-                client.ingest(small_trace[start : start + 50])
-                client.stats()
-            # Five generations of /stats were rendered, but each store
-            # evicted the entry it superseded: one live file remains.
-            assert len(list(tmp_path.glob("*.json"))) == 1
-            assert client.stats()["jobs"] == 250
+            with contextlib.closing(ServeClient(service.url)) as client:
+                for start in range(50, 250, 50):
+                    client.ingest(small_trace[start : start + 50])
+                    client.stats()
+                # Five generations of /stats were rendered, but each
+                # store evicted the entry it superseded: one live file
+                # remains.
+                assert len(list(tmp_path.glob("*.json"))) == 1
+                assert client.stats()["jobs"] == 250
         finally:
             service.stop()
 

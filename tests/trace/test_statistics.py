@@ -59,6 +59,14 @@ class TestEmpiricalCDF:
         with pytest.raises(ValueError):
             cdf.series(points=1)
 
+    def test_nan_samples_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCDF.from_samples([1.0, float("nan"), 2.0])
+
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCDF.from_samples([1.0, 2.0], weights=[1.0, float("nan")])
+
     def test_cumulative_is_monotone(self):
         cdf = EmpiricalCDF.from_samples([3.0, 1.0, 4.0, 1.0, 5.0])
         assert list(cdf.cumulative) == sorted(cdf.cumulative)
@@ -178,6 +186,60 @@ class TestStreamingCDF:
             sketch.quantile(0.5)
         with pytest.raises(ValueError):
             sketch.to_cdf()
+
+    def test_nan_values_and_weights_rejected(self):
+        sketch = StreamingCDF(capacity=32)
+        sketch.update_many([1.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            sketch.update_many([3.0, float("nan")])
+        with pytest.raises(ValueError, match="NaN"):
+            sketch.update_many([3.0, 4.0], [1.0, float("nan")])
+        with pytest.raises(ValueError, match="NaN"):
+            sketch.update(float("nan"))
+        # A rejected batch leaves the sketch as it was.
+        assert sketch.count == 2
+        assert sketch.to_cdf().values == (1.0, 2.0)
+
+    def test_stored_arrays_are_read_only(self):
+        import numpy as np
+
+        sketch = StreamingCDF(capacity=8)
+        sketch.update_many([3.0, 1.0], [1.0, 2.0])
+        sketch.update(2.0)
+        merged = sketch.merge(sketch.copy())
+        for held in (sketch, sketch.copy(), merged):
+            for array in held._values + held._weights:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 5.0
+        # Past the capacity, the compacted arrays are read-only too.
+        sketch.update_many(np.arange(20.0))
+        assert len(sketch._values) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            sketch._values[0][0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            sketch._weights[0][0] = 5.0
+
+    def test_update_copies_its_input(self):
+        import numpy as np
+
+        values = np.array([1.0, 2.0])
+        weights = np.array([1.0, 1.0])
+        sketch = StreamingCDF(capacity=32)
+        sketch.update_many(values, weights)
+        values[0] = 100.0
+        weights[1] = 0.0
+        assert values.flags.writeable and weights.flags.writeable
+        assert sketch.to_cdf().values == (1.0, 2.0)
+        assert sketch.total_weight == 2.0
+
+    def test_copy_shares_arrays_but_not_lists(self):
+        sketch = StreamingCDF(capacity=32)
+        sketch.update_many([1.0, 2.0])
+        duplicate = sketch.copy()
+        assert duplicate._values[0] is sketch._values[0]
+        sketch.update(3.0)
+        assert len(duplicate._values) == 1
+        assert duplicate.to_cdf().values == (1.0, 2.0)
 
     def test_capacity_floor(self):
         with pytest.raises(ValueError):
