@@ -514,14 +514,13 @@ class TraceService:
         if method == "GET":
             if parts == ["healthz"]:
                 return self._healthz()
+            if parts and parts[0] in _QUERY_PARAMS:
+                _check_params(parts[0], params)
             if parts == ["stats"]:
-                _check_params("stats", params)
                 return self._cached("stats", params, self._stats)
             if parts == ["census"]:
-                _check_params("census", params)
                 return self._cached("census", params, self._census)
             if len(parts) == 2 and parts[0] == "cdf":
-                _check_params("cdf", params)
                 params = dict(params, metric=parts[1])
                 return self._cached("cdf", params, self._cdf)
             raise QueryError(404, f"unknown endpoint: GET {path}")

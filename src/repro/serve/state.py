@@ -11,17 +11,14 @@ Reads go through :meth:`ShardedState.snapshot`: each shard is copied
 under its lock -- dict copies, plus a copy of each sketch's two lists;
 the sketches' point arrays are read-only and shared, never copied --
 then the copies are merged *outside* every lock into an immutable
-:class:`StatsSnapshot`.  The merge adds counts and sums at once and
-leaves each (metric, level) CDF to be merged the first time a query
-reads it, so a snapshot costs only what its queries read: ``/stats``
-and ``/census`` merge no sketch, and a ``/cdf`` read merges one.  A
-snapshot is internally consistent by construction -- every aggregate in
-it derives from the same frozen shard states, and a CDF merged later
-still merges the copies taken then -- and snapshots taken later can
-only see more jobs, never fewer, because shard statistics only grow.
-Merged snapshots are memoized on the vector of per-shard versions, so
-an idle service answers every query from the same cached merge until
-the next ingest batch lands.
+:class:`StatsSnapshot`.  The merge shares those arrays too, so below
+the sketch capacity it is list appends; past it each merged sketch
+compacts.  A snapshot is internally consistent by construction -- every
+aggregate in it derives from the same frozen shard states -- and
+snapshots taken later can only see more jobs, never fewer, because
+shard statistics only grow.  Merged snapshots are memoized on the
+vector of per-shard versions, so an idle service answers every query
+from the same cached merge until the next ingest batch lands.
 Merging is single-flight with stale-while-revalidate: one reader pays
 for each new merge while concurrent readers reuse the previous cached
 snapshot instead of piling up behind the merge lock.
@@ -81,9 +78,7 @@ class StatsSnapshot:
     ``versions`` records each shard's batch count at snapshot time, and
     ``digests`` each shard's running content digest -- together they
     identify both how much *and which* data the snapshot describes.
-    The merged :class:`ShardStats` must be treated as read-only; its
-    CDFs are merged on first read, under its own lock, so concurrent
-    readers may share it.
+    The merged :class:`ShardStats` must be treated as read-only.
     """
 
     stats: ShardStats = field(repr=False)
@@ -221,14 +216,15 @@ class ShardedState:
         Shard copies are taken one lock at a time, and each shares its
         shard's read-only sketch arrays, so a shard lock is held for
         dict and list copies only.  The merge never holds a shard lock,
-        so it does not block ingestion, and it merges no sketch: each
-        CDF is merged when a query first reads it from the snapshot
-        (:meth:`ShardStats.cdf`).  Because shard statistics only grow,
-        the merged view is monotone across calls: a later snapshot
-        never reports fewer jobs than an earlier one.  The merge is
-        memoized on the per-shard version vector and *single-flight*:
-        when many readers observe the same new generation at once,
-        exactly one of them pays for the merge and the rest reuse it.
+        so it does not block ingestion.  Because shard statistics only
+        grow, the merged view is monotone across calls: a later
+        snapshot never reports fewer jobs than an earlier one.  The
+        merge is memoized on the per-shard version vector and
+        *single-flight*: when many readers observe the same new
+        generation at once, exactly one of them pays for the merge and
+        the rest reuse it -- without that, a thundering herd of
+        identical merges, each compacting past the sketch capacity,
+        starves live ingestion.
         While a merge is in flight, other readers are served the
         previous cached snapshot instead of queuing behind it
         (stale-while-revalidate); that stays monotone because the

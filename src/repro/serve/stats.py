@@ -31,7 +31,6 @@ the census experiment uses too.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -83,9 +82,9 @@ def _zero_levels(keys: Iterable[str]) -> Dict[str, Dict[str, float]]:
 class ShardStats:
     """Online, mergeable statistics over a stream of job records.
 
-    Counts and sums merge at once.  A merged-in sketch waits, as a
-    shared-array copy, until its (metric, level) CDF is first read, so a
-    merged view costs only the CDFs that are read from it.
+    Sketches store their points as read-only arrays, so a copy or a
+    merge shares them and costs list appends until a merged sketch
+    passes its capacity and compacts.
     """
 
     def __init__(self) -> None:
@@ -101,10 +100,6 @@ class ShardStats:
             for metric in CDF_METRICS
             for level in AGGREGATION_LEVELS
         }
-        #: Sketches merged in but not yet folded into ``sketches``, per
-        #: key, in merge order; guarded by ``_merge_lock``.
-        self._pending: Dict[Tuple[str, str], List[StreamingCDF]] = {}
-        self._merge_lock = threading.Lock()
 
     # ---- ingestion -------------------------------------------------
 
@@ -119,7 +114,6 @@ class ShardStats:
         batch = list(jobs)
         if not batch:
             return 0
-        self._resolve_all()
         arrays = FeatureArrays.from_workloads(job.features for job in batch)
         breakdown = batch_breakdowns(arrays, pai_default_hardware())
         cnodes = arrays.num_cnodes.astype(float)
@@ -170,11 +164,9 @@ class ShardStats:
     def update_from(self, other: "ShardStats") -> None:
         """Fold another shard's statistics into this one, in place.
 
-        Counts and sums are added at once.  Each of ``other``'s sketches
-        is recorded as a pending copy (its arrays shared, its lists
-        copied), so later updates to ``other`` do not reach this view;
-        :meth:`cdf` folds a key's pending copies in on its first read,
-        in the order they were recorded.
+        Each merged sketch shares ``other``'s read-only point arrays
+        and holds its own lists, so later updates to ``other`` do not
+        reach this view.
         """
         self.job_count += other.job_count
         self.cnode_total += other.cnode_total
@@ -192,19 +184,16 @@ class ShardStats:
             for level in AGGREGATION_LEVELS:
                 for key, value in theirs[level].items():
                     mine[level][key] += value
-        parts = {key: other._sketch(key).copy() for key in other.sketches}
-        with self._merge_lock:
-            for key, part in parts.items():
-                self._pending.setdefault(key, []).append(part)
+        for key, sketch in other.sketches.items():
+            self.sketches[key] = self.sketches[key].merge(sketch)
 
     def copy(self) -> "ShardStats":
         """An independent snapshot of this shard's statistics.
 
-        Pending sketches are folded in first.  The snapshot's sketches
-        share their read-only arrays with this shard's, so a copy costs
-        dict and list copies, not the points themselves.
+        The snapshot's sketches share their read-only arrays with this
+        shard's, so a copy costs dict and list copies, not the points
+        themselves.
         """
-        self._resolve_all()
         duplicate = ShardStats()
         duplicate.job_count = self.job_count
         duplicate.cnode_total = self.cnode_total
@@ -228,9 +217,8 @@ class ShardStats:
     def merged(cls, shards: Iterable["ShardStats"]) -> "ShardStats":
         """Combine shard statistics into one whole-population view.
 
-        Counts and sums are combined here; each CDF is merged when it
-        is first read (see :meth:`update_from`), pairwise in shard
-        order, so it equals folding the shards' sketches one by one.
+        The shards are folded pairwise in order into a copy of the
+        first; no shard changes.
         """
         shards = list(shards)
         if not shards:
@@ -239,20 +227,6 @@ class ShardStats:
         for shard in shards[1:]:
             combined.update_from(shard)
         return combined
-
-    def _sketch(self, key: Tuple[str, str]) -> StreamingCDF:
-        """The sketch for ``key``, with its pending copies folded in."""
-        with self._merge_lock:
-            sketch = self.sketches[key]
-            for part in self._pending.pop(key, ()):
-                sketch = sketch.merge(part)
-            self.sketches[key] = sketch
-            return sketch
-
-    def _resolve_all(self) -> None:
-        """Fold every pending sketch in."""
-        for key in self.sketches:
-            self._sketch(key)
 
     # ---- read side -------------------------------------------------
 
@@ -297,16 +271,14 @@ class ShardStats:
             raise KeyError(f"unknown CDF metric: {metric!r}")
         if level not in AGGREGATION_LEVELS:
             raise KeyError(f"unknown aggregation level: {level!r}")
-        return self._sketch((metric, level)).to_cdf()
+        return self.sketches[(metric, level)].to_cdf()
 
     def reference_payload(self) -> Dict[str, object]:
         """All aggregates as one JSON-native dict.
 
         The same shape as :func:`batch_reference`, so a drained service
         and the one-shot batch path can be compared leaf by leaf.
-        Every pending sketch is folded in first.
         """
-        self._resolve_all()
         payload: Dict[str, object] = {
             "jobs": self.job_count,
             "cnodes": self.cnode_total,

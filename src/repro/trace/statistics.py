@@ -34,8 +34,9 @@ __all__ = [
 def _reject_nan(array: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` if ``array`` holds a NaN.
 
-    The CDFs keep their points sorted, and a NaN sorts nowhere: it would
-    break the ordering every quantile lookup relies on.
+    The CDFs keep their points sorted, and a NaN compares false with
+    everything: it would break the ordering every quantile lookup
+    relies on.
     """
     if np.isnan(array).any():
         raise ValueError(f"{name} must not be NaN")
@@ -67,20 +68,24 @@ class EmpiricalCDF:
         data = np.asarray(samples, dtype=float).ravel()
         if data.size == 0:
             raise ValueError("cannot build a CDF from zero samples")
-        _reject_nan(data, "samples")
         if weights is None:
             weight_array = np.ones_like(data)
         else:
             weight_array = np.asarray(weights, dtype=float).ravel()
             if weight_array.shape != data.shape:
                 raise ValueError("weights must match samples in length")
-            _reject_nan(weight_array, "weights")
             if np.any(weight_array < 0):
                 raise ValueError("weights must be non-negative")
         order = np.argsort(data, kind="stable")
         sorted_values = data[order]
+        # numpy sorts NaN last, and a NaN weight makes the total NaN,
+        # so both checks read one element instead of scanning an array.
+        if np.isnan(sorted_values[-1]):
+            raise ValueError("samples must not be NaN")
         cumulative = np.cumsum(weight_array[order])
         total = cumulative[-1]
+        if np.isnan(total):
+            raise ValueError("weights must not be NaN")
         if total <= 0:
             raise ValueError("total weight must be positive")
         normalized = cumulative / total

@@ -1,12 +1,12 @@
-"""The eager shard merge the service used before CDFs were merged on
-read, kept as a test oracle.
+"""The shard merge the service used before sketches shared their point
+arrays, kept as a test oracle.
 
-:meth:`ShardStats.merged` adds counts and sums at once and leaves each
-(metric, level) sketch pending until its CDF is first read.
-:func:`eager_merged` folds every sketch at merge time instead, pairwise
-in shard order, with the sketch merge that concatenated each side's
-points and re-ingested them through ``update_many``.  A lazily merged
-view must answer every query exactly as this one does.
+:meth:`ShardStats.merged` folds the shards' sketches pairwise in shard
+order, and each merged sketch shares its sources' read-only arrays.
+:func:`copying_merged` makes the same fold with the sketch merge that
+concatenated each side's points and re-ingested them through
+``update_many``.  A merged view must answer every query exactly as this
+one does.
 """
 
 from dataclasses import replace
@@ -17,7 +17,7 @@ from repro.serve.stats import AGGREGATION_LEVELS
 from repro.trace.statistics import StreamingCDF
 
 
-def eager_sketch_merge(
+def copying_sketch_merge(
     left: StreamingCDF, right: StreamingCDF
 ) -> StreamingCDF:
     """A new sketch of both populations, built from copied points."""
@@ -30,9 +30,8 @@ def eager_sketch_merge(
     return merged
 
 
-def eager_update_from(mine: ShardStats, other: ShardStats) -> None:
-    """Fold ``other`` into ``mine``, merging every sketch now."""
-    assert not mine._pending and not other._pending
+def copying_update_from(mine: ShardStats, other: ShardStats) -> None:
+    """Fold ``other`` into ``mine``, copying every sketch's points."""
     mine.job_count += other.job_count
     mine.cnode_total += other.cnode_total
     for label, count in other.arch_jobs.items():
@@ -48,39 +47,41 @@ def eager_update_from(mine: ShardStats, other: ShardStats) -> None:
             for key, value in theirs[level].items():
                 ours[level][key] += value
     for key, sketch in other.sketches.items():
-        mine.sketches[key] = eager_sketch_merge(mine.sketches[key], sketch)
+        mine.sketches[key] = copying_sketch_merge(mine.sketches[key], sketch)
 
 
-def eager_merged(shards: Iterable[ShardStats]) -> ShardStats:
-    """Combine shard statistics, every sketch merged at once."""
+def copying_merged(shards: Iterable[ShardStats]) -> ShardStats:
+    """Combine shard statistics, every sketch's points copied."""
     shards = list(shards)
     combined = shards[0].copy()
     for shard in shards[1:]:
-        eager_update_from(combined, shard)
+        copying_update_from(combined, shard)
     return combined
 
 
-class EagerState(ShardedState):
-    """A :class:`ShardedState` whose snapshots merge eagerly.
+class CopyingState(ShardedState):
+    """A :class:`ShardedState` whose snapshots merge by copying.
 
-    Drive it from one thread: the eager view is built from the shards
+    Drive it from one thread: the copying view is built from the shards
     as they stand when :meth:`snapshot` is called, and reused until a
     shard's version moves.
     """
 
     def __init__(self, num_shards: int = 4) -> None:
         super().__init__(num_shards)
-        self._eager: Optional[StatsSnapshot] = None
+        self._copied: Optional[StatsSnapshot] = None
 
     def snapshot(self) -> StatsSnapshot:
         view = super().snapshot()
-        if self._eager is None or self._eager.versions != view.versions:
-            self._eager = eager_snapshot(self, view)
-        return self._eager
+        if self._copied is None or self._copied.versions != view.versions:
+            self._copied = copying_snapshot(self, view)
+        return self._copied
 
 
-def eager_snapshot(state: ShardedState, view: StatsSnapshot) -> StatsSnapshot:
-    """``view`` with its statistics merged eagerly from ``state``'s
+def copying_snapshot(
+    state: ShardedState, view: StatsSnapshot
+) -> StatsSnapshot:
+    """``view`` with its statistics merged by copying from ``state``'s
     shards as they stand now."""
-    stats = eager_merged(shard.stats.copy() for shard in state._shards)
+    stats = copying_merged(shard.stats.copy() for shard in state._shards)
     return replace(view, stats=stats)

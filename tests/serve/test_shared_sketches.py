@@ -1,9 +1,7 @@
-"""A merged view merges each CDF on its first read, and answers exactly
-as the eager merge in ``eager_stats.py`` does."""
+"""A merged view shares its shards' sketch arrays, and answers exactly
+as the copying merge in ``copying_stats.py`` does."""
 
 import json
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -14,11 +12,11 @@ from repro.serve.server import serialize_jobs
 from repro.serve.stats import AGGREGATION_LEVELS
 from repro.trace import generate_trace
 
-from eager_stats import (
-    EagerState,
-    eager_merged,
-    eager_snapshot,
-    eager_update_from,
+from copying_stats import (
+    CopyingState,
+    copying_merged,
+    copying_snapshot,
+    copying_update_from,
 )
 
 KEYS = [
@@ -42,10 +40,6 @@ def cdfs(stats):
     return {key: stats.cdf(*key) for key in KEYS}
 
 
-def eager_cdfs(stats):
-    return {key: stats.sketches[key].to_cdf() for key in KEYS}
-
-
 def split(jobs, shards, batch):
     """``shards`` ShardStats fed ``jobs`` round robin, ``batch`` a time."""
     stats = [ShardStats() for _ in range(shards)]
@@ -67,29 +61,31 @@ def render_all(service, snapshot):
     return answers
 
 
-class TestMergeOnRead:
-    def test_merging_reads_no_sketch(self, jobs):
+class TestSharedMerge:
+    def test_merging_copies_no_point(self, jobs):
         shards = split(jobs[:400], 3, 40)
         merged = ShardStats.merged(shards)
-        assert sorted(merged._pending) == sorted(KEYS)
-        assert all(len(parts) == 2 for parts in merged._pending.values())
-        merged.cdf("step_time", "cnode")
-        assert ("step_time", "cnode") not in merged._pending
-        assert len(merged._pending) == len(KEYS) - 1
+        for key in KEYS:
+            stored = [id(array) for array in merged.sketches[key]._values]
+            shared = [
+                id(array)
+                for shard in shards
+                for array in shard.sketches[key]._values
+            ]
+            assert stored == shared, key
 
     @pytest.mark.parametrize("capacity", [8, 64, 1024, 8192], indirect=True)
-    def test_lazy_equals_eager_on_jobs(self, jobs, capacity):
+    def test_shared_equals_copying_on_jobs(self, jobs, capacity):
         shards = split(jobs, 4, 37)
-        lazy = ShardStats.merged(shards)
-        eager = eager_merged(shards)
-        assert cdfs(lazy) == eager_cdfs(eager)
-        assert lazy.reference_payload() == eager.reference_payload()
-        assert not lazy._pending
+        shared = ShardStats.merged(shards)
+        copied = copying_merged(shards)
+        assert cdfs(shared) == cdfs(copied)
+        assert shared.reference_payload() == copied.reference_payload()
 
     @pytest.mark.parametrize(
         "capacity", [8, 16, 100, 1000, 8192], indirect=True
     )
-    def test_lazy_equals_eager_on_ties_and_zero_weights(self, capacity):
+    def test_shared_equals_copying_on_ties_and_zero_weights(self, capacity):
         rng = np.random.default_rng(capacity)
         shards = [ShardStats() for _ in range(4)]
         for shard in shards:
@@ -102,10 +98,10 @@ class TestMergeOnRead:
                     weights = rng.choice([0.0, 0.0, 0.5, 1.0, 3.0], size)
                     weights[0] = 1.0
                     shard.sketches[key].update_many(values, weights)
-        lazy = ShardStats.merged(shards)
-        eager = eager_merged(shards)
+        shared = ShardStats.merged(shards)
+        copied = copying_merged(shards)
         for key in KEYS:
-            got, want = lazy.cdf(*key), eager.sketches[key].to_cdf()
+            got, want = shared.cdf(*key), copied.cdf(*key)
             assert got.values == want.values
             assert got.cumulative == want.cumulative
         assert sum(shard.sketches[KEYS[0]].count for shard in shards) > (
@@ -118,9 +114,9 @@ class TestMergeOnRead:
         left.observe(jobs[:100])
         right.observe(jobs[100:200])
         merged = ShardStats.merged([left, right])
-        want = eager_cdfs(eager_merged([left, right]))
-        # Both sources grow past the capacity and compact, after the
-        # merge and before any of its CDFs is read.
+        want = cdfs(copying_merged([left, right]))
+        # Both sources grow past the capacity and compact after the
+        # merge.
         left.observe(jobs[200:500])
         right.observe(jobs[500:800])
         assert cdfs(merged) == want
@@ -132,84 +128,44 @@ class TestMergeOnRead:
         state = ShardedState(num_shards=3)
         state.ingest(jobs[:300])
         snapshot = state.snapshot()
-        eager = eager_snapshot(state, snapshot)
+        copied = copying_snapshot(state, snapshot)
         state.ingest(jobs[300:])
         service = TraceService(state=state)
-        assert render_all(service, snapshot) == render_all(service, eager)
+        assert render_all(service, snapshot) == render_all(service, copied)
 
     @pytest.mark.parametrize("capacity", [64], indirect=True)
-    def test_copy_and_observe_fold_pending_sketches_first(
+    def test_a_merged_view_copies_and_grows_as_the_oracle(
         self, jobs, capacity
     ):
         shards = split(jobs[:600], 3, 50)
         duplicate = ShardStats.merged(shards).copy()
-        assert not duplicate._pending
-        assert cdfs(duplicate) == eager_cdfs(eager_merged(shards))
+        assert cdfs(duplicate) == cdfs(copying_merged(shards))
         grown = ShardStats.merged(shards)
         grown.observe(jobs[600:900])
-        want = eager_merged(shards)
+        want = copying_merged(shards)
         want.observe(jobs[600:900])
-        assert cdfs(grown) == eager_cdfs(want)
+        assert cdfs(grown) == cdfs(want)
         assert grown.reference_payload() == want.reference_payload()
+        # Growing the merged view reached none of the shards.
+        assert cdfs(ShardStats.merged(shards)) == cdfs(copying_merged(shards))
 
     def test_update_from_folds_a_merged_view_in_whole(self, jobs):
         first = ShardStats.merged(split(jobs[:300], 2, 30))
         first.update_from(ShardStats.merged(split(jobs[300:600], 2, 30)))
-        want = eager_merged(split(jobs[:300], 2, 30))
-        eager_update_from(want, eager_merged(split(jobs[300:600], 2, 30)))
-        assert cdfs(first) == eager_cdfs(want)
+        want = copying_merged(split(jobs[:300], 2, 30))
+        copying_update_from(want, copying_merged(split(jobs[300:600], 2, 30)))
+        assert cdfs(first) == cdfs(want)
         assert first.reference_payload() == want.reference_payload()
 
 
-class TestConcurrentReaders:
-    @pytest.mark.parametrize("capacity", [64], indirect=True)
-    def test_readers_sharing_a_merged_view_see_the_eager_cdfs(
-        self, jobs, capacity
-    ):
-        # More threads than cores, switching often, read one merged
-        # view: a key merged twice, or read while another thread merges
-        # it, would hand a reader a CDF the eager merge does not make.
-        shards = split(jobs, 4, 25)
-        want = eager_cdfs(eager_merged(shards))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _ in range(5):
-                merged = ShardStats.merged(shards)
-                reads, failures = [], []
-
-                def reader(slot):
-                    try:
-                        for key in KEYS if slot % 2 else KEYS[::-1]:
-                            reads.append((key, merged.cdf(*key)))
-                    except Exception as error:
-                        failures.append((slot, error))
-
-                threads = [
-                    threading.Thread(target=reader, args=(slot,))
-                    for slot in range(6)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert not failures, failures
-                assert len(reads) == 6 * len(KEYS)
-                for key, cdf in reads:
-                    assert cdf == want[key], key
-        finally:
-            sys.setswitchinterval(interval)
-
-
 class TestServedBytes:
-    """A whole session answers byte for byte as the eager merge did."""
+    """A whole session answers byte for byte as the copying merge did."""
 
     def test_a_session_past_the_sketch_capacity(self):
         jobs = generate_trace(num_jobs=11000, seed=51)
-        lazy = TraceService(state=ShardedState(num_shards=4))
-        eager = TraceService(state=EagerState(num_shards=4))
-        for service in (lazy, eager):
+        shared = TraceService(state=ShardedState(num_shards=4))
+        copied = TraceService(state=CopyingState(num_shards=4))
+        for service in (shared, copied):
             service.state.ingest(jobs[:2000])
         cursor = 2000
         metrics = list(CDF_METRICS)
@@ -227,11 +183,11 @@ class TestServedBytes:
                     reads += 1
                 answers = [
                     json.dumps(service.handle(*request))
-                    for service in (lazy, eager)
+                    for service in (shared, copied)
                 ]
                 assert answers[0] == answers[1], request
         assert cursor == len(jobs)
-        assert lazy.state.job_count > stats_module.DEFAULT_SKETCH_CAPACITY
+        assert shared.state.job_count > stats_module.DEFAULT_SKETCH_CAPACITY
 
 
 def read_request(reads, metrics):

@@ -67,6 +67,17 @@ class TestEmpiricalCDF:
         with pytest.raises(ValueError, match="NaN"):
             EmpiricalCDF.from_samples([1.0, 2.0], weights=[1.0, float("nan")])
 
+    def test_nan_beside_infinities_rejected(self):
+        inf = float("inf")
+        with pytest.raises(ValueError, match="samples must not be NaN"):
+            EmpiricalCDF.from_samples([inf, float("nan"), -inf])
+        with pytest.raises(ValueError, match="weights must not be NaN"):
+            EmpiricalCDF.from_samples(
+                [1.0, 2.0, 3.0], weights=[float("nan"), inf, 0.0]
+            )
+        cdf = EmpiricalCDF.from_samples([inf, 1.0, -inf])
+        assert cdf.values == (-inf, 1.0, inf)
+
     def test_cumulative_is_monotone(self):
         cdf = EmpiricalCDF.from_samples([3.0, 1.0, 4.0, 1.0, 5.0])
         assert list(cdf.cumulative) == sorted(cdf.cumulative)
