@@ -61,14 +61,15 @@ def _trace_path(text: str) -> str:
 
     Checks ``serve --trace`` and, from :func:`_check_trace_input`,
     ``convert``'s input and ``PAI_REPRO_TRACE_PATH``.  A store is opened
-    here, so a broken one is a usage error before any work starts (for
-    ``serve``, before the service binds its port).
+    and every shard read here, so a broken manifest, a missing shard or
+    one that fails its digest is a usage error before any work starts
+    (for ``serve``, before the service binds its port).
     """
     from ..trace.columnar import ColumnarTrace, is_columnar_store
 
     if is_columnar_store(text):
         try:
-            ColumnarTrace.open(text)
+            ColumnarTrace.open(text).verify()
         except (OSError, ValueError) as error:
             raise argparse.ArgumentTypeError(
                 f"not a trace file or a columnar store: {error}"

@@ -16,14 +16,14 @@ timeout, a reset, a body that is not JSON) throws it away.  Before a
 kept connection is reused it is probed without blocking: a readable
 idle socket means the server closed it (its idle timeout or its drain)
 or sent bytes no request asked for, and the client connects again.
-:meth:`ServeClient.close` releases the connections.
+A thread's kept connection is closed when the thread ends;
+:meth:`ServeClient.close` closes those of live threads.
 
-The client separates the *connect* timeout (how long to wait for the
-TCP handshake) from the *read* timeout (how long to wait for a
-response on an established connection), and retries transient failures
--- connection refused/reset, dropped connections, 5xx responses --
-with bounded exponential backoff and deterministic jitter.  4xx
-responses and timeouts on an established connection are never retried:
+One ``timeout`` bounds the TCP handshake and each response.  Transient
+failures -- connection refused/reset, dropped connections, 5xx
+responses -- are retried with the exponential backoff and seeded
+jitter of the module constants below, so retry schedules reproduce.
+4xx responses and timeouts on an established connection are never retried:
 the former are caller bugs, and the latter may have already mutated
 server state.  Nothing else re-sends a request: a request that was
 written and then failed is retried only within ``retries``, so
@@ -58,6 +58,14 @@ TRANSIENT_ERRORS: Tuple[type, ...] = (
 )
 
 
+#: Retry ``k`` (zero-based) sleeps ``min(BACKOFF_CAP, BACKOFF_BASE *
+#: 2**k)`` seconds, stretched by up to 25% jitter from a random stream
+#: each client seeds with ``JITTER_SEED``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+JITTER_SEED = 0
+
+
 class ServiceError(Exception):
     """A non-2xx response from the service."""
 
@@ -71,27 +79,33 @@ class ServiceError(Exception):
         return self.status >= 500
 
 
+class _Kept:
+    """A thread's kept connection.  It lives in the thread's slot of the
+    client's ``threading.local``, so its finalizer closes the connection
+    when the thread ends, unless :meth:`close` did so sooner."""
+
+    __slots__ = ("connection", "close", "__weakref__")
+
+    def __init__(self, connection: http.client.HTTPConnection) -> None:
+        self.connection = connection
+        self.close = weakref.finalize(self, connection.close)
+
+
 class ServeClient:
     """Blocking JSON client for one service base URL.
 
     Each calling thread gets its own persistent connection, opened on
-    its first request and reused while the server keeps it open;
-    :meth:`close` releases them all.
+    its first request and reused while the server keeps it open; it is
+    closed when the thread ends, and :meth:`close` closes them all.
 
     Parameters
     ----------
-    connect_timeout:
-        Seconds to wait for the TCP connection to be established.
-    read_timeout:
-        Seconds to wait for the response once connected.
+    timeout:
+        Seconds to wait for the TCP connection to be established, and
+        then for each response on it.
     retries:
         Additional attempts after the first failed one; ``0`` disables
         retrying entirely.
-    backoff_base / backoff_cap:
-        Attempt ``k`` (zero-based) sleeps ``min(cap, base * 2**k)``
-        seconds, stretched by up to 25% deterministic jitter.
-    jitter_seed:
-        Seed for the jitter stream, so retry schedules reproduce.
     sleep:
         Injectable sleep function (tests pass a recorder).
     """
@@ -101,18 +115,11 @@ class ServeClient:
         base_url: str,
         timeout: float = 30.0,
         *,
-        connect_timeout: Optional[float] = None,
-        read_timeout: Optional[float] = None,
         retries: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        jitter_seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if backoff_base <= 0 or backoff_cap <= 0:
-            raise ValueError("backoff_base and backoff_cap must be positive")
         self.base_url = base_url.rstrip("/")
         parsed = urllib.parse.urlsplit(self.base_url)
         if parsed.scheme != "http" or parsed.hostname is None:
@@ -120,23 +127,16 @@ class ServeClient:
         self._host = parsed.hostname
         self._port = parsed.port if parsed.port is not None else 80
         self._prefix = parsed.path
-        self.connect_timeout = (
-            connect_timeout if connect_timeout is not None else timeout
-        )
-        self.read_timeout = read_timeout if read_timeout is not None else timeout
+        self.timeout = timeout
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._jitter = random.Random(jitter_seed)
+        self._jitter = random.Random(JITTER_SEED)
         self._sleep = sleep
-        # The calling thread's kept connection, as ``.connection``.
+        # The calling thread's kept connection, as ``.kept``.
         self._local = threading.local()
-        # Every kept connection, for close(); weak, so that it keeps no
-        # connection open past the thread that kept it.
-        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
-            weakref.WeakSet()
-        )
-        self._connections_lock = threading.Lock()
+        # Every thread's kept connection, for close(); weak, so that a
+        # thread's holder goes with the thread.
+        self._kept: "weakref.WeakSet[_Kept]" = weakref.WeakSet()
+        self._kept_lock = threading.Lock()
 
     def close(self) -> None:
         """Close every connection the client keeps, in any thread.
@@ -144,50 +144,50 @@ class ServeClient:
         Call it with no request in flight.  The client stays usable: a
         later request opens a new connection.
         """
-        with self._connections_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for connection in connections:
-            connection.close()
+        with self._kept_lock:
+            kept = list(self._kept)
+            self._kept.clear()
+        for holder in kept:
+            holder.close()
 
     # ---- transport -------------------------------------------------
 
     def backoff_delay(self, attempt: int) -> float:
         """The sleep before retry ``attempt`` (zero-based), with jitter."""
-        base = min(self.backoff_cap, self.backoff_base * (2.0**attempt))
+        base = min(BACKOFF_CAP, BACKOFF_BASE * (2.0**attempt))
         return base * (1.0 + 0.25 * self._jitter.random())
 
     def _connect(self) -> http.client.HTTPConnection:
         """The calling thread's kept connection if the server has left
         it open, else a new one."""
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
+        kept = getattr(self._local, "kept", None)
+        if kept is not None:
             # An idle kept socket with something to read was closed by
             # the server, or holds bytes no request asked for.
-            sock = connection.sock
+            sock = kept.connection.sock
             if sock is not None and not select.select([sock], [], [], 0)[0]:
-                return connection
-            self._drop(connection)
+                return kept.connection
+            self._drop()
         connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.connect_timeout
+            self._host, self._port, timeout=self.timeout
         )
         try:
             connection.connect()
-            connection.sock.settimeout(self.read_timeout)
         except BaseException:
             connection.close()
             raise
-        self._local.connection = connection
-        with self._connections_lock:
-            self._connections.add(connection)
+        kept = _Kept(connection)
+        self._local.kept = kept
+        with self._kept_lock:
+            self._kept.add(kept)
         return connection
 
-    def _drop(self, connection: http.client.HTTPConnection) -> None:
-        """Close the calling thread's kept ``connection`` for good."""
-        self._local.connection = None
-        with self._connections_lock:
-            self._connections.discard(connection)
-        connection.close()
+    def _drop(self) -> None:
+        """Close the calling thread's kept connection for good."""
+        kept, self._local.kept = self._local.kept, None
+        with self._kept_lock:
+            self._kept.discard(kept)
+        kept.close()
 
     def _request_once(
         self, path: str, body: Optional[Dict[str, Any]]
@@ -211,18 +211,18 @@ class ServeClient:
             response = connection.getresponse()
             text = response.read().decode("utf-8", errors="replace")
         except BaseException:
-            self._drop(connection)
+            self._drop()
             raise
         try:
             payload = json.loads(text)
         except ValueError:
             # Not the service's JSON: the connection is out of step.
-            self._drop(connection)
+            self._drop()
             if 200 <= response.status < 300:
                 raise
             raise ServiceError(response.status, text) from None
         if response.will_close:
-            self._drop(connection)
+            self._drop()
         if not 200 <= response.status < 300:
             message = (
                 payload.get("error", text) if isinstance(payload, dict) else text

@@ -185,7 +185,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle()
 
     def _respond(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        # Sorted, as the query cache stores it: a hit answers its miss's bytes.
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
         if self.server.draining:  # type: ignore[attr-defined]
             self.close_connection = True
         try:

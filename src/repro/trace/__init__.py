@@ -1,8 +1,8 @@
 """Synthetic PAI cluster trace: schema, generator, calibration, stats.
 
 A trace is stored as JSONL (:mod:`.serialization`) or as a sharded
-columnar store (:mod:`.columnar`), whose shards are memory-mapped (read
-eagerly when a shard cannot be mapped) and decode losslessly back to
+columnar store (:mod:`.columnar`), whose shards are checked against
+their manifest digests, memory-mapped and decoded losslessly back to
 records.  The path decides the format: a directory is a columnar store,
 anything else a JSONL file, and :meth:`ColumnarTrace.open` is the one
 reader of a store's manifest.  :mod:`.statistics` holds the empirical

@@ -21,12 +21,12 @@ else a JSONL file (:func:`is_columnar_store` reads no file).
 :meth:`ColumnarTrace.open` is the one reader of ``manifest.json``, and
 every error it raises names the manifest.
 
-Numeric columns load via ``np.memmap`` straight out of the shard files
-(``np.savez`` stores members uncompressed, so each ``.npy`` member sits
-at a fixed offset inside the zip); the OS pages data in on demand, so
-opening a million-job store costs milliseconds and reads only the
-columns an analysis touches.  When mapping is not possible (compressed
-members, object dtypes) the loader falls back to an eager read.
+A shard's SHA-256 is checked against the manifest's the first time
+the shard is read, before any of its bytes are parsed (about 1 ms per
+MB), so a flipped byte is an error naming the shard, never wrong
+statistics.  Columns then load via ``np.memmap`` straight out of the
+shard files: ``np.savez`` stores members uncompressed, so each ``.npy``
+member sits at a fixed offset inside the zip.
 
 Strings are dictionary-encoded: ``architecture`` and ``user_group``
 hold integer codes into label tables kept in the manifest, and ``name``
@@ -165,10 +165,6 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-class _MmapUnavailable(Exception):
-    """Shard member cannot be memory-mapped; fall back to eager load."""
-
-
 def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
     """Memory-map every ``.npy`` member of an uncompressed ``.npz``.
 
@@ -177,13 +173,14 @@ def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
     the zip: local file header, then the npy header, then the raw
     buffer.  ``np.load(mmap_mode=...)`` does not map into zips, so this
     does the offset arithmetic itself and hands each member to
-    ``np.memmap``.
+    ``np.memmap``.  A member that cannot be mapped (compressed, an
+    object dtype, a bad local or npy header) is a ``ValueError``.
     """
     arrays: Dict[str, np.ndarray] = {}
     with zipfile.ZipFile(path) as archive, path.open("rb") as raw:
         for info in archive.infolist():
             if info.compress_type != zipfile.ZIP_STORED:
-                raise _MmapUnavailable(f"{info.filename} is compressed")
+                raise ValueError(f"{info.filename} is compressed")
             raw.seek(info.header_offset)
             header = raw.read(_ZIP_LOCAL_HEADER_SIZE)
             if (
@@ -191,7 +188,7 @@ def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
                 or struct.unpack("<I", header[:4])[0]
                 != _ZIP_LOCAL_HEADER_SIGNATURE
             ):
-                raise _MmapUnavailable(f"{info.filename}: bad local header")
+                raise ValueError(f"{info.filename}: bad local header")
             name_len, extra_len = _ZIP_NAME_EXTRA_STRUCT.unpack(header[26:30])
             member_start = (
                 info.header_offset
@@ -206,11 +203,11 @@ def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
             elif version == (2, 0):
                 shape, fortran, dtype = npy_format.read_array_header_2_0(raw)
             else:
-                raise _MmapUnavailable(
+                raise ValueError(
                     f"{info.filename}: unsupported npy version {version}"
                 )
             if dtype.hasobject:
-                raise _MmapUnavailable(f"{info.filename}: object dtype")
+                raise ValueError(f"{info.filename}: object dtype")
             column = info.filename
             if column.endswith(".npy"):
                 column = column[: -len(".npy")]
@@ -223,23 +220,6 @@ def _mapped_members(path: Path) -> Dict[str, np.ndarray]:
                 order="F" if fortran else "C",
             )
     return arrays
-
-
-def _eager_members(path: Path) -> Dict[str, np.ndarray]:
-    with np.load(path) as data:
-        return {name: data[name] for name in data.files}
-
-
-def _load_shard(path: Path) -> Dict[str, np.ndarray]:
-    try:
-        return _mapped_members(path)
-    except _MmapUnavailable as reason:
-        get_obs().event(
-            "trace.columnar.mmap_fallback",
-            path=str(path),
-            reason=str(reason),
-        )
-    return _eager_members(path)
 
 
 @dataclass(frozen=True)
@@ -528,20 +508,14 @@ class ColumnarTrace:
         )
 
     @classmethod
-    def open(
-        cls,
-        path: Union[str, Path],
-        verify: bool = False,
-    ) -> "ColumnarTrace":
-        """Open a store directory; optionally re-hash shards first.
+    def open(cls, path: Union[str, Path]) -> "ColumnarTrace":
+        """Open a store directory, reading its manifest and no shard.
 
         This is the one reader of ``manifest.json``, and every error it
         raises names it: ``FileNotFoundError`` when there is none, and
         ``ValueError`` for a manifest that is not JSON or has another
-        shape than :func:`write_columnar` writes.  ``verify=True`` also
-        recomputes every shard's SHA-256 and raises ``ValueError`` on
-        any mismatch with the manifest, catching silent corruption
-        before it becomes wrong statistics.
+        shape than :func:`write_columnar` writes.  Shards are checked
+        when first read (:meth:`verify` reads them all).
         """
         directory = Path(path)
         manifest_path = directory / MANIFEST_NAME
@@ -575,11 +549,7 @@ class ColumnarTrace:
                 f"{manifest.get('schema_version')!r} "
                 f"(expected {SCHEMA_VERSION})"
             )
-        shards = _manifest_shards(manifest, manifest_path)
-        store = cls(directory, manifest, shards)
-        if verify:
-            store.verify()
-        return store
+        return cls(directory, manifest, _manifest_shards(manifest, manifest_path))
 
     # ---- identity ----------------------------------------------------
 
@@ -620,24 +590,30 @@ class ColumnarTrace:
         return digest.hexdigest()
 
     def verify(self) -> None:
-        """Re-hash every shard against the manifest digests."""
+        """Read every shard once, raising what a column read would."""
         for shard in self._shards:
-            actual = _sha256_file(self._path / shard.file)
-            if actual != shard.sha256:
-                raise ValueError(
-                    f"{self._path / shard.file}: content digest mismatch "
-                    f"(manifest {shard.sha256}, actual {actual})"
-                )
+            self._read_shard(shard)
 
     # ---- column access -------------------------------------------------
 
     def _read_shard(self, shard: ShardInfo) -> Dict[str, np.ndarray]:
-        """One shard's columns, each checked against the manifest's
-        row count; ``ValueError`` naming the shard if it is not a
-        readable ``.npz``."""
+        """One shard's columns: the one reader of shard bytes.
+
+        The file must hash to the manifest's SHA-256 before it is
+        mapped, every member must map, and each column must hold the
+        manifest's row count; ``ValueError`` naming the shard if not.
+        The writer never rewrites a listed shard in place, so the
+        mapped bytes are the hashed ones.
+        """
         path = self._path / shard.file
+        actual = _sha256_file(path)
+        if actual != shard.sha256:
+            raise ValueError(
+                f"{path}: content digest mismatch "
+                f"(manifest {shard.sha256}, actual {actual})"
+            )
         try:
-            columns = _load_shard(path)
+            columns = _mapped_members(path)
         except (zipfile.BadZipFile, ValueError) as error:
             raise ValueError(f"{path}: unreadable shard ({error})") from None
         for name, column in columns.items():

@@ -1,7 +1,9 @@
 """The pai-repro command-line interface."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.cli import build_parser, main
@@ -148,6 +150,68 @@ class TestParser:
         assert "PAI_REPRO_TRACE_PATH" in err
         assert str(tmp_path / "manifest.json") in err
         assert "Traceback" not in err
+
+
+def _damage(shard, damage):
+    """Break ``shard`` of a store whose manifest stays valid; the text
+    the error must carry."""
+    if damage == "flipped-byte":
+        raw = bytearray(shard.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        shard.write_bytes(raw)
+        return "digest mismatch"
+    if damage == "missing-shard":
+        shard.unlink()
+        return "No such file"
+    # A compressed member cannot be mapped; the manifest is given its
+    # digest, so only the mapping fails.
+    with np.load(shard) as data:
+        members = {name: data[name] for name in data.files}
+    np.savez_compressed(shard, **members)
+    manifest_path = shard.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for entry in manifest["shards"]:
+        if entry["file"] == shard.name:
+            entry["sha256"] = hashlib.sha256(shard.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return "compressed"
+
+
+class TestShardCheck:
+    @pytest.mark.parametrize(
+        "damage", ["flipped-byte", "missing-shard", "compressed"]
+    )
+    def test_a_store_that_fails_its_check_is_a_usage_error(
+        self, damage, small_trace, tmp_path, monkeypatch, capsys
+    ):
+        # A store with a flipped byte used to pass: ``run fig7`` on it
+        # exited 0.
+        store = tmp_path / "store"
+        write_columnar(small_trace[:60], store, shard_rows=20)
+        shard = store / "shard-00001.npz"
+        named = _damage(shard, damage)
+        output = tmp_path / "out.jsonl"
+        commands = [
+            ["serve", "--trace", str(store)],
+            ["convert", str(store), str(output)],
+        ]
+        for argv in commands:
+            err = main_error(argv, capsys)
+            assert err.startswith("usage: pai-repro ")
+            assert str(shard) in err and named in err
+        assert not output.exists()
+        monkeypatch.setenv("PAI_REPRO_TRACE_PATH", str(store))
+        for argv in (
+            ["run", "fig7"],
+            ["all", "-q", "--no-cache"],
+            ["report", "--no-cache", "-o", str(tmp_path / "report.md")],
+        ):
+            err = main_error(argv, capsys)
+            assert err.startswith("usage: pai-repro ")
+            assert "PAI_REPRO_TRACE_PATH" in err
+            assert str(shard) in err and named in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "report.md").exists()
 
 
 class TestMain:

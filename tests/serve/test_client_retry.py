@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.serve import TRANSIENT_ERRORS, ServeClient, ServiceError
+from repro.serve.client import BACKOFF_BASE, BACKOFF_CAP
 
 
 class FlakyHandler(http.server.BaseHTTPRequestHandler):
@@ -196,6 +197,28 @@ class TestPersistentConnections:
         assert keepalive_server.connections == 2
         assert sleeps == []
 
+    def test_a_finished_thread_closes_its_connection(self, keepalive_server):
+        # A thread's kept connection used to outlive the thread until
+        # the garbage collector found it: close() could not reach it,
+        # and python -X dev printed one ResourceWarning per thread.
+        client, _ = make_client(keepalive_server, retries=0)
+        sockets = []
+
+        def worker():
+            assert client.healthz() == {"status": "ok"}
+            sockets.append(client._local.kept.connection.sock)
+
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert keepalive_server.connections == 3
+        # No close() and no gc.collect(): each thread's end closed its
+        # connection.
+        assert [sock.fileno() for sock in sockets] == [-1, -1, -1]
+
     def test_a_4xx_keeps_the_connection(self, keepalive_server):
         keepalive_server.script[:] = ["404"]
         client, sleeps = make_client(keepalive_server, retries=3)
@@ -210,42 +233,34 @@ class TestPersistentConnections:
 
 class TestBackoff:
     def test_backoff_grows_exponentially_and_caps(self):
-        client = ServeClient(
-            "http://127.0.0.1:1",
-            backoff_base=0.1,
-            backoff_cap=0.5,
-            jitter_seed=7,
-        )
-        delays = [client.backoff_delay(k) for k in range(5)]
-        # Base schedule 0.1, 0.2, 0.4, 0.5, 0.5 with up to +25% jitter.
-        for delay, base in zip(delays, [0.1, 0.2, 0.4, 0.5, 0.5]):
+        client = ServeClient("http://127.0.0.1:1")
+        delays = [client.backoff_delay(k) for k in range(8)]
+        schedule = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
+        assert schedule == [
+            min(BACKOFF_CAP, BACKOFF_BASE * 2**k) for k in range(8)
+        ]
+        # Each delay is its base stretched by up to +25% jitter.
+        for delay, base in zip(delays, schedule):
             assert base <= delay <= base * 1.25
 
     def test_backoff_is_seeded(self):
-        first = ServeClient("http://127.0.0.1:1", jitter_seed=3)
-        second = ServeClient("http://127.0.0.1:1", jitter_seed=3)
+        first = ServeClient("http://127.0.0.1:1")
+        second = ServeClient("http://127.0.0.1:1")
         assert [first.backoff_delay(k) for k in range(4)] == [
             second.backoff_delay(k) for k in range(4)
         ]
 
 
 class TestConfiguration:
-    def test_timeout_kwarg_sets_both_phases(self):
-        client = ServeClient("http://127.0.0.1:1", timeout=7.5)
-        assert client.connect_timeout == 7.5
-        assert client.read_timeout == 7.5
-
-    def test_split_timeouts(self):
-        client = ServeClient(
-            "http://127.0.0.1:1", connect_timeout=0.5, read_timeout=9.0
-        )
-        assert client.connect_timeout == 0.5
-        assert client.read_timeout == 9.0
+    def test_timeout_kwarg_sets_both_phases(self, keepalive_server):
+        client, _ = make_client(keepalive_server, timeout=7.5)
+        assert client.healthz() == {"status": "ok"}
+        # The handshake's timeout stays on the socket for every read.
+        assert client._local.kept.connection.timeout == 7.5
+        assert client._local.kept.connection.sock.gettimeout() == 7.5
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
             ServeClient("http://127.0.0.1:1", retries=-1)
-        with pytest.raises(ValueError):
-            ServeClient("http://127.0.0.1:1", backoff_base=0.0)
         with pytest.raises(ValueError):
             ServeClient("ftp://127.0.0.1:1")

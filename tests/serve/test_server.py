@@ -400,6 +400,36 @@ class TestQueryCache:
         finally:
             service.stop()
 
+    def test_a_hit_answers_the_bytes_of_its_miss(self, small_trace, tmp_path):
+        # A hit used to answer with the stored dump's sorted keys and a
+        # miss in the handler's insertion order: one payload, two byte
+        # strings for the same query at the same generation.
+        state = ShardedState(num_shards=2)
+        state.ingest(small_trace[:300])
+        cached = TraceService(state=state, cache=ResultCache(tmp_path))
+        plain = TraceService(state=state)
+        cached.start()
+        plain.start()
+        generation = state.generation
+        hits = get_obs().metrics.counter("serve.query.cache_hits")
+        try:
+            for path in (b"/stats", b"/cdf/step_time?points=5"):
+                request = (
+                    b"GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+                    % path
+                )
+                before = hits.value
+                miss, hit = (
+                    only_reply(exchange(cached, request))[1] for _ in range(2)
+                )
+                assert hits.value == before + 1
+                assert hit == miss
+                assert only_reply(exchange(plain, request))[1] == miss
+        finally:
+            cached.stop()
+            plain.stop()
+        assert state.generation == generation
+
     def test_a_full_disk_still_answers(
         self, small_trace, tmp_path, monkeypatch
     ):

@@ -23,11 +23,6 @@ from repro.trace.columnar import (
 from repro.trace.serialization import save_trace
 
 
-def of_kind(sink, kind):
-    """The events of one kind that a ``MemorySink`` collected, in order."""
-    return [event for event in sink.events if event.get("kind") == kind]
-
-
 ARCH_CODES = list(Architecture)
 
 
@@ -63,8 +58,8 @@ class TestStoreLayout:
         for shard in manifest["shards"]:
             assert len(shard["sha256"]) == 64
 
-    def test_open_verifies_digests(self, store):
-        ColumnarTrace.open(store, verify=True)
+    def test_verify_accepts_an_intact_store(self, store):
+        ColumnarTrace.open(store).verify()
 
     def test_corruption_is_detected(self, store, tmp_path, small_trace):
         import shutil
@@ -74,8 +69,26 @@ class TestStoreLayout:
         shard = sorted(broken.glob("shard-*.npz"))[0]
         raw = shard.read_bytes()
         shard.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0xFF]))
+        # open() reads the manifest alone, so it still succeeds.
+        opened = ColumnarTrace.open(broken)
+        assert len(opened) == len(small_trace)
         with pytest.raises(ValueError, match="digest mismatch"):
-            ColumnarTrace.open(broken, verify=True)
+            opened.verify()
+
+    def test_a_missing_shard_is_named(self, store, tmp_path):
+        import shutil
+
+        broken = tmp_path / "broken.columnar"
+        shutil.copytree(store, broken)
+        shard = sorted(broken.glob("shard-*.npz"))[2]
+        shard.unlink()
+        for read in (
+            lambda opened: opened.verify(),
+            lambda opened: opened.column("job_id"),
+            lambda opened: list(opened.iter_records()),
+        ):
+            with pytest.raises(FileNotFoundError, match=re.escape(str(shard))):
+                read(ColumnarTrace.open(broken))
 
     def test_open_rejects_non_store(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -194,17 +207,106 @@ class TestManifestShape:
     def test_columns_read_each_shard_once(self, three_shards, monkeypatch):
         import repro.trace.columnar as columnar
 
-        mapped = []
-        original = columnar._mapped_members
+        reads = []
+        original_map = columnar._mapped_members
+        original_hash = columnar._sha256_file
 
-        def counting(path):
-            mapped.append(path.name)
-            return original(path)
+        def counting_map(path):
+            reads.append(("map", path.name))
+            return original_map(path)
 
-        monkeypatch.setattr(columnar, "_mapped_members", counting)
+        def counting_hash(path):
+            reads.append(("hash", path.name))
+            return original_hash(path)
+
+        monkeypatch.setattr(columnar, "_mapped_members", counting_map)
+        monkeypatch.setattr(columnar, "_sha256_file", counting_hash)
         store = ColumnarTrace.open(three_shards)
+        assert reads == []  # open() reads the manifest alone
         assert len(list(store.iter_views())) == 50
-        assert sorted(mapped) == [shard.file for shard in store.shards]
+        # Each shard is hashed once, then mapped once.
+        assert reads == [
+            (step, shard.file)
+            for shard in store.shards
+            for step in ("hash", "map")
+        ]
+
+
+def _error_of(read):
+    """The exception ``read()`` raises, or ``None``."""
+    try:
+        read()
+    except Exception as error:
+        return error
+    return None
+
+
+class TestShardIntegrity:
+    """Every shard read checks the shard's bytes against the manifest.
+
+    Flipping one byte at ~400 offsets of a shard used to let about half
+    of the reads pass silently, with wrong values; most of the others
+    raised an ``IndexError``, ``KeyError`` or ``TokenError`` naming no
+    file.
+    """
+
+    @pytest.fixture()
+    def shard(self, tmp_path, small_trace):
+        path = tmp_path / "three.columnar"
+        write_columnar(small_trace[:3], path)
+        (shard,) = path.glob("shard-*.npz")
+        return shard
+
+    @staticmethod
+    def _flip(shard, raw, offset):
+        flipped = bytearray(raw)
+        flipped[offset] ^= 0xFF
+        shard.write_bytes(flipped)
+
+    @staticmethod
+    def _is_mismatch(error, shard):
+        return isinstance(error, ValueError) and str(error).startswith(
+            f"{shard}: content digest mismatch"
+        )
+
+    def test_every_flipped_byte_fails_verify(self, shard):
+        raw = shard.read_bytes()
+        passed = []
+        for offset in range(len(raw)):
+            self._flip(shard, raw, offset)
+            # open() reads the manifest alone, so it still succeeds.
+            opened = ColumnarTrace.open(shard.parent)
+            error = _error_of(opened.verify)
+            if not self._is_mismatch(error, shard):
+                passed.append((offset, error))
+        assert passed == []
+
+    def test_a_flipped_byte_fails_the_first_read(self, shard):
+        raw = shard.read_bytes()
+        first_npy = raw.find(b"\x93NUMPY")
+        offsets = {
+            "local header": 0,
+            "npy header": first_npy + 20,
+            "first column's data": first_npy + 128,
+            "middle": len(raw) // 2,
+            "central directory": raw.rfind(b"PK\x01\x02") + 20,
+            "end of central directory": raw.rfind(b"PK\x05\x06") + 10,
+        }
+        reads = {
+            "column": lambda opened: opened.column("flop_count"),
+            "feature_arrays": lambda opened: opened.feature_arrays(),
+            "iter_views": lambda opened: list(opened.iter_views()),
+            "iter_records": lambda opened: list(opened.iter_records()),
+        }
+        passed = []
+        for where, offset in offsets.items():
+            self._flip(shard, raw, offset)
+            for name, read in reads.items():
+                opened = ColumnarTrace.open(shard.parent)
+                error = _error_of(lambda: read(opened))
+                if not self._is_mismatch(error, shard):
+                    passed.append((where, name, error))
+        assert passed == []
 
 
 class TestRoundTrip:
@@ -224,33 +326,48 @@ class TestRoundTrip:
         assert columnar_to_jsonl(columnar, back) == len(small_trace)
         assert back.read_bytes() == jsonl.read_bytes()
 
-    def test_compressed_shard_falls_back_to_an_eager_load(
-        self, store, tmp_path
-    ):
+    @staticmethod
+    def _compress_a_shard(store, copy):
+        """Copy ``store`` to ``copy`` with its second shard rewritten by
+        ``np.savez_compressed``; the rewritten shard's path."""
         import shutil
 
-        from repro.obs import MemorySink, get_obs, reset_obs
-
-        copy = tmp_path / "compressed.columnar"
         shutil.copytree(store, copy)
         shard = sorted(copy.glob("shard-*.npz"))[1]
         with np.load(shard) as data:
             members = {name: data[name] for name in data.files}
         np.savez_compressed(shard, **members)
-        mapped = ColumnarTrace.open(store)
-        reset_obs()
-        sink = get_obs().add_sink(MemorySink())
-        try:
-            flops = ColumnarTrace.open(copy).column("flop_count")
-        finally:
-            reset_obs()
-        fallbacks = of_kind(sink, "trace.columnar.mmap_fallback")
-        assert [event["path"] for event in fallbacks] == [str(shard)]
-        assert np.array_equal(flops, mapped.column("flop_count"))
-        eager = ColumnarTrace.open(copy)
-        for name in ("job_id", "architecture", "num_cnodes", "name"):
-            assert np.array_equal(eager.column(name), mapped.column(name))
-        assert list(eager.iter_records()) == list(mapped.iter_records())
+        return shard
+
+    def test_a_compressed_shard_fails_its_digest(self, store, tmp_path):
+        # It used to be read eagerly, through a second reader.
+        shard = self._compress_a_shard(store, tmp_path / "compressed.columnar")
+        with pytest.raises(
+            ValueError,
+            match=re.escape(str(shard)) + ": content digest mismatch",
+        ):
+            ColumnarTrace.open(shard.parent).column("flop_count")
+
+    def test_a_compressed_shard_is_never_mapped(self, store, tmp_path):
+        from repro.trace.columnar import _sha256_file
+
+        shard = self._compress_a_shard(store, tmp_path / "compressed.columnar")
+        manifest_path = shard.parent / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for entry in manifest["shards"]:
+            if entry["file"] == shard.name:
+                entry["sha256"] = _sha256_file(shard)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        opened = ColumnarTrace.open(shard.parent)
+        for read in (
+            lambda: opened.column("flop_count"),
+            opened.verify,
+            lambda: list(opened.iter_records()),
+        ):
+            with pytest.raises(
+                ValueError, match=re.escape(str(shard)) + ".*compressed"
+            ):
+                read()
 
     def test_single_shard_column_is_memory_mapped(
         self, tmp_path, small_trace
