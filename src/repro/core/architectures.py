@@ -39,6 +39,11 @@ class Architecture(enum.Enum):
     ALLREDUCE_CLUSTER = "AllReduce-Cluster"
     PEARL = "PEARL"
 
+    # Members are singletons that compare by identity, so the identity
+    # hash agrees with ``==``; ``Enum.__hash__`` hashes the name in
+    # Python, on every dict or set lookup of a member.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

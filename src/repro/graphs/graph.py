@@ -9,6 +9,7 @@ optimizer) to derive every Table IV / Table V quantity and, through
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Tuple
 
@@ -93,13 +94,19 @@ class ModelGraph:
             raise ValueError("model graph has no operations")
 
     # ---- op lists -------------------------------------------------
+    #
+    # The simulator reads ``training_step`` once per replica, so both
+    # lists are built on first read and kept.  ``cached_property``
+    # stores in the instance ``__dict__``, which a frozen dataclass
+    # allows; the forward tuple is immutable, so the lists never go
+    # stale, and ``dataclasses.replace`` copies start without them.
 
-    @property
+    @functools.cached_property
     def backward(self) -> Tuple[Op, ...]:
         """Backward-pass ops synthesized from the forward list."""
         return tuple(backward_ops(list(self.forward)))
 
-    @property
+    @functools.cached_property
     def training_step(self) -> Tuple[Op, ...]:
         """Forward followed by backward: the ops of one training step."""
         return self.forward + self.backward

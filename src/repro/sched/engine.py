@@ -10,9 +10,13 @@ sampling -- while the policy owns every ordering decision.
 The loop is the textbook one: pop all events at the next timestamp
 (completions release GPUs, arrivals join the queue), then repeatedly
 ask the policy for a :class:`~repro.sched.policies.SchedulingDecision`
-and apply it until the policy has nothing more to do.  Preempted jobs
-re-queue with their remaining hours reduced by the time they ran, so
-work is conserved; every run of a job is recorded as an
+and apply it until the policy has nothing more to do.  A decision is
+applied in three steps: evict its preemptions, place its starts (each
+one that still fits), then place its ``greedy`` rows in order until
+one does not fit.  FIFO and SJF decide by ``greedy`` alone, so each job
+they start is placed once, on the live fleet, with no trial plan.
+Preempted jobs re-queue with their remaining hours reduced by the time
+they ran, so work is conserved; every run of a job is recorded as an
 :class:`~repro.sched.outcomes.ExecutionSegment` and the per-job
 history rolls up into :class:`~repro.sched.outcomes.JobOutcome`.
 
@@ -25,9 +29,11 @@ the policy reads rather than the queue's depth.  A decision's starts
 leave the queue together, one slice per run of consecutive queue
 positions, deleted from the back once the last start is placed, so
 FIFO's started prefix is a single ``del queue[:k]`` rather than one
-shift of the whole queue per start.  A start still counts as a backfill
-exactly when a job ranked ahead of it is waiting and was not started
-earlier in the same decision.
+shift of the whole queue per start.  ``greedy`` may be the context's
+own queue: the engine reads a decision's rows before it changes the
+queue, and copies them first when its preemptions re-queue victims.
+A start still counts as a backfill exactly when a job ranked ahead of
+it is waiting and was not started earlier in the same decision.
 
 Each job's (architecture, width) is read once, at admission, and its
 outcome is filed at its rank, so outcomes come out in trace order with
@@ -285,20 +291,45 @@ def run_schedule(
     #: registry counter takes a lock and a lookup on every use.
     tally: Counter = Counter()
 
+    # The engine builds its rows with positional arguments: a frozen
+    # dataclass's keyword ``__init__`` costs a quarter more per row.
     def enqueue(state: _JobState) -> None:
         index = bisect_left(queue_keys, state.rank)
         queue_keys.insert(index, state.rank)
         queue.insert(
             index,
-            PendingJob(
-                job=state.job,
-                arrival_hour=state.arrival_hour,
-                remaining_hours=state.remaining_hours,
-            ),
+            PendingJob(state.job, state.arrival_hour, state.remaining_hours),
         )
 
-    def start_job(state: _JobState, placement: Placement, now: float) -> None:
+    def queue_position(state: Optional[_JobState]) -> int:
+        """The job's position in the queue, or -1 if it is not queued:
+        not in the trace, running, or waiting out a crash backoff."""
+        if state is None or state.placement is not None:
+            return -1
+        position = bisect_left(queue_keys, state.rank)
+        if position == len(queue_keys) or queue_keys[position] != state.rank:
+            return -1
+        return position
+
+    def start_job(
+        state: _JobState,
+        placement: Placement,
+        now: float,
+        position: int,
+        taken: List[int],
+    ) -> None:
+        """Start the queued job at ``position`` on ``placement``; the
+        decision's ``taken`` positions stay ascending."""
         nonlocal sequence
+        earlier = bisect_left(taken, position)
+        if earlier != position:
+            # An earlier arrival is still waiting, and was not started
+            # by this decision: a backfill (or priority jump) by the
+            # policy's own choice.  A re-queued job keeps its first
+            # arrival hour, so starting it ahead of younger waiters is
+            # not one.
+            tally["sched.backfills"] += 1
+        taken.insert(earlier, position)
         job_id = state.job.job_id
         state.placement = placement
         state.segment_start = now
@@ -309,22 +340,13 @@ def run_schedule(
         key = state.running_key = (end, job_id)
         index = bisect_left(running_keys, key)
         running_keys.insert(index, key)
-        running.insert(
-            index,
-            RunningJob(
-                job=state.job, placement=placement, start_hour=now, end_hour=end
-            ),
-        )
+        running.insert(index, RunningJob(state.job, placement, now, end))
         tally["sched.starts"] += 1
 
     def end_segment(state: _JobState, now: float) -> None:
         """Close the job's current run at ``now`` and free its GPUs."""
         state.segments.append(
-            ExecutionSegment(
-                start_hour=state.segment_start,
-                end_hour=now,
-                placement=state.placement,
-            )
+            ExecutionSegment(state.segment_start, now, state.placement)
         )
         fleet.release(state.placement)
         state.placement = None
@@ -402,11 +424,11 @@ def run_schedule(
                     end_segment(state, now)
                     state.remaining_hours = 0.0
                     finished[state.rank] = JobOutcome(
-                        job=state.job,
-                        arrival_hour=state.arrival_hour,
-                        service_hours=state.service_hours,
-                        segments=tuple(state.segments),
-                        retries=state.retries,
+                        state.job,
+                        state.arrival_hour,
+                        state.service_hours,
+                        tuple(state.segments),
+                        state.retries,
                     )
                     tally["sched.completions"] += 1
                 else:
@@ -415,50 +437,48 @@ def run_schedule(
             for _ in range(_MAX_DECISION_ROUNDS):
                 if not queue:
                     break
-                context = SchedulingContext(
-                    now=now, fleet=fleet, queue=queue, running=running
-                )
+                context = SchedulingContext(now, fleet, queue, running)
                 decision: SchedulingDecision = policy.select(context)
                 if decision.is_empty:
                     break
+                greedy = decision.greedy
                 preempted = 0
-                for job_id in decision.preemptions:
-                    state = states.get(job_id)
-                    if state is None or state.placement is None:
-                        continue  # policy named a job that is not running
-                    preempt_job(state, now)
-                    preempted += 1
+                if decision.preemptions:
+                    # Victims re-enter the queue, which ``greedy`` may
+                    # be: read the order the policy returned first.
+                    greedy = tuple(greedy)
+                    for job_id in decision.preemptions:
+                        state = states.get(job_id)
+                        if state is None or state.placement is None:
+                            continue  # policy named a job that is not running
+                        preempt_job(state, now)
+                        preempted += 1
                 # Queue positions of the jobs this decision started,
-                # ascending.  They leave the queue after the last start.
+                # ascending.  They leave the queue after the last start,
+                # so ``greedy`` may be the queue itself.
                 taken: List[int] = []
                 for job_id in decision.starts:
                     state = states.get(job_id)
-                    if state is None or state.placement is not None:
-                        # Not in the trace, or running: started before,
-                        # or earlier in this decision.
-                        continue
-                    position = bisect_left(queue_keys, state.rank)
-                    if (
-                        position == len(queue_keys)
-                        or queue_keys[position] != state.rank
-                    ):
+                    position = queue_position(state)
+                    if position < 0:
                         continue  # policy named a job that is not queued
                     placement = fleet.try_place(
                         state.workload_type, state.num_cnodes
                     )
                     if placement is None:
                         continue  # plan no longer fits the live fleet
-                    earlier = bisect_left(taken, position)
-                    if earlier != position:
-                        # An earlier arrival is still waiting, and was
-                        # not started by this decision: a backfill (or
-                        # priority jump) by the policy's own choice.  A
-                        # re-queued job keeps its first arrival hour, so
-                        # starting it ahead of younger waiters is not
-                        # one.
-                        tally["sched.backfills"] += 1
-                    taken.insert(earlier, position)
-                    start_job(state, placement, now)
+                    start_job(state, placement, now, position, taken)
+                for pending in greedy:
+                    state = states.get(pending.job.job_id)
+                    position = queue_position(state)
+                    if position < 0:
+                        continue  # not queued, or started already
+                    placement = fleet.try_place(
+                        state.workload_type, state.num_cnodes
+                    )
+                    if placement is None:
+                        break  # the order is blocked here
+                    start_job(state, placement, now, position, taken)
                 if not taken and not preempted:
                     break  # non-empty decision that changed nothing
                 # One slice per run of consecutive positions, from the

@@ -3,16 +3,22 @@
 A :class:`Policy` looks at a read-only :class:`SchedulingContext` --
 the pending queue, the running set, the fleet state and the predicted
 duration of every job -- and returns a :class:`SchedulingDecision`:
-which queued jobs to start now (in order) and which running jobs to
-evict first.  The engine (:mod:`repro.sched.engine`) applies the
-decision and asks again until the policy has nothing more to do, so a
-policy never mutates anything itself.
+which running jobs to evict first, which queued jobs to start now (in
+order), and an order of queued jobs to start greedily after them.  The
+engine (:mod:`repro.sched.engine`) applies the decision and asks again
+until the policy has nothing more to do, so a policy never mutates
+anything itself.
 
 The engine keeps the context in the two orders the policies read, so
 no policy re-sorts them: ``queue`` in (arrival hour, job id) order and
-``running`` in (predicted end hour, job id) order.  Greedy starts are
-planned on a ``fleet.clone()``; what-if questions -- how many running
-jobs must end or be evicted before a blocked job fits -- are one
+``running`` in (predicted end hour, job id) order.  A policy whose
+starts are the longest placeable prefix of one order hands the engine
+that order as the decision's ``greedy`` rows and plans nothing: FIFO
+hands the queue itself and SJF its sorted copy, and the engine places
+each row once, on the live fleet, until one does not fit.  Backfill and
+priority read the fleet after their greedy prefix, so they still plan
+it on a ``fleet.clone()``; what-if questions -- how many running jobs
+must end or be evicted before a blocked job fits -- are one
 :meth:`~repro.sched.fleet.Fleet.releases_to_fit` scan, with no clone.
 
 Every context the engine builds conserves GPUs: each server's free
@@ -113,7 +119,9 @@ class SchedulingContext:
     copies: they are read-only, and valid only during the ``select``
     call that receives them, since the engine changes them as soon as
     it applies the decision.  A policy that needs either later keeps a
-    copy (a slice is one).
+    copy (a slice is one).  The decision itself may hand ``queue`` back
+    as its ``greedy`` rows, uncopied: the engine reads them before it
+    changes the queue.
 
     Attributes:
         now: The decision hour.
@@ -133,21 +141,32 @@ class SchedulingContext:
 class SchedulingDecision:
     """What the engine should do right now.
 
+    The engine evicts ``preemptions``, then places ``starts``, then
+    ``greedy``, all on the live fleet.  It matches ids and rows to
+    jobs by job id and skips any job that is not queued at that point:
+    not in the trace, running, or started earlier in the decision.
+
     Attributes:
-        starts: Queued job ids to place, in order.  The engine places
-            them on the live fleet exactly as the policy planned them
-            on its trial clone.
+        starts: Queued job ids to place, in order.  One that no longer
+            fits the live fleet is skipped, and the rest are still
+            placed.
         preemptions: Running job ids to evict *before* placing the
             starts.  Victims re-queue with their remaining work.
+        greedy: Queued rows to place after ``starts``, in this order,
+            stopping at the first that does not fit.  It may be
+            ``context.queue`` itself: the engine reads it before it
+            changes the queue, so victims re-queued by ``preemptions``
+            are not in it.
     """
 
     starts: Tuple[int, ...] = ()
     preemptions: Tuple[int, ...] = ()
+    greedy: Sequence[PendingJob] = ()
 
     @property
     def is_empty(self) -> bool:
-        """Whether the decision changes nothing."""
-        return not self.starts and not self.preemptions
+        """Whether the decision names nothing to do."""
+        return not (self.starts or self.preemptions or self.greedy)
 
 
 @runtime_checkable
@@ -167,7 +186,9 @@ def _greedy_starts(
     """Place jobs in order on a trial clone until the first failure.
 
     Returns the started ids, the first blocked job (or ``None``) and
-    the trial fleet reflecting the planned starts.
+    the trial fleet reflecting the planned starts.  Only a policy that
+    reads the fleet after its greedy prefix needs this plan; one that
+    does not hands the engine its order as ``greedy`` instead.
     """
     trial = fleet.clone()
     starts: List[int] = []
@@ -187,8 +208,7 @@ class FifoPolicy:
 
     def select(self, context: SchedulingContext) -> SchedulingDecision:
         """Start the longest placeable prefix of the FIFO queue."""
-        starts, _, _ = _greedy_starts(context.queue, context.fleet)
-        return SchedulingDecision(starts=tuple(starts))
+        return SchedulingDecision(greedy=context.queue)
 
 
 @dataclass(frozen=True)
@@ -202,8 +222,7 @@ class SjfPolicy:
         # A stable sort of the arrival-ordered queue: ties on remaining
         # hours keep (arrival hour, job id) order.
         ordered = sorted(context.queue, key=lambda p: p.remaining_hours)
-        starts, _, _ = _greedy_starts(ordered, context.fleet)
-        return SchedulingDecision(starts=tuple(starts))
+        return SchedulingDecision(greedy=ordered)
 
 
 @dataclass(frozen=True)

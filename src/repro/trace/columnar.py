@@ -147,6 +147,8 @@ _ARCH_LABELS: Tuple[str, ...] = tuple(arch.value for arch in Architecture)
 _ARCH_CODES: Dict[Architecture, int] = {
     arch: code for code, arch in enumerate(Architecture)
 }
+#: Architectures by the code ``FeatureArrays.arch_codes`` holds.
+_BY_ARCH_CODE: Tuple[Architecture, ...] = tuple(Architecture)
 
 _FEATURES_OF = operator.attrgetter(*FEATURE_FIELDS)
 
@@ -692,6 +694,7 @@ class ColumnarTrace:
         yield from self._rows(
             self.feature_arrays(),
             self.columns(("job_id", "submit_day", "user_group")),
+            self._shards,
         )
 
     def iter_records(self) -> Iterator[JobRecord]:
@@ -708,7 +711,7 @@ class ColumnarTrace:
             arrays = FeatureArrays.from_columnar(
                 columns, architectures=self.architectures
             )
-            for row in self._rows(arrays, columns):
+            for row in self._rows(arrays, columns, (shard,)):
                 yield JobRecord(
                     job_id=row.job_id,
                     features=row.features.materialize(),
@@ -717,21 +720,44 @@ class ColumnarTrace:
                 )
 
     def _rows(
-        self, arrays: FeatureArrays, columns: Dict[str, np.ndarray]
+        self,
+        arrays: FeatureArrays,
+        columns: Dict[str, np.ndarray],
+        shards: Sequence[ShardInfo],
     ) -> Iterator[JobView]:
         """A :class:`JobView` per row of ``arrays``, with the scheduling
-        metadata from the same rows of ``columns``."""
-        job_ids = columns["job_id"]
-        submit_days = columns["submit_day"]
-        group_codes = columns["user_group"]
+        metadata from the same rows of ``columns``.
+
+        ``arrays`` and ``columns`` hold the rows of ``shards``, in
+        order.  Each shard's scalars are read with one ``tolist()`` per
+        column, so no row reads a NumPy scalar.
+        """
         groups = self.user_groups
-        for i, view in enumerate(arrays.iter_views()):
-            yield JobView(
-                job_id=int(job_ids[i]),
-                features=view,
-                submit_day=int(submit_days[i]),
-                user_group=groups[int(group_codes[i])],
-            )
+        scalar_columns = (
+            columns["job_id"],
+            columns["submit_day"],
+            columns["user_group"],
+            arrays.arch_codes,
+            arrays.num_cnodes,
+        )
+        views = arrays.iter_views()
+        start = 0
+        for shard in shards:
+            rows = slice(start, start + shard.rows)
+            start = rows.stop
+            # repro: ignore[hot-path] each row becomes a JobView holding them
+            scalars = [column[rows].tolist() for column in scalar_columns]
+            # ``views`` comes last: ``zip`` stops at the shard's end
+            # before taking the next shard's first view.
+            for job_id, day, group, code, width, view in zip(*scalars, views):
+                yield JobView(
+                    job_id,
+                    view,
+                    day,
+                    groups[group],
+                    _BY_ARCH_CODE[code],
+                    width,
+                )
 
 
 def jsonl_to_columnar(

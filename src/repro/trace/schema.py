@@ -82,15 +82,26 @@ class JobRecord:
 class JobView:
     """A ``JobRecord``-compatible row over a columnar trace.
 
-    Carries the scheduling metadata eagerly (three cheap scalars) and
-    the feature tuple as a lazy :class:`FeatureView`; no
-    ``__post_init__`` re-validation happens because the backing store
-    enforced the schema invariants vectorized when the columns were
-    extracted.  Views compare and hash by identity; compare a view's
-    fields (or ``features.materialize()``) with a record's instead.
+    Carries the scheduling metadata and the job's shape eagerly (five
+    cheap scalars) and the feature tuple as a lazy
+    :class:`FeatureView`; no ``__post_init__`` re-validation happens
+    because the backing store enforced the schema invariants vectorized
+    when the columns were extracted.  ``workload_type`` and
+    ``num_cnodes`` equal ``features.architecture`` and
+    ``features.num_cnodes``; the scheduler reads them for every
+    placement, so they are slots rather than reads through the view.
+    Views compare and hash by identity; compare a view's fields (or
+    ``features.materialize()``) with a record's instead.
     """
 
-    __slots__ = ("job_id", "features", "submit_day", "user_group")
+    __slots__ = (
+        "job_id",
+        "features",
+        "submit_day",
+        "user_group",
+        "workload_type",
+        "num_cnodes",
+    )
 
     def __init__(
         self,
@@ -98,20 +109,16 @@ class JobView:
         features: FeatureView,
         submit_day: int,
         user_group: str,
+        workload_type: Architecture,
+        num_cnodes: int,
     ) -> None:
         self.job_id = job_id
         self.features = features
         self.submit_day = submit_day
         self.user_group = user_group
-
-    @property
-    def workload_type(self) -> Architecture:
-        """The Table II workload type of this job."""
-        return self.features.architecture
-
-    @property
-    def num_cnodes(self) -> int:
-        return self.features.num_cnodes
+        #: The Table II workload type of this job.
+        self.workload_type = workload_type
+        self.num_cnodes = num_cnodes
 
     def __repr__(self) -> str:
         return (

@@ -1,5 +1,7 @@
 """The Table II taxonomy."""
 
+import pickle
+
 import pytest
 
 from repro.core.architectures import Architecture
@@ -98,3 +100,35 @@ class TestLimits:
         assert Architecture.PEARL.supports_partitioned_weights
         assert not Architecture.ALLREDUCE_LOCAL.supports_partitioned_weights
         assert not Architecture.ALLREDUCE_CLUSTER.supports_partitioned_weights
+
+
+class TestHashing:
+    """Members hash by identity, in C, consistently with ``==``."""
+
+    def test_hash_agrees_with_equality(self):
+        members = list(Architecture)
+        for first in members:
+            for second in members:
+                assert (first == second) is (first is second)
+                if first == second:
+                    assert hash(first) == hash(second)
+        assert len({hash(member) for member in members}) == len(members)
+
+    def test_the_hash_is_object_identity(self):
+        assert Architecture.__hash__ is object.__hash__
+
+    def test_dict_and_set_lookups_find_every_member(self):
+        table = {member: member.value for member in Architecture}
+        assert len(table) == len(Architecture)
+        for member in Architecture:
+            assert table[member] == member.value
+            assert member in set(Architecture)
+            assert Architecture.from_label(member.value) in table
+        assert {Architecture.PEARL: 1}.get(Architecture.SINGLE) is None
+
+    def test_a_pickle_round_trip_returns_the_same_member(self):
+        for member in Architecture:
+            back = pickle.loads(pickle.dumps(member))
+            assert back is member
+            assert hash(back) == hash(member)
+            assert {member: True}[back]

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.graphs.graph import GraphTotals, ModelGraph
-from repro.graphs.ops import elementwise_op, embedding_lookup_op, matmul_op
+from repro.graphs.ops import (
+    backward_ops,
+    elementwise_op,
+    embedding_lookup_op,
+    matmul_op,
+)
 from repro.graphs.optimizers import ADAM, MOMENTUM, SGD
 
 
@@ -78,6 +83,39 @@ class TestTrainingStep:
 
     def test_input_bytes(self):
         assert tiny_graph().input_bytes == 32 * 400.0
+
+    def test_op_lists_are_built_once(self):
+        # The simulator reads training_step once per replica.
+        graph = tiny_graph()
+        step = graph.training_step
+        assert graph.training_step is step
+        assert graph.backward is graph.backward
+        assert step == graph.forward + tuple(backward_ops(list(graph.forward)))
+        assert step[len(graph.forward):] == graph.backward
+
+    def test_copies_build_their_own_op_lists(self):
+        graph = tiny_graph()
+        step = graph.training_step
+        for copy in (
+            graph.with_batch_size(64),
+            graph.with_batch_size(32, scale_ops=False),
+            graph.with_forward(graph.forward[:1]),
+            graph.with_forward(graph.forward),
+        ):
+            assert copy.training_step is not step
+            assert copy.backward is not graph.backward
+            assert copy.training_step == copy.forward + tuple(
+                backward_ops(list(copy.forward))
+            )
+        assert graph.training_step is step
+
+    def test_cached_op_lists_leave_equality_and_hash_alone(self):
+        graph = tiny_graph()
+        fresh = tiny_graph()
+        graph.training_step
+        assert graph == fresh
+        assert hash(graph) == hash(fresh)
+        assert repr(graph) == repr(fresh)
 
 
 class TestTransformations:

@@ -5,11 +5,15 @@ The bundled policies name queued jobs once each, in rank order.
 context with hypothesis.  It may start jobs out of rank order, name an
 id twice, name ids that are running, that are not queued or that are
 not in the trace, preempt running and non-running ids, and start a
-victim it preempts in the same decision.  The replays run over
-:func:`~test_reference_policies.replays`' random traces and faults,
-wrapped in :class:`~test_reference_policies.OrderChecked`, so every
-context must still be in both orders, conserve GPUs and show no job as
-both queued and running.  After each run:
+victim it preempts in the same decision.  Its ``greedy`` rows are
+queued rows in any order, repeated, rows of running jobs (victims of
+the same decision among them), or the context's own queue, which the
+engine must read before its preemptions re-queue their victims.
+The replays run over :func:`~test_reference_policies.replays`' random
+traces and faults, wrapped in
+:class:`~test_reference_policies.OrderChecked`, so every context must
+still be in both orders, conserve GPUs and show no job as both queued
+and running.  After each run:
 
 * work is conserved;
 * ``sched.starts`` equals the number of segments;
@@ -23,16 +27,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import get_obs
-from repro.sched import FifoPolicy, Fleet, SchedulingDecision, run_schedule
+from repro.sched import Fleet, PendingJob, SchedulingDecision, run_schedule
 
+from reference_policies import ReferenceFifo
 from test_reference_policies import (
     OrderChecked,
     assert_work_conserved,
     replays,
 )
 
-#: Decisions an adversary draws per replay.  After them it plans FIFO,
-#: so that every replay settles.
+#: Decisions an adversary draws per replay.  After them it plans FIFO
+#: (the reference, which plans on a clone and names its starts), so
+#: that every replay settles.
 BUDGET = 12
 
 #: Ids no trace from ``replays()`` holds.
@@ -45,10 +51,16 @@ def applied_backfills(context, decision) -> int:
     """The backfills the engine counts when it applies ``decision``,
     found by applying the decision to a clone of the context's fleet:
     victims release their GPUs and re-queue, then each start that is
-    queued, not started yet and fits is placed."""
+    queued, not started yet and fits is placed, then each greedy row
+    the same way, up to the first queued, unstarted row that does not
+    fit.  The greedy rows are read here, before the engine applies the
+    decision, so a ``greedy`` that is the context's queue holds no
+    victim of the same decision."""
     trial = context.fleet.clone()
     running = {entry.job_id: entry for entry in context.running}
     queued = {pending.job_id: pending.job for pending in context.queue}
+    named = [(job_id, False) for job_id in decision.starts]
+    named += [(row.job_id, True) for row in decision.greedy]
     for job_id in decision.preemptions:
         entry = running.pop(job_id, None)
         if entry is not None:
@@ -56,11 +68,13 @@ def applied_backfills(context, decision) -> int:
             queued[job_id] = entry.job
     started = set()
     backfills = 0
-    for job_id in decision.starts:
+    for job_id, greedy in named:
         job = queued.get(job_id)
         if job is None or job_id in started:
             continue
         if trial.try_place(job.workload_type, job.num_cnodes) is None:
+            if greedy:
+                break  # the greedy order is blocked here
             continue
         # Rank order is (arrival hour, job id) order, and a re-queued
         # job keeps its first arrival hour.
@@ -85,9 +99,9 @@ class Adversary:
         self.backfills = 0
 
     def select(self, context):
-        # FIFO's plan ends every decision: a queued job that fits an
-        # idle fleet always starts, so no replay is left stuck.
-        plan = FifoPolicy().select(context).starts
+        # FIFO's plan ends every decision's starts: a queued job that
+        # fits an idle fleet always starts, so no replay is left stuck.
+        plan = ReferenceFifo().select(context).starts
         if self.budget and self.data.draw(st.booleans(), label="adversarial"):
             self.budget -= 1
             queued = [pending.job_id for pending in context.queue]
@@ -100,8 +114,19 @@ class Adversary:
             starts = self.data.draw(
                 st.lists(named, max_size=6), label="starts"
             )
+            rows = list(context.queue) + [
+                PendingJob(entry.job, entry.start_hour, 1.0)
+                for entry in context.running
+            ]
+            greedy = self.data.draw(
+                st.lists(st.sampled_from(rows), max_size=6)
+                | st.just(context.queue),
+                label="greedy",
+            )
             decision = SchedulingDecision(
-                starts=tuple(starts) + plan, preemptions=tuple(preemptions)
+                starts=tuple(starts) + plan,
+                preemptions=tuple(preemptions),
+                greedy=greedy,
             )
         else:
             decision = SchedulingDecision(starts=plan)

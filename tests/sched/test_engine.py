@@ -371,6 +371,50 @@ class TestRegistryCounters:
         assert added["sched.starts"] == 5
         assert added["sched.backfills"] == 1
 
+    def test_greedy_rows_are_read_before_victims_requeue(self):
+        # Job 0 holds the whole server from hour 0; job 1 arrives at
+        # hour 24 and waits for all of it.  The decision at hour 24
+        # evicts job 0 and hands over the queue as it was, holding job
+        # 1 alone, as its greedy order.  Job 0 re-queues ahead of job 1
+        # in arrival order, but it is not in the order it was handed:
+        # job 1 starts (past the waiting job 0, so one backfill), and
+        # job 0 resumes when job 1 ends.
+        class EvictThenHandOverTheQueue:
+            name = "evict"
+
+            def __init__(self):
+                self.evicted = False
+
+            def select(self, context):
+                if context.running and not self.evicted:
+                    self.evicted = True
+                    return SchedulingDecision(
+                        preemptions=(context.running[0].job_id,),
+                        greedy=context.queue,
+                    )
+                return FifoPolicy().select(context)
+
+        local = Architecture.ALLREDUCE_LOCAL
+        jobs = [make_job(0, local, 8), make_job(1, local, 8, submit_day=1)]
+        outcome, added = self._counted(
+            lambda: run_schedule(
+                jobs,
+                Fleet(1),
+                EvictThenHandOverTheQueue(),
+                durations={0: 48.0, 1: 1.0},
+            )
+        )
+        first, second = outcome.outcomes
+        assert [(s.start_hour, s.end_hour) for s in first.segments] == [
+            (0.0, 24.0),
+            (25.0, 49.0),
+        ]
+        assert [(s.start_hour, s.end_hour) for s in second.segments] == [
+            (24.0, 25.0)
+        ]
+        assert added["sched.starts"] == 3
+        assert added["sched.backfills"] == 1
+
     def test_a_requeued_job_keeps_its_arrival_place(self):
         # Jobs 0 (6 GPUs) and 1 (2 GPUs) fill the server at hour 0; job
         # 2 arrives at hour 24 and waits.  A storm at hour 30 evicts job

@@ -77,6 +77,78 @@ class TestSjf:
         assert starts[0] == 3.0
 
 
+class CountingFleet(Fleet):
+    """A fleet that counts its clones and its successful placements."""
+
+    def __init__(self, num_servers):
+        super().__init__(num_servers)
+        self.clones = 0
+        self.placements = 0
+
+    def clone(self):
+        self.clones += 1
+        return super().clone()
+
+    def try_place(self, architecture, num_gpus):
+        placement = super().try_place(architecture, num_gpus)
+        self.placements += placement is not None
+        return placement
+
+
+class TestInOrderPolicies:
+    """FIFO and SJF hand the engine their order and plan nothing."""
+
+    @pytest.mark.parametrize("policy", [FifoPolicy(), SjfPolicy()])
+    def test_each_started_job_is_placed_once_and_nothing_cloned(
+        self, policy
+    ):
+        # Eighteen jobs of every shape over three days on two servers:
+        # most of them wait, so the orders block behind their heads.
+        shapes = [
+            (Architecture.SINGLE, 1),
+            (Architecture.ALLREDUCE_LOCAL, 8),
+            (Architecture.PS_WORKER, 2),
+            (Architecture.LOCAL_CENTRALIZED, 3),
+            (Architecture.ALLREDUCE_CLUSTER, 12),
+            (Architecture.PEARL, 5),
+        ]
+        jobs = [
+            make_job(job_id, *shapes[job_id % 6], submit_day=job_id % 3)
+            for job_id in range(18)
+        ]
+        durations = {job.job_id: 1.0 + job.job_id % 5 * 7.0 for job in jobs}
+        fleet = CountingFleet(2)
+        outcome = run_schedule(jobs, fleet, policy, durations=durations)
+        assert fleet.clones == 0
+        assert [len(o.segments) for o in outcome.outcomes] == [1] * len(jobs)
+        assert fleet.placements == len(jobs)
+        assert outcome.mean_queueing_delay_hours > 0
+
+    def test_fifo_hands_over_the_queue_itself(self):
+        queue = [PendingJob(make_job(i), 0.0, 3.0 - i) for i in range(3)]
+        decision = FifoPolicy().select(
+            SchedulingContext(0.0, Fleet(1), queue, ())
+        )
+        assert decision.greedy is queue
+        assert decision.starts == () and decision.preemptions == ()
+        assert not decision.is_empty
+
+    def test_sjf_hands_over_its_sorted_copy(self):
+        hours = [3.0, 1.0, 2.0, 1.0]
+        queue = [PendingJob(make_job(i), 0.0, h) for i, h in enumerate(hours)]
+        decision = SjfPolicy().select(
+            SchedulingContext(0.0, Fleet(1), queue, ())
+        )
+        # Ties on remaining hours keep arrival order.
+        assert [row.job_id for row in decision.greedy] == [1, 3, 2, 0]
+        assert [row.job_id for row in queue] == [0, 1, 2, 3]
+        assert decision.starts == () and decision.preemptions == ()
+
+    def test_an_empty_order_is_an_empty_decision(self):
+        assert SchedulingDecision(greedy=[]).is_empty
+        assert not SchedulingDecision(greedy=[object()]).is_empty
+
+
 class TestBackfill:
     def test_short_job_backfills_behind_blocked_head(self):
         # Head (job 1) waits for the full server at t=10; job 2 fits in

@@ -369,6 +369,29 @@ class TestRoundTrip:
             ):
                 read()
 
+    def test_views_carry_the_shape_of_their_features(
+        self, store, small_trace
+    ):
+        # Four shards of 128, 128, 128 and 16 rows: every shard's rows
+        # are read from that shard's slice of the columns.
+        views = list(ColumnarTrace.open(store).iter_views())
+        assert len(views) == len(small_trace)
+        for view, record in zip(views, small_trace):
+            materialized = view.features.materialize()
+            assert materialized == record.features
+            assert view.workload_type is view.features.architecture
+            assert view.workload_type is record.workload_type
+            assert view.num_cnodes == view.features.num_cnodes
+            assert view.num_cnodes == materialized.num_cnodes
+            assert view.num_cnodes == record.num_cnodes
+            assert (view.job_id, view.submit_day, view.user_group) == (
+                record.job_id,
+                record.submit_day,
+                record.user_group,
+            )
+            for value in (view.job_id, view.submit_day, view.num_cnodes):
+                assert type(value) is int
+
     def test_single_shard_column_is_memory_mapped(
         self, tmp_path, small_trace
     ):
