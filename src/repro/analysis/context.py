@@ -30,7 +30,7 @@ from ..core.hardware import HardwareConfig, pai_default_hardware, testbed_v100_h
 from ..core.population import FeatureArrays
 from ..trace.columnar import ColumnarTrace, is_columnar_store
 from ..trace.generator import TraceConfig, generate_trace
-from ..trace.schema import features_of_type
+from ..trace.schema import JobRecord, features_of_type
 from ..trace.serialization import load_trace
 
 __all__ = [
@@ -125,7 +125,12 @@ def _external_store(path: str, digest: str) -> ColumnarTrace:
 @functools.lru_cache(maxsize=2)
 def _cached_external_trace(path: str, digest: str) -> tuple:
     if is_columnar_store(path):
-        return tuple(_external_store(path, digest).iter_records())
+        # Through the cached store's columns, so its feature arrays
+        # reuse the shard reads instead of hashing every shard again.
+        return tuple(
+            JobRecord(v.job_id, v.features.materialize(), v.submit_day, v.user_group)
+            for v in _external_store(path, digest).iter_views()
+        )
     return tuple(load_trace(path))
 
 

@@ -30,7 +30,12 @@ from .sched_whatif import run as run_sched_whatif
 from .tenants import run as run_tenants
 from .result import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids"]
+__all__ = [
+    "EXPERIMENTS",
+    "DEFAULT_TRACE_READERS",
+    "run_experiment",
+    "experiment_ids",
+]
 
 EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "table1": tables.run_table1,
@@ -65,6 +70,33 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "sched_whatif": run_sched_whatif,
     "faults_scenarios": run_faults_scenarios,
 }
+
+#: The experiments that read the default trace
+#: (:func:`repro.analysis.context.default_trace`).  A suite pool runs
+#: the pending ones as one task, in registry order, so one worker
+#: generates the trace once and shares it and its feature arrays; every
+#: other experiment is a task of its own.  The set decides scheduling
+#: only: an experiment in the wrong group computes the same result in
+#: whichever worker runs it.  ``tests/runtime/test_run_suite.py`` keeps
+#: it equal to the experiments that generate the trace when run one at
+#: a time.
+DEFAULT_TRACE_READERS = frozenset(
+    {
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig15",
+        "fig16",
+        "calibration",
+        "observations",
+        "tenants",
+        "census",
+    }
+)
 
 
 def experiment_ids() -> List[str]:

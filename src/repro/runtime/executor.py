@@ -17,23 +17,34 @@ report``:
   :mod:`repro.obs`, with cache traffic and pool lifecycle counted in
   the metric registry.
 
-Workers are forked after the parent pre-generates the default trace, so
-the 20k-job synthetic trace is shared copy-on-write instead of being
-regenerated per process.
+The pool forks at once; the parent generates no trace.  Its first task
+is the *chain*: every pending reader of the default trace
+(:data:`~repro.analysis.registry.DEFAULT_TRACE_READERS`), run one
+after another in registry order in the worker that takes it.  That
+worker generates the 20k-job synthetic trace once, at the first
+reader, and the rest share it and its feature arrays.  Every other
+experiment is its own task, so the trace-free experiments run on the
+other workers while the trace is generated, and a run with no pending
+reader generates no trace at all.  The set decides scheduling only:
+an experiment in the wrong group computes the same result wherever it
+runs.
 
 Every worker exits by itself once its parent is gone (see
 :func:`_exit_with_parent`), so a suite killed by a signal -- SIGKILL
 included, which no handler can catch -- leaves no worker running.
 
-Hard-crash isolation: experiments are ``submit()``-ed individually and
+Hard-crash isolation: every task is ``submit()``-ed on its own and
 every ``future.result()`` is fenced.  When a worker dies hard the pool
 breaks and *all* unfinished futures raise ``BrokenProcessPool`` -- the
 crasher and its innocent in-flight neighbours are indistinguishable at
-that point, so each unresolved experiment is retried once in a fresh
-single-worker pool.  Survivors complete there; the experiment that
-kills its private pool a second time becomes a failed outcome naming
-the worker death.  (Retrying in a throwaway subprocess rather than
-in-process keeps a determined crasher from taking the parent down.)
+that point, and a broken chain resolves none of its experiments -- so
+each unresolved experiment is retried once, on its own, in a fresh
+single-worker pool (a reader of the default trace generates it again
+there; only this failure path pays that).  Survivors complete there;
+the experiment that kills its private pool a second time becomes a
+failed outcome naming the worker death.  (Retrying in a throwaway
+subprocess rather than in-process keeps a determined crasher from
+taking the parent down.)
 """
 
 from __future__ import annotations
@@ -131,6 +142,16 @@ def _run_one(experiment_id: str) -> _RawOutcome:
     )
 
 
+def _run_chain(experiment_ids: Tuple[str, ...]) -> List[_RawOutcome]:
+    """Run experiments one after another, each fenced by :func:`_run_one`.
+
+    One pool task: its experiments share this process's trace and
+    feature-array caches.  Module-level so the pool can pickle it by
+    name.
+    """
+    return [_run_one(experiment_id) for experiment_id in experiment_ids]
+
+
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
@@ -207,45 +228,57 @@ def _run_isolated(
 
 def _run_pool(
     pending: List[str],
-    workers: int,
+    chain: Tuple[str, ...],
+    jobs: int,
     context: multiprocessing.context.BaseContext,
 ) -> List[_RawOutcome]:
     """Run experiments in a shared pool, surviving worker deaths.
 
-    Every future is fenced individually: an exception out of
-    ``future.result()`` (``BrokenProcessPool`` when a worker dies hard)
-    marks that experiment *unresolved* instead of aborting the suite;
-    unresolved experiments are then each retried in their own fresh
-    single-worker pool by :func:`_run_isolated`.
+    ``chain`` is the first task, run in one worker; every other pending
+    experiment is a task of its own, and the pool starts
+    ``min(jobs, tasks)`` workers.  Every future is fenced individually:
+    an exception out of ``future.result()`` (``BrokenProcessPool`` when
+    a worker dies hard) marks each experiment of its task *unresolved*
+    instead of aborting the suite; unresolved experiments are then each
+    retried in their own fresh single-worker pool by
+    :func:`_run_isolated`.
     """
     obs = get_obs()
+    tasks = [chain] if chain else []
+    tasks += [(e,) for e in pending if e not in chain]
+    workers = min(jobs, len(tasks))
     obs.event(
-        "pool.start", level=DEBUG, workers=workers, pending=len(pending)
+        "pool.start",
+        level=DEBUG,
+        workers=workers,
+        pending=len(pending),
+        tasks=len(tasks),
+        chained=list(chain),
     )
     obs.metrics.gauge("pool.workers").set(workers)
     resolved: Dict[str, _RawOutcome] = {}
     try:
         with _pool(workers, context) as pool:
-            futures = {
-                pool.submit(_run_one, experiment_id): experiment_id
-                for experiment_id in pending
-            }
+            futures = {pool.submit(_run_chain, task): task for task in tasks}
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(
                     remaining, return_when=FIRST_COMPLETED
                 )
                 for future in done:
-                    experiment_id = futures[future]
                     try:
-                        resolved[experiment_id] = future.result()
+                        raw = future.result()
                     except BaseException as exc:
-                        obs.event(
-                            "pool.future_broken",
-                            level=DEBUG,
-                            experiment=experiment_id,
-                            error=type(exc).__name__,
-                        )
+                        for experiment_id in futures[future]:
+                            obs.event(
+                                "pool.future_broken",
+                                level=DEBUG,
+                                experiment=experiment_id,
+                                error=type(exc).__name__,
+                            )
+                        continue
+                    for outcome in raw:
+                        resolved[outcome[0]] = outcome
     except BaseException as exc:
         # Pool teardown itself can raise once broken; anything not yet
         # resolved is retried below.
@@ -286,8 +319,7 @@ def run_suite(
         crashing experiment (in-process runs cannot fence a hard
         ``os._exit``).
     """
-    from ..analysis.context import default_trace
-    from ..analysis.registry import EXPERIMENTS
+    from ..analysis.registry import DEFAULT_TRACE_READERS, EXPERIMENTS
 
     obs = get_obs()
     if experiment_ids is None:
@@ -330,10 +362,15 @@ def run_suite(
     context = _fork_context() if jobs > 1 and len(pending) > 1 else None
     with obs.metrics.time("suite"):
         if context is not None:
-            # Generate the shared trace before forking: workers inherit
-            # the pages copy-on-write instead of regenerating per process.
-            default_trace()
-            raw = _run_pool(pending, min(jobs, len(pending)), context)
+            # The default trace's readers form one task, in registry
+            # order: the worker that takes it generates the trace once,
+            # and the parent never does.
+            chain = tuple(
+                e
+                for e in EXPERIMENTS
+                if e in DEFAULT_TRACE_READERS and e in pending
+            )
+            raw = _run_pool(pending, chain, jobs, context)
         else:
             raw = [_run_one(experiment_id) for experiment_id in pending]
 

@@ -11,12 +11,17 @@ lookup, with **no** ``clear_caches()`` call required in between.
 """
 
 import hashlib
+import multiprocessing
 import os
 import re
 
 import pytest
 
 from repro.analysis import context
+from repro.analysis.cli import main
+from repro.core.architectures import Architecture
+from repro.obs import reset_obs
+from repro.trace import columnar
 from repro.trace.columnar import MANIFEST_NAME, ColumnarTrace, write_columnar
 from repro.trace.generator import TraceConfig, generate_trace
 from repro.trace.serialization import save_trace
@@ -169,3 +174,78 @@ class TestBrokenStore:
                 error, match=re.escape(str(store / MANIFEST_NAME))
             ):
                 entry_point()
+
+
+def _count_hashes(monkeypatch, log):
+    """Append ``<pid> <shard>`` to ``log`` for every shard hash; forked
+    workers inherit the spy and append to the same file."""
+    sha256_file = columnar._sha256_file
+
+    def spy(path):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {path.name}\n")
+        return sha256_file(path)
+
+    monkeypatch.setattr(columnar, "_sha256_file", spy)
+
+
+def _hashes(log):
+    return [tuple(line.split()) for line in log.read_text().splitlines()]
+
+
+class TestOneReadPerProcess:
+    """A process reads (and hashes) each shard of the external store
+    once, however many of its caches it fills.  The record cache used to
+    decode through ``iter_records()``, a second read of every shard
+    beside the one the feature arrays made."""
+
+    def test_records_and_feature_arrays_share_one_read(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = generate_trace(config=TraceConfig(num_jobs=60, seed=1))
+        store = tmp_path / "trace.columnar"
+        write_columnar(jobs, store, shard_rows=25)
+        monkeypatch.setenv(context.TRACE_PATH_ENV_VAR, str(store))
+        log = tmp_path / "hashes"
+        log.touch()
+        _count_hashes(monkeypatch, log)
+
+        assert list(context.default_trace()) == jobs
+        context.trace_feature_arrays()
+        context.trace_feature_arrays(architecture=Architecture.PS_WORKER)
+        pid = str(os.getpid())
+        assert sorted(_hashes(log)) == [
+            (pid, f"shard-0000{i}.npz") for i in range(3)
+        ]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the suite pool needs the fork start method",
+    )
+    def test_a_pooled_report_hashes_the_store_twice(
+        self, tmp_path, monkeypatch
+    ):
+        # The CLI's up-front check, then one read in the worker that
+        # runs the default trace's readers.  It used to be four reads in
+        # three processes: the check, the parent's records before the
+        # fork, and each worker's feature arrays.
+        store = tmp_path / "trace.columnar"
+        write_columnar(
+            generate_trace(config=TraceConfig(num_jobs=1500)), store
+        )
+        monkeypatch.setenv(context.TRACE_PATH_ENV_VAR, str(store))
+        log = tmp_path / "hashes"
+        log.touch()
+        _count_hashes(monkeypatch, log)
+        try:
+            status = main(
+                ["report", "--no-cache", "-q", "-j", "2",
+                 "-o", str(tmp_path / "report.md")]
+            )
+        finally:
+            reset_obs()
+        assert status == 0
+        hashes = _hashes(log)
+        assert [shard for _, shard in hashes] == ["shard-00000.npz"] * 2
+        assert hashes[0][0] == str(os.getpid())
+        assert hashes[1][0] != str(os.getpid())

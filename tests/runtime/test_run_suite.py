@@ -1,5 +1,6 @@
 """Parallel, cached, error-isolated suite execution."""
 
+import json
 import multiprocessing
 import os
 import select
@@ -12,8 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import context
 from repro.analysis.context import TRACE_JOBS_ENV_VAR, clear_caches
-from repro.analysis.registry import EXPERIMENTS
+from repro.analysis.registry import (
+    DEFAULT_TRACE_READERS,
+    EXPERIMENTS,
+    run_experiment,
+)
 from repro.analysis.report import render_outcomes
 from repro.analysis.result import ExperimentResult
 from repro.runtime import (
@@ -213,6 +219,191 @@ class TestHardCrashIsolation:
         )
         outcomes = run_suite(["x", "broken"], jobs=1)
         assert failed_ids(outcomes) == ["broken"]
+
+
+def _toy_chain(monkeypatch, experiments, readers):
+    """A toy registry whose declared default-trace readers are ``readers``."""
+    import repro.analysis.registry as registry_module
+
+    _toy_registry(monkeypatch, experiments)
+    monkeypatch.setattr(
+        registry_module, "DEFAULT_TRACE_READERS", frozenset(readers)
+    )
+
+
+def _spy_on_generation(monkeypatch, log):
+    """Append the pid of every default-trace generation to ``log``; forked
+    workers inherit the spy and append to the same file."""
+    default_config = context.default_trace_config()
+    generate = context.generate_trace
+
+    def spy(*, config):
+        if config == default_config:
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+        return generate(config=config)
+
+    monkeypatch.setattr(context, "generate_trace", spy)
+
+
+class TestDefaultTraceChain:
+    """A pool runs the default trace's readers as one task, in the worker
+    that generates the trace; the parent never generates it."""
+
+    def test_readers_are_the_experiments_that_generate_the_trace(
+        self, small_trace, monkeypatch, tmp_path
+    ):
+        # At 1,200 jobs the schedulers' own traces would be the default one.
+        log = tmp_path / "generated"
+        _spy_on_generation(monkeypatch, log)
+        readers = set()
+        for experiment_id in EXPERIMENTS:
+            clear_caches()
+            log.write_text("")
+            run_experiment(experiment_id)
+            if log.read_text():
+                readers.add(experiment_id)
+        assert readers == DEFAULT_TRACE_READERS
+
+    @needs_fork
+    def test_a_pool_run_never_generates_the_trace_in_the_parent(
+        self, small_trace, monkeypatch, tmp_path
+    ):
+        log = tmp_path / "generated"
+        _spy_on_generation(monkeypatch, log)
+        clear_caches()
+        outcomes = run_suite(
+            ["table1", "fig5", "table4", "fig7", "census"], jobs=2
+        )
+        assert failed_ids(outcomes) == []
+        (pid,) = log.read_text().split()
+        assert int(pid) != os.getpid()
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "ids, generations",
+        [
+            (["table1", "fig5", "table4", "fig6", "tenants"], 1),
+            (["table1", "table2", "table4"], 0),
+        ],
+        ids=["with-readers", "trace-free"],
+    )
+    def test_the_event_log_shows_one_generation_per_pool_run(
+        self, ids, generations, small_trace, tmp_path
+    ):
+        from repro.obs import JsonLinesSink, get_obs, reset_obs
+
+        reset_obs()
+        clear_caches()
+        log = tmp_path / "events.jsonl"
+        get_obs().add_sink(JsonLinesSink(log))
+        try:
+            outcomes = run_suite(ids, jobs=2)
+        finally:
+            reset_obs()
+        assert failed_ids(outcomes) == []
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        spans = [
+            e
+            for e in events
+            if e["kind"] == "span" and e["name"] == "trace.generate"
+        ]
+        assert len(spans) == generations
+        (start,) = [e for e in events if e["kind"] == "pool.start"]
+        chained = [e for e in EXPERIMENTS if e in DEFAULT_TRACE_READERS and e in ids]
+        assert start["chained"] == chained
+        assert start["tasks"] == len(ids) - len(chained) + bool(chained)
+        assert start["workers"] == 2
+
+    @needs_fork
+    def test_a_raising_reader_does_not_stop_the_chain(self, monkeypatch):
+        from repro.obs import MemorySink, get_obs, reset_obs
+
+        def raiser():
+            raise RuntimeError("reader failure")
+
+        _toy_chain(
+            monkeypatch,
+            {
+                "r1": lambda: _toy("r1", 1),
+                "raiser": raiser,
+                "r2": lambda: _toy("r2", 2),
+                "t1": lambda: _toy("t1", 3),
+            },
+            readers=["r1", "raiser", "r2"],
+        )
+        reset_obs()
+        sink = get_obs().add_sink(MemorySink())
+        try:
+            outcomes = run_suite(["r1", "raiser", "r2", "t1"], jobs=2)
+        finally:
+            reset_obs()
+        assert failed_ids(outcomes) == ["raiser"]
+        assert "RuntimeError: reader failure" in outcomes[1].error
+        assert [o.result.rows for o in outcomes if o.ok] == [
+            [{"v": 1}], [{"v": 2}], [{"v": 3}]
+        ]
+        (start,) = of_kind(sink, "pool.start")
+        assert start["chained"] == ["r1", "raiser", "r2"]
+        assert start["tasks"] == 2
+        assert of_kind(sink, "pool.broken") == []
+        assert of_kind(sink, "pool.retry") == []
+
+    @needs_fork
+    def test_a_hard_crash_in_the_chain_fails_only_the_crasher(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.obs import MemorySink, get_obs, reset_obs
+
+        crashes = tmp_path / "crashes"
+
+        def crasher():
+            with open(crashes, "a") as handle:
+                handle.write("crash\n")
+            os._exit(1)
+
+        def trace_free(experiment_id):
+            # Finishes only once the crasher has died twice (in the
+            # chain, then in its own retry), so the broken pool always
+            # leaves it unresolved and only its retry returns.
+            def run():
+                deadline = time.monotonic() + 60.0
+                while not crashes.exists() or len(
+                    crashes.read_text().split()
+                ) < 2:
+                    assert time.monotonic() < deadline, "no second crash"
+                    time.sleep(0.01)
+                return _toy(experiment_id, 2)
+
+            return run
+
+        ids = ["r1", "crash", "r2", "t1", "t2"]
+        _toy_chain(
+            monkeypatch,
+            {
+                "r1": lambda: _toy("r1", 1),
+                "crash": crasher,
+                "r2": lambda: _toy("r2", 1),
+                "t1": trace_free("t1"),
+                "t2": trace_free("t2"),
+            },
+            readers=["r1", "crash", "r2"],
+        )
+        reset_obs()
+        sink = get_obs().add_sink(MemorySink())
+        try:
+            outcomes = run_suite(ids, jobs=2)
+        finally:
+            reset_obs()
+        assert [o.experiment_id for o in outcomes] == ids
+        assert failed_ids(outcomes) == ["crash"]
+        assert "worker process died" in outcomes[1].error
+        (broken,) = of_kind(sink, "pool.broken")
+        assert broken["unresolved"] == ids
+        assert [e["experiment"] for e in of_kind(sink, "pool.retry")] == ids
+        assert [e["experiment"] for e in of_kind(sink, "pool.worker_died")] == [
+            "crash"
+        ]
 
 
 #: A suite whose pool workers block in their experiments; it prints the
